@@ -13,7 +13,6 @@ from .bench import (
     approximation_ratio,
     build_report,
     emit,
-    feasibility_ratio,
 )
 from .instance import (
     GtspInstance,
@@ -45,7 +44,9 @@ from .qubo import (
     QuboModel,
     build_qubo,
     decode,
+    decode_rows,
     encode,
+    energies,
     energy,
     penalty_weight,
     to_ising,

@@ -1,10 +1,10 @@
 """Per-instance metrics and experiment-group report files.
 
-Feasibility ratio counts the shots that decode to valid tours; approximation
-ratio is optimal cost over achieved cost (1.0 is optimal). AR distributions
-weight every shot by its multiplicity, so a bitstring sampled 30 times
-contributes 30 points. Emission is deterministic: fixed row order, repr float
-formatting, sorted JSON keys, schema tag "v1".
+Feasibility ratio (``feasible_shot_rate``) counts the shots that decode to
+valid tours; approximation ratio is optimal cost over achieved cost (1.0 is
+optimal). AR distributions weight every shot by its multiplicity, so a
+bitstring sampled 30 times contributes 30 points. Emission is deterministic:
+fixed row order, repr float formatting, sorted JSON keys, schema tag "v1".
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
 
 from . import qubo
 from .baseline import ExactResult
-from .instance import GtspInstance, tour_cost
+from .instance import GtspInstance
 from .qubo import QuboModel
 from .sampler import Failure, SampleSet
 
@@ -28,15 +31,6 @@ def approximation_ratio(optimal: float, cost: float) -> float:
     if optimal <= 0:
         raise ValueError("approximation ratio undefined for optimal <= 0")
     return optimal / cost
-
-
-def feasibility_ratio(samples: SampleSet, model: QuboModel, inst: GtspInstance) -> float:
-    if samples.failure is not None or samples.num_reads == 0:
-        return 0.0
-    good = sum(
-        e.count for e in samples.entries if qubo.decode(model, inst, e.bits).feasible
-    )
-    return good / samples.num_reads
 
 
 @dataclass(frozen=True)
@@ -107,6 +101,16 @@ class ExperimentGroup:
         }
 
 
+def _tour_costs(inst: GtspInstance, order: np.ndarray) -> np.ndarray:
+    """Cyclic cost of every (m, K) order row, summed leg by leg in
+    ``tour_cost``'s order so each equals ``tour_cost`` bit for bit."""
+    legs = inst.weights[order, np.roll(order, -1, axis=1)]
+    total = np.zeros(len(order))
+    for c in range(order.shape[1]):
+        total += legs[:, c]
+    return total
+
+
 def build_report(
     inst: GtspInstance,
     model: QuboModel,
@@ -129,11 +133,12 @@ def build_report(
         costs: list[float] = []
         weight = 0
         if samples.failure is None:
-            for entry in samples.entries:
-                verdict = qubo.decode(model, inst, entry.bits)
-                if not verdict.feasible:
+            entries = samples.entries
+            violations, order = qubo.decode_rows(model, inst, [e.bits for e in entries])
+            tour_costs = _tour_costs(inst, order).tolist()
+            for entry, violation, cost in zip(entries, violations, tour_costs):
+                if violation is not None:
                     continue
-                cost = tour_cost(inst, verdict.tour)
                 costs.extend([cost] * entry.count)
                 weight += entry.count
                 if optimal > 0:
@@ -221,14 +226,20 @@ def ar_csv(group: ExperimentGroup) -> str:
 
 
 def violin_csv(report: BackendReport) -> str:
-    return _csv_text(["ar"], [[ar] for ar in report.ar_distribution])
+    return "ar\n" + "".join(f"{ar!r}\n" for ar in report.ar_distribution)
+
+
+def atomic_write(path: Path, text: str) -> None:
+    """Write via a temp file and rename, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
 
 
 def emit(group, out_dir, formats=("json", "csv", "violin-data")) -> list:
     """Write report files for a group or a single InstanceReport; returns the
     paths written."""
-    from pathlib import Path
-
     if isinstance(group, InstanceReport):
         group = ExperimentGroup(name=group.name, reports=(group,))
     out = Path(out_dir)
@@ -236,9 +247,7 @@ def emit(group, out_dir, formats=("json", "csv", "violin-data")) -> list:
     written = []
 
     def write(path, text):
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        atomic_write(path, text)
         written.append(path)
 
     if "json" in formats:

@@ -45,13 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def _read_instance(path: str) -> GtspInstance:
     return parse_gtsplib(Path(path).read_text(encoding="utf-8"))
 
@@ -168,7 +161,7 @@ def _apply_reduction(
 
 
 def _run_backend(
-    key: str, model: qubo.QuboModel, cfg: RunConfig, index: int
+    key: str, inst: GtspInstance, model: qubo.QuboModel, cfg: RunConfig, index: int
 ) -> tuple[sampler.SampleSet, qaoa.GridResult | None]:
     started = time.monotonic()
     grid_result = None
@@ -202,7 +195,7 @@ def _run_backend(
                 layers=cfg.layers,
             )
             grid_result = qaoa.grid_search(
-                model, layout, grid_cfg, stage_seed(cfg.seed, index, "qaoa")
+                model, layout, grid_cfg, stage_seed(cfg.seed, index, "qaoa"), inst=inst
             )
             samples = grid_result.search_samples  # every shot drawn during the search
         except qaoa.StateTooLargeError:
@@ -231,17 +224,17 @@ def _bench_instance(payload: tuple) -> dict:
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     raw_dir = Path(cfg.out) / "raw" / f"{index:03d}_{inst.name}"
 
-    _atomic_write(raw_dir / "instance.gtsp", serialize_gtsplib(inst))
+    bench.atomic_write(raw_dir / "instance.gtsp", serialize_gtsplib(inst))
     if record is not None:
-        _atomic_write(
+        bench.atomic_write(
             raw_dir / "reduction.json",
             bench.json_text({**record.to_json_dict(), "original_n": original_n}),
         )
-    _atomic_write(raw_dir / "model.json", bench.json_text(qubo.to_json_dict(model)))
-    _atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
+    bench.atomic_write(raw_dir / "model.json", bench.json_text(qubo.to_json_dict(model)))
+    bench.atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
 
     exact = baseline.exact_solve(inst)
-    _atomic_write(
+    bench.atomic_write(
         raw_dir / "exact.json",
         bench.json_text(
             {
@@ -253,13 +246,13 @@ def _bench_instance(payload: tuple) -> dict:
     )
     rnd_seed = stage_seed(cfg.seed, index, "random")
     random_costs = [c for _, c in baseline.random_tours(inst, cfg.reads, rnd_seed)]
-    _atomic_write(
+    bench.atomic_write(
         raw_dir / "random.json",
         bench.json_text({"seed": rnd_seed, "count": cfg.reads, "costs": random_costs}),
     )
 
     for key in cfg.backends:
-        samples, grid_result = _run_backend(key, model, cfg, index)
+        samples, grid_result = _run_backend(key, inst, model, cfg, index)
         print(
             f"[{inst.name}] backend={key} best="
             f"{samples.entries[0].energy if samples.entries else None} "
@@ -268,12 +261,12 @@ def _bench_instance(payload: tuple) -> dict:
             file=sys.stderr,
         )
         samples = dataclasses.replace(samples, wall_time_s=None)  # keep runs byte-identical
-        _atomic_write(
+        bench.atomic_write(
             raw_dir / f"samples_{key}.json",
             bench.json_text(samples.to_json_dict(include_timing=False)),
         )
         if grid_result is not None and grid_result.cells:
-            _atomic_write(raw_dir / "qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
+            bench.atomic_write(raw_dir / "qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
     return {"index": index, "raw_dir": str(raw_dir)}
 
 
@@ -353,8 +346,8 @@ def cmd_reduce(args) -> int:
         )
         stem = reduced.name
     out = Path(args.out)
-    _atomic_write(out / f"{stem}.gtsp", serialize_gtsplib(reduced))
-    _atomic_write(out / f"{stem}.json", bench.json_text(record.to_json_dict()))
+    bench.atomic_write(out / f"{stem}.gtsp", serialize_gtsplib(reduced))
+    bench.atomic_write(out / f"{stem}.json", bench.json_text(record.to_json_dict()))
     print(f"{reduced.name}: N={reduced.n}, K={reduced.k} -> {out / (stem + '.gtsp')}")
     return EXIT_OK
 
@@ -363,8 +356,8 @@ def cmd_qubo(args) -> int:
     inst = _read_instance(args.instance)
     model = qubo.build_qubo(inst, zero_is_edge=bool(args.zero_is_edge))
     out = Path(args.out)
-    _atomic_write(out / f"{inst.name}_model.json", bench.json_text(qubo.to_json_dict(model)))
-    _atomic_write(out / f"{inst.name}_model.coo", qubo.to_coo_text(model))
+    bench.atomic_write(out / f"{inst.name}_model.json", bench.json_text(qubo.to_json_dict(model)))
+    bench.atomic_write(out / f"{inst.name}_model.coo", qubo.to_coo_text(model))
     print(
         f"{inst.name}: variables={model.num_vars}, lambda={model.lam}, "
         f"quadratic_terms={len(model.quadratic)}"
@@ -381,13 +374,13 @@ def cmd_solve(args) -> int:
     out = Path(cfg.out)
     failures = []
     for key in cfg.backends:
-        samples, grid_result = _run_backend(key, model, cfg, 0)
-        _atomic_write(
+        samples, grid_result = _run_backend(key, inst, model, cfg, 0)
+        bench.atomic_write(
             out / f"{inst.name}_samples_{key}.json",
             bench.json_text(samples.to_json_dict(include_timing=True)),
         )
         if grid_result is not None and grid_result.cells:
-            _atomic_write(out / f"{inst.name}_qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
+            bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
         best = samples.best()
         print(
             f"{inst.name} {key}: best_energy="
@@ -404,7 +397,7 @@ def cmd_bench(args) -> int:
         raise _UsageError("bench needs at least one instance file")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "config.json", bench.json_text(cfg.to_json_dict()))
+    bench.atomic_write(out / "config.json", bench.json_text(cfg.to_json_dict()))
     payloads = [
         (cfg.to_json_dict(), index, path) for index, path in enumerate(cfg.instances)
     ]

@@ -235,9 +235,10 @@ def run_qaoa(
 
 
 def sample_shots(
-    state: SubspaceState, model: QuboModel, shots: int, seed: int
+    state: SubspaceState, diagonal: np.ndarray, shots: int, seed: int
 ) -> SampleSet:
-    """i.i.d. measurement draws; tuples rendered as full N*K bitstrings."""
+    """i.i.d. measurement draws; tuples rendered as full N*K bitstrings, each
+    scored by its entry of the cost diagonal."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = state.probabilities()
@@ -246,15 +247,19 @@ def sample_shots(
     draws = rng.choice(len(probs), size=shots, p=probs)
     uniq, counts = np.unique(draws, return_counts=True)
     n, k = state.n, state.k
-    entries = []
-    for flat, count in zip(uniq, counts):
-        tup = np.unravel_index(int(flat), (n,) * k)
-        bits = np.zeros(n * k, dtype=np.uint8)
-        for c, node in enumerate(tup):
-            bits[var_index(n, c, int(node))] = 1
-        bit_str = qubo.bits_to_str(bits)
-        entries.append(SampleEntry(bit_str, int(count), qubo.energy(model, bit_str)))
-    entries.sort(key=lambda e: (e.energy, e.bits))
+    nodes = np.unravel_index(uniq, (n,) * k)  # K arrays: node of each step
+    rows = np.zeros((len(uniq), n * k), dtype=np.uint8)
+    for c, node in enumerate(nodes):
+        rows[np.arange(len(uniq)), c * n + node] = 1
+    entries = sorted(
+        (
+            SampleEntry(bits, count, e)
+            for bits, count, e in zip(
+                qubo.rows_to_strs(rows), counts.tolist(), diagonal[uniq].tolist()
+            )
+        ),
+        key=lambda e: (e.energy, e.bits),
+    )
     return SampleSet(backend=Backend.QAOA, num_reads=shots, entries=tuple(entries))
 
 
@@ -291,7 +296,7 @@ def grid_search(
             )
             cell_seed = seed + cell_index
             state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
-            samples = sample_shots(state, model, grid.shots, cell_seed)
+            samples = sample_shots(state, diagonal, grid.shots, cell_seed)
             for e in samples.entries:
                 count, _ = pooled.get(e.bits, (0, 0.0))
                 pooled[e.bits] = (count + e.count, e.energy)
@@ -302,10 +307,11 @@ def grid_search(
                 score = sum(e.energy * e.count for e in samples.entries) / grid.shots
             feasible = None
             if inst is not None:
+                violations, _ = qubo.decode_rows(
+                    model, inst, [e.bits for e in samples.entries]
+                )
                 good = sum(
-                    e.count
-                    for e in samples.entries
-                    if qubo.decode(model, inst, e.bits).feasible
+                    e.count for e, v in zip(samples.entries, violations) if v is None
                 )
                 feasible = good / grid.shots
             cells.append(

@@ -48,10 +48,14 @@ class QuboModel:
     def to_dense(self) -> tuple[np.ndarray, float]:
         """Upper-triangular coefficient matrix (linear on the diagonal)."""
         q = np.zeros((self.num_vars, self.num_vars), dtype=np.float64)
-        for v, c in self.linear.items():
-            q[v, v] = c
-        for (u, v), c in self.quadratic.items():
-            q[u, v] = c
+        if self.linear:
+            lin = np.fromiter(self.linear.keys(), dtype=np.intp, count=len(self.linear))
+            q[lin, lin] = np.fromiter(self.linear.values(), dtype=np.float64, count=len(lin))
+        if self.quadratic:
+            pairs = np.array(list(self.quadratic.keys()), dtype=np.intp)
+            q[pairs[:, 0], pairs[:, 1]] = np.fromiter(
+                self.quadratic.values(), dtype=np.float64, count=len(pairs)
+            )
         return q, self.offset
 
 
@@ -101,8 +105,32 @@ def as_bits(b, num_vars: int) -> np.ndarray:
     return arr
 
 
+def as_rows(rows, num_vars: int) -> np.ndarray:
+    """Coerce an (m, num_vars) 0/1 array, or a list of m bitstrings, to uint8."""
+    if isinstance(rows, (list, tuple)) and all(isinstance(b, str) for b in rows):
+        text = "".join(rows).encode("ascii")
+        if any(len(b) != num_vars for b in rows):
+            raise ValueError(f"expected bitstrings of length {num_vars}")
+        arr = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(rows), num_vars)
+    else:
+        arr = np.asarray(rows)
+        if arr.ndim != 2 or arr.shape[1] != num_vars:
+            raise ValueError(f"expected an (m, {num_vars}) array of bits")
+    if np.any((arr != 0) & (arr != 1)):
+        raise ValueError("expected 0/1 entries")
+    return arr.astype(np.uint8, copy=False)
+
+
+def rows_to_strs(rows) -> list[str]:
+    """One '0'/'1' string per row of a 0/1 array."""
+    arr = np.asarray(rows, dtype=np.uint8)
+    width = arr.shape[1]
+    text = (arr + ord("0")).tobytes().decode("ascii")
+    return [text[i * width : (i + 1) * width] for i in range(len(arr))]
+
+
 def bits_to_str(arr) -> str:
-    return "".join("1" if int(x) else "0" for x in arr)
+    return rows_to_strs(np.asarray(arr, dtype=np.uint8)[None, :])[0]
 
 
 def penalty_weight(inst: GtspInstance) -> float:
@@ -180,17 +208,17 @@ def build_qubo(inst: GtspInstance, zero_is_edge: bool = False) -> QuboModel:
     )
 
 
+def energies(model: QuboModel, rows) -> np.ndarray:
+    """Energy of every row of an (m, num_vars) 0/1 array (or list of m
+    bitstrings): offset + x^T Q x, one dense product over all rows."""
+    x = as_rows(rows, model.num_vars).astype(np.float64)
+    q, offset = model.to_dense()
+    return offset + np.einsum("ij,ij->i", x @ q, x)
+
+
 def energy(model: QuboModel, b) -> float:
     """offset + linear + quadratic terms evaluated on the bitstring."""
-    bits = as_bits(b, model.num_vars)
-    e = model.offset
-    for v, c in model.linear.items():
-        if bits[v]:
-            e += c
-    for (u, v), c in model.quadratic.items():
-        if bits[u] and bits[v]:
-            e += c
-    return float(e)
+    return float(energies(model, as_bits(b, model.num_vars)[None, :])[0])
 
 
 def encode(model: QuboModel, t, inst: GtspInstance) -> str:
@@ -204,26 +232,39 @@ def encode(model: QuboModel, t, inst: GtspInstance) -> str:
     return bits_to_str(bits)
 
 
+def decode_rows(
+    model: QuboModel, inst: GtspInstance, rows
+) -> tuple[list[str | None], np.ndarray]:
+    """First violated constraint class of every row (None when the row is a
+    valid tour) and the (m, K) node order read off its steps.
+
+    Classes are checked in the order StepOneHot, ClusterOneHot, MissingEdge;
+    the order row is -1 wherever a step is not one-hot.
+    """
+    bits = as_rows(rows, model.num_vars)
+    n, k = model.n, model.k
+    steps = bits.reshape(len(bits), k, n)
+    step_ok = (steps.sum(axis=2) == 1).all(axis=1)
+    order = np.where(step_ok[:, None], steps.argmax(axis=2), -1)
+    cluster_of = np.array([inst.cluster_of(v) for v in range(n)], dtype=np.intp)
+    cluster_ok = step_ok & (np.sort(cluster_of[order], axis=1) == np.arange(k)).all(axis=1)
+    edge_ok = cluster_ok
+    if not model.zero_is_edge:
+        legs = inst.weights[order, np.roll(order, -1, axis=1)]
+        edge_ok = cluster_ok & (legs != 0.0).all(axis=1)
+    violations = np.full(len(bits), None, dtype=object)
+    violations[~edge_ok] = VIOLATION_EDGE
+    violations[~cluster_ok] = VIOLATION_CLUSTER
+    violations[~step_ok] = VIOLATION_STEP
+    return violations.tolist(), order
+
+
 def decode(model: QuboModel, inst: GtspInstance, b) -> DecodeResult:
     """Read a tour off the bitstring; never repairs, only classifies failures."""
-    bits = as_bits(b, model.num_vars)
-    n, k = model.n, model.k
-    order: list[int] = []
-    for c in range(k):
-        step = bits[c * n : (c + 1) * n]
-        if int(step.sum()) != 1:
-            return DecodeResult(False, violation=VIOLATION_STEP)
-        order.append(int(np.argmax(step)))
-    hit = [0] * k
-    for v in order:
-        hit[inst.cluster_of(v)] += 1
-    if any(c != 1 for c in hit):
-        return DecodeResult(False, violation=VIOLATION_CLUSTER)
-    if not model.zero_is_edge:
-        for i, v in enumerate(order):
-            if inst.weights[v, order[(i + 1) % k]] == 0.0:
-                return DecodeResult(False, violation=VIOLATION_EDGE)
-    return DecodeResult(True, tour=Tour(tuple(order)))
+    violations, order = decode_rows(model, inst, as_bits(b, model.num_vars)[None, :])
+    if violations[0] is not None:
+        return DecodeResult(False, violation=violations[0])
+    return DecodeResult(True, tour=Tour(tuple(order[0].tolist())))
 
 
 def to_ising(model: QuboModel) -> IsingModel:

@@ -125,16 +125,24 @@ def _max_flip_delta(model: QuboModel) -> float:
     return top
 
 
+def _min_coefficient(model: QuboModel) -> float:
+    """Smallest nonzero |coefficient| of the model (1.0 when all are zero)."""
+    coeffs = np.abs([*model.linear.values(), *model.quadratic.values()])
+    coeffs = coeffs[coeffs > 0.0]
+    return float(coeffs.min()) if coeffs.size else 1.0
+
+
 def default_schedule(model: QuboModel, sweeps: int = DEFAULT_SWEEPS) -> AnnealSchedule:
-    """Geometric schedule: worst uphill flip accepted w.p. ~0.5 at the start,
-    ~1e-4 at the end."""
+    """Geometric schedule after dwave-neal's ``default_beta_range``: the worst
+    uphill flip is accepted w.p. ~0.5 at the start, and a flip that costs the
+    smallest nonzero |coefficient| w.p. ~0.01 at the end."""
     d_max = _max_flip_delta(model)
     if d_max <= 0.0:
         d_max = 1.0
     return AnnealSchedule(
         sweeps=sweeps,
         beta_initial=math.log(2.0) / d_max,
-        beta_final=math.log(1e4) / d_max,
+        beta_final=math.log(100.0) / _min_coefficient(model),
         interpolation="geometric",
     )
 
@@ -142,10 +150,12 @@ def default_schedule(model: QuboModel, sweeps: int = DEFAULT_SWEEPS) -> AnnealSc
 def _entries_from_rows(model: QuboModel, rows: np.ndarray) -> tuple[SampleEntry, ...]:
     """Deduplicate sample rows and recompute their energies exactly."""
     uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    entries = []
-    for row, count in zip(uniq, counts):
-        bits = qubo.bits_to_str(row)
-        entries.append(SampleEntry(bits, int(count), qubo.energy(model, bits)))
+    entries = [
+        SampleEntry(bits, count, e)
+        for bits, count, e in zip(
+            qubo.rows_to_strs(uniq), counts.tolist(), qubo.energies(model, uniq).tolist()
+        )
+    ]
     entries.sort(key=lambda e: (e.energy, e.bits))
     return tuple(entries)
 
@@ -153,33 +163,46 @@ def _entries_from_rows(model: QuboModel, rows: np.ndarray) -> tuple[SampleEntry,
 # --- exhaustive scan ---------------------------------------------------------
 
 
+def _all_rows(width: int) -> np.ndarray:
+    """Every bit row of the given width, in index order (bit 0 most significant)."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.arange(1 << width, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.float64)
+
+
 def exhaustive_ground_state(
     model: QuboModel, max_vars: int = EXHAUSTIVE_CAP
 ) -> tuple[str, float]:
     """Global minimum-energy bitstring; ties go to the lexicographically
-    smallest string (bit 0 most significant)."""
+    smallest string (bit 0 most significant).
+
+    Split-half scan: with H the rows of the leading variables and L those of
+    the trailing ones, the energies of all states H x L are
+    e_hi[:, None] + e_lo[None, :] + (H @ Q_hl) @ L.T, taken in blocks of at
+    most 2^16 states in index order.
+    """
     n = model.num_vars
     if n > max_vars:
         raise ValueError(f"{n} variables exceed the exhaustive cap {max_vars}")
     q, offset = model.to_dense()
-    linear = np.diagonal(q).copy()
-    np.fill_diagonal(q, 0.0)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    n_lo = min((n + 1) // 2, 16)
+    n_hi = n - n_lo
+    hi, lo = _all_rows(n_hi), _all_rows(n_lo)
+    e_hi = offset + np.einsum("ij,ij->i", hi @ q[:n_hi, :n_hi], hi)
+    e_lo = np.einsum("ij,ij->i", lo @ q[n_hi:, n_hi:], lo)
+    cross = hi @ q[:n_hi, n_hi:]
 
     best_e = math.inf
     best_m = 0
-    chunk = 1 << 16
-    for start in range(0, 1 << n, chunk):
-        ms = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
-        bits = ((ms[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        energies = offset + bits @ linear + np.einsum("bi,ij,bj->b", bits, q, bits)
-        idx = int(np.argmin(energies))
-        if energies[idx] < best_e:
-            best_e = float(energies[idx])
-            best_m = int(ms[idx])
-    bits = [(best_m >> int(s)) & 1 for s in shifts]
-    bitstring = qubo.bits_to_str(bits)
-    return bitstring, qubo.energy(model, bitstring)
+    block = max(1, (1 << 16) >> n_lo)  # leading-half rows per block
+    for start in range(0, len(hi), block):
+        stop = min(start + block, len(hi))
+        energies = e_hi[start:stop, None] + e_lo[None, :] + cross[start:stop] @ lo.T
+        idx = int(np.argmin(energies))  # first minimum in C order = smallest index
+        if energies.flat[idx] < best_e:
+            best_e = float(energies.flat[idx])
+            best_m = (start << n_lo) + idx
+    bits = np.array([(best_m >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
+    return qubo.bits_to_str(bits), float(qubo.energies(model, bits[None, :])[0])
 
 
 # --- simulated annealing -----------------------------------------------------
@@ -329,8 +352,10 @@ def external_sampler_submit(
         if count < 1:
             raise ExternalSamplerError("entry count must be positive")
         total += count
-        entries.append(SampleEntry(bits, count, qubo.energy(model, bits)))
-    entries.sort(key=lambda e: (e.energy, e.bits))
-    return SampleSet(
-        backend=Backend.EXTERNAL, num_reads=total, entries=tuple(entries)
+        entries.append((bits, count))
+    energies = qubo.energies(model, [bits for bits, _ in entries]).tolist()
+    ranked = sorted(
+        (SampleEntry(bits, count, e) for (bits, count), e in zip(entries, energies)),
+        key=lambda e: (e.energy, e.bits),
     )
+    return SampleSet(backend=Backend.EXTERNAL, num_reads=total, entries=tuple(ranked))

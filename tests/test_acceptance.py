@@ -20,7 +20,15 @@ from gtspq.bench import build_report
 from gtspq.cli import main
 from gtspq.instance import Tour, tour_cost
 from gtspq.preprocess import nn2c_reduce
-from gtspq.qaoa import GridConfig, QaoaParams, build_layout, grid_search, run_qaoa, sample_shots
+from gtspq.qaoa import (
+    GridConfig,
+    QaoaParams,
+    build_layout,
+    cost_diagonal,
+    grid_search,
+    run_qaoa,
+    sample_shots,
+)
 from gtspq.qubo import build_qubo, decode, encode, energy
 from gtspq.sampler import exhaustive_ground_state, sa_sample
 
@@ -170,7 +178,7 @@ def test_criterion_06_qaoa_subspace_invariants():
         seed = int(rng.integers(1 << 31))
         state = run_qaoa(model, layout, params, seed=seed)
         assert abs(state.norm() - 1.0) < 1e-9
-        shots = sample_shots(state, model, shots=40, seed=seed)
+        shots = sample_shots(state, cost_diagonal(model, layout), shots=40, seed=seed)
         assert shots.total_count() == 40
         for entry in shots.entries:
             for c in range(k):

@@ -11,7 +11,6 @@ from gtspq.bench import (
     approximation_ratio,
     build_report,
     emit,
-    feasibility_ratio,
     json_text,
 )
 from gtspq.instance import Tour, tour_cost
@@ -36,11 +35,17 @@ def _sample_set(entries, num_reads, backend=Backend.SIMULATED_ANNEALING, failure
     )
 
 
+def _feasible_shot_rate(samples, model, inst):
+    exact = exact_solve(inst)
+    report = build_report(inst, model, {"sa": samples}, exact, [exact.cost])
+    return report.backends["sa"].feasible_shot_rate
+
+
 def test_feasibility_ratio_all_feasible(toy_instance):
     model = build_qubo(toy_instance)
     bits = encode(model, Tour((0, 1)), toy_instance)
     samples = _sample_set([SampleEntry(bits, 30, 10.0)], 30)
-    assert feasibility_ratio(samples, model, toy_instance) == 1.0
+    assert _feasible_shot_rate(samples, model, toy_instance) == 1.0
 
 
 def test_feasibility_ratio_fraction(toy_instance):
@@ -49,13 +54,17 @@ def test_feasibility_ratio_fraction(toy_instance):
     samples = _sample_set(
         [SampleEntry(good, 1023, 10.0), SampleEntry("0" * 4, 477, 44.0)], 1500
     )
-    assert feasibility_ratio(samples, model, toy_instance) == pytest.approx(0.682)
+    assert _feasible_shot_rate(samples, model, toy_instance) == pytest.approx(0.682)
 
 
 def test_feasibility_ratio_zero_on_failure(toy_instance):
     model = build_qubo(toy_instance)
     samples = _sample_set([], 0, failure=Failure.COULD_NOT_EMBED)
-    assert feasibility_ratio(samples, model, toy_instance) == 0.0
+    assert _feasible_shot_rate(samples, model, toy_instance) == 0.0
+    # a failed backend's shots never count, even when some were returned
+    good = encode(model, Tour((0, 1)), toy_instance)
+    failed = _sample_set([SampleEntry(good, 5, 10.0)], 5, failure=Failure.TIMEOUT)
+    assert _feasible_shot_rate(failed, model, toy_instance) == 0.0
 
 
 def test_feasibility_ratio_exhaustive_census():
@@ -69,7 +78,8 @@ def test_feasibility_ratio_exhaustive_census():
         if decode(model, inst, bits).feasible:
             census += 1
     samples = _sample_set(entries, 1 << 12)
-    assert feasibility_ratio(samples, model, inst) == census / (1 << 12)
+    assert census > 0
+    assert _feasible_shot_rate(samples, model, inst) == census / (1 << 12)
 
 
 def _toy_pipeline(toy_instance, entries, num_reads, failure=None):
@@ -209,6 +219,24 @@ def test_emit_accepts_single_report(toy_instance, tmp_path):
     emit(report, tmp_path)
     data = json.loads((tmp_path / "group.json").read_text())
     assert data["name"] == "toy" and len(data["instances"]) == 1
+
+
+def test_violin_csv_matches_csv_writer_output():
+    import csv
+    import io
+
+    from gtspq.bench import BackendReport, violin_csv
+
+    ars = (1.0, 0.8, 1 / 3, 0.123456789012345, 2e-7)
+    report = BackendReport(1.0, ars, 1.0, 1.0, 1.0, 1.0, None, None)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["ar"])
+    for ar in ars:
+        writer.writerow([repr(ar)])
+    assert violin_csv(report) == buf.getvalue()
+    empty = BackendReport(0.0, (), None, None, 1.0, 1.0, None, "invalid_tour")
+    assert violin_csv(empty) == "ar\n"
 
 
 def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):

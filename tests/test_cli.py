@@ -227,6 +227,32 @@ def test_bench_raw_artifacts_present(bench_paths, tmp_path):
     assert len(grid_lines) == 1 + 9
 
 
+def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
+    """Each grid cell's feasible_shot_fraction is the decoded share of that
+    cell's shots, redrawn here from the cell's seed."""
+    from gtspq.cli import stage_seed
+    from gtspq.qaoa import QaoaParams, build_layout, cost_diagonal, run_qaoa, sample_shots
+    from gtspq.qubo import build_qubo, decode
+
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    for index, raw in enumerate(sorted((out / "raw").iterdir())):
+        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
+        model = build_qubo(inst)
+        layout = build_layout(inst.n, inst.k)
+        diagonal = cost_diagonal(model, layout)
+        lines = (raw / "qaoa_grid.csv").read_text().splitlines()[1:]
+        assert len(lines) == 9
+        for cell, line in enumerate(lines):
+            gamma, beta, _, fraction, _ = line.split(",")
+            assert fraction != ""
+            seed = stage_seed(7, index, "qaoa") + cell
+            state = run_qaoa(model, layout, QaoaParams(float(gamma), float(beta)), seed)
+            shots = sample_shots(state, diagonal, 40, seed)
+            good = sum(e.count for e in shots.entries if decode(model, inst, e.bits).feasible)
+            assert float(fraction) == good / 40
+
+
 def test_bench_parallel_jobs_match_serial(bench_paths, tmp_path):
     out_serial = tmp_path / "s"
     out_par = tmp_path / "p"

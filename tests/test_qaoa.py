@@ -21,7 +21,7 @@ from gtspq.qaoa import (
     sample_shots,
 )
 from gtspq.sampler import Backend, Failure
-from gtspq.instance import Tour
+from gtspq.instance import GtspInstance, Tour
 
 import gen
 
@@ -272,7 +272,7 @@ def test_sample_shots_basis_state():
     amps = np.zeros(9, dtype=complex)
     amps[4] = 1.0  # tuple (1, 1)
     state = SubspaceState(n=3, k=2, amps=amps)
-    result = sample_shots(state, model, shots=50, seed=0)
+    result = sample_shots(state, cost_diagonal(model, layout), shots=50, seed=0)
     assert len(result.entries) == 1
     assert result.entries[0].count == 50
     assert result.entries[0].bits == "010010"
@@ -284,7 +284,7 @@ def test_sample_shots_binomial_split():
     model = QuboModel(n=2, k=1, linear={}, quadratic={}, offset=0.0, lam=1.0)
     amps = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     state = SubspaceState(n=2, k=1, amps=amps)
-    result = sample_shots(state, model, shots=1500, seed=3)
+    result = sample_shots(state, cost_diagonal(model, layout), shots=1500, seed=3)
     assert result.total_count() == 1500
     counts = {e.bits: e.count for e in result.entries}
     sigma = math.sqrt(1500 * 0.25)
@@ -296,10 +296,28 @@ def test_sample_shots_step_one_hot_always():
     model = build_qubo(inst)
     layout = build_layout(4, 3)
     state = run_qaoa(model, layout, QaoaParams(0.7, 0.4), seed=11)
-    result = sample_shots(state, model, shots=2000, seed=12)
+    result = sample_shots(state, cost_diagonal(model, layout), shots=2000, seed=12)
     for entry in result.entries:
         for c in range(3):
             assert entry.bits[c * 4 : (c + 1) * 4].count("1") == 1
+
+
+def test_sample_shots_energies_equal_qubo_energy():
+    for seed, integer in ((17, True), (18, False)):
+        inst = gen.make_random_instance(seed=seed, n=4, k=3)
+        if not integer:
+            w = inst.weights * np.random.default_rng(seed).uniform(0.1, 3.7, size=(4, 4))
+            inst = GtspInstance(inst.name, inst.clusters, w, symmetric=False)
+        model = build_qubo(inst)
+        layout = build_layout(4, 3)
+        state = run_qaoa(model, layout, QaoaParams(0.9, 0.3), seed=seed)
+        result = sample_shots(state, cost_diagonal(model, layout), shots=3000, seed=seed)
+        assert len(result.entries) > 20
+        for entry in result.entries:
+            if integer:
+                assert entry.energy == energy(model, entry.bits)
+            else:
+                assert abs(entry.energy - energy(model, entry.bits)) <= 1e-9
 
 
 # --- grid search ------------------------------------------------------------------------
@@ -322,7 +340,7 @@ def test_grid_1x1_degenerates_to_single_run(toy_instance):
     assert len(result.cells) == 1
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
     state = run_qaoa(model, layout, params, seed=5)
-    direct = sample_shots(state, model, shots=200, seed=5)
+    direct = sample_shots(state, cost_diagonal(model, layout), shots=200, seed=5)
     assert result.best_samples == direct
     assert result.best_params == params
 
@@ -405,7 +423,7 @@ def test_norm_drift_and_one_hot_over_random_draws():
         seed = int(rng.integers(1 << 31))
         state = run_qaoa(model, layout, params, seed=seed)
         assert abs(state.norm() - 1.0) < 1e-9
-        shots = sample_shots(state, model, shots=64, seed=seed)
+        shots = sample_shots(state, cost_diagonal(model, layout), shots=64, seed=seed)
         for entry in shots.entries:
             steps = [entry.bits[c * 4 : (c + 1) * 4].count("1") for c in range(3)]
             assert steps == [1, 1, 1]

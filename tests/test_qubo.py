@@ -9,8 +9,13 @@ from gtspq.instance import GtspInstance, Tour, tour_cost
 from gtspq.qubo import (
     QuboModel,
     build_qubo,
+    VIOLATION_CLUSTER,
+    VIOLATION_EDGE,
+    VIOLATION_STEP,
     decode,
+    decode_rows,
     encode,
+    energies,
     energy,
     penalty_weight,
     to_ising,
@@ -116,6 +121,149 @@ def test_energy_matches_dense_oracle():
         x = rng.integers(0, 2, size=12).astype(float)
         expected = model.offset + float(x @ dense @ x)
         assert energy(model, x.astype(np.uint8)) == pytest.approx(expected, abs=1e-9)
+
+
+def _battery(rng, count, integer=True):
+    """Random small instances as in the acceptance battery; with
+    ``integer=False`` the weights are non-integer floats."""
+    out = []
+    for _ in range(count):
+        n, k = gen.random_small_shape(rng)
+        inst = gen.make_random_instance(int(rng.integers(1 << 31)), n, k)
+        if not integer:
+            w = inst.weights * rng.uniform(0.1, 3.7, size=inst.weights.shape)
+            inst = GtspInstance(inst.name, inst.clusters, w, symmetric=False)
+        out.append(inst)
+    return out
+
+
+def _per_term_energy(model, row) -> float:
+    """Reference: the energy summed term by term over the model's dicts."""
+    e = model.offset
+    for v, c in model.linear.items():
+        if row[v]:
+            e += c
+    for (u, v), c in model.quadratic.items():
+        if row[u] and row[v]:
+            e += c
+    return e
+
+
+def test_energies_match_per_term_loop_integer_weights():
+    rng = np.random.default_rng(101)
+    for inst in _battery(rng, 30):
+        model = build_qubo(inst)
+        rows = rng.integers(0, 2, size=(40, model.num_vars), dtype=np.uint8)
+        got = energies(model, rows)
+        assert got.tolist() == [_per_term_energy(model, row) for row in rows]
+        assert [energy(model, row) for row in rows] == got.tolist()
+
+
+def test_energies_match_per_term_loop_non_integer_weights():
+    rng = np.random.default_rng(102)
+    for inst in _battery(rng, 30, integer=False):
+        model = build_qubo(inst)
+        rows = rng.integers(0, 2, size=(40, model.num_vars), dtype=np.uint8)
+        expected = [_per_term_energy(model, row) for row in rows]
+        assert np.max(np.abs(energies(model, rows) - expected)) <= 1e-9
+
+
+def test_energies_accepts_bitstrings_and_validates():
+    model = QuboModel(n=2, k=1, linear={1: 2.0}, quadratic={(0, 1): 3.0}, offset=1.0, lam=1.0)
+    assert energies(model, ["00", "01", "11"]).tolist() == [1.0, 3.0, 6.0]
+    assert energies(model, np.zeros((0, 2), dtype=np.uint8)).shape == (0,)
+    with pytest.raises(ValueError):
+        energies(model, np.zeros((3, 3), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        energies(model, [[0, 2]])
+    with pytest.raises(ValueError):
+        energies(model, ["011"])
+
+
+def _reference_decode(model, inst, row):
+    """Per-row reference: (first violated class or None, node order or None)."""
+    n, k = model.n, model.k
+    order = []
+    for c in range(k):
+        step = [int(b) for b in row[c * n : (c + 1) * n]]
+        if sum(step) != 1:
+            return VIOLATION_STEP, None
+        order.append(step.index(1))
+    clusters = [next(m for m, cl in enumerate(inst.clusters) if v in cl) for v in order]
+    if sorted(clusters) != list(range(k)):
+        return VIOLATION_CLUSTER, order
+    if not model.zero_is_edge:
+        for i in range(k):
+            if inst.weights[order[i], order[(i + 1) % k]] == 0.0:
+                return VIOLATION_EDGE, order
+    return None, order
+
+
+def _one_hot_rows(rng, n, k, m):
+    """Rows with one set bit per step, so cluster and edge checks are reached."""
+    rows = np.zeros((m, n * k), dtype=np.uint8)
+    nodes = rng.integers(0, n, size=(m, k))
+    for c in range(k):
+        rows[np.arange(m), c * n + nodes[:, c]] = 1
+    return rows
+
+
+def test_decode_rows_matches_per_row_reference():
+    rng = np.random.default_rng(103)
+    census = {None: 0, VIOLATION_STEP: 0, VIOLATION_CLUSTER: 0, VIOLATION_EDGE: 0}
+    for trial in range(40):
+        n, k = gen.random_small_shape(rng)
+        # about a third of the directed edges absent (zero weight)
+        inst = gen.make_random_instance(int(rng.integers(1 << 31)), n, k, low=0, high=2)
+        for zero_is_edge in (False, True):
+            model = build_qubo(inst, zero_is_edge=zero_is_edge)
+            rows = np.concatenate(
+                [
+                    rng.integers(0, 2, size=(20, model.num_vars), dtype=np.uint8),
+                    _one_hot_rows(rng, n, k, 60),
+                ]
+            )
+            violations, order = decode_rows(model, inst, rows)
+            assert order.shape == (len(rows), k)
+            for row, violation, got_order in zip(rows, violations, order):
+                expected, expected_order = _reference_decode(model, inst, row)
+                assert violation == expected
+                census[violation] += 1
+                if expected_order is None:
+                    assert got_order.tolist() == [-1] * k
+                else:
+                    assert got_order.tolist() == expected_order
+                verdict = decode(model, inst, row)
+                assert verdict.violation == expected
+                assert verdict.feasible == (expected is None)
+                if expected is None:
+                    assert verdict.tour == Tour(tuple(expected_order))
+    assert all(count > 0 for count in census.values()), census
+
+
+def test_decode_rows_violation_precedence():
+    # node 1 -> node 0 is absent; clusters {0}, {1}, {2}
+    w = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    inst = GtspInstance("prec", [[0], [1], [2]], w, symmetric=False)
+    model = build_qubo(inst)
+
+    def row(*order):
+        return [int(b) for b in encode_unchecked(model, order)]
+
+    step_and_cluster = row(0, 0, 1)
+    step_and_cluster[0 * 3 + 2] = 1  # step 0 holds two nodes
+    rows = [
+        step_and_cluster,
+        row(1, 0, 1),  # cluster 1 twice, and the absent leg 1 -> 0
+        row(2, 1, 0),  # legs 2->1, 1->0 (absent), 0->2
+        row(0, 1, 2),
+    ]
+    violations, order = decode_rows(model, inst, np.array(rows))
+    assert violations == [VIOLATION_STEP, VIOLATION_CLUSTER, VIOLATION_EDGE, None]
+    assert order.tolist() == [[-1, -1, -1], [1, 0, 1], [2, 1, 0], [0, 1, 2]]
+    relaxed = build_qubo(inst, zero_is_edge=True)
+    violations, _ = decode_rows(relaxed, inst, np.array(rows))
+    assert violations == [VIOLATION_STEP, VIOLATION_CLUSTER, None, None]
 
 
 def test_energy_length_mismatch():
