@@ -23,6 +23,7 @@ from .instance import (
     parse_gtsplib,
     serialize_gtsplib,
     tour_cost,
+    tour_costs,
 )
 from .preprocess import ReductionRecord, cluster_subsample, nn2c_reduce
 from .qaoa import (

@@ -15,11 +15,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import qubo
 from .baseline import ExactResult
-from .instance import GtspInstance
+from .instance import GtspInstance, tour_costs
 from .qubo import QuboModel
 from .sampler import Failure, SampleSet
 
@@ -101,16 +99,6 @@ class ExperimentGroup:
         }
 
 
-def _tour_costs(inst: GtspInstance, order: np.ndarray) -> np.ndarray:
-    """Cyclic cost of every (m, K) order row, summed leg by leg in
-    ``tour_cost``'s order so each equals ``tour_cost`` bit for bit."""
-    legs = inst.weights[order, np.roll(order, -1, axis=1)]
-    total = np.zeros(len(order))
-    for c in range(order.shape[1]):
-        total += legs[:, c]
-    return total
-
-
 def build_report(
     inst: GtspInstance,
     model: QuboModel,
@@ -135,8 +123,8 @@ def build_report(
         if samples.failure is None:
             entries = samples.entries
             violations, order = qubo.decode_rows(model, inst, [e.bits for e in entries])
-            tour_costs = _tour_costs(inst, order).tolist()
-            for entry, violation, cost in zip(entries, violations, tour_costs):
+            costs_by_row = tour_costs(inst, order).tolist()
+            for entry, violation, cost in zip(entries, violations, costs_by_row):
                 if violation is not None:
                     continue
                 costs.extend([cost] * entry.count)

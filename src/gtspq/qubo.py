@@ -246,8 +246,8 @@ def decode_rows(
     steps = bits.reshape(len(bits), k, n)
     step_ok = (steps.sum(axis=2) == 1).all(axis=1)
     order = np.where(step_ok[:, None], steps.argmax(axis=2), -1)
-    cluster_of = np.array([inst.cluster_of(v) for v in range(n)], dtype=np.intp)
-    cluster_ok = step_ok & (np.sort(cluster_of[order], axis=1) == np.arange(k)).all(axis=1)
+    clusters_hit = np.sort(inst.cluster_index[order], axis=1)
+    cluster_ok = step_ok & (clusters_hit == np.arange(k)).all(axis=1)
     edge_ok = cluster_ok
     if not model.zero_is_edge:
         legs = inst.weights[order, np.roll(order, -1, axis=1)]

@@ -232,21 +232,27 @@ def sa_sample(
     qsym = q + q.T
 
     bits = rng.integers(0, 2, size=(num_reads, n)).astype(np.float64)
-    fields = bits @ qsym  # fields[r, v] = sum_u q_{uv} * b_u
+    # (num_vars, reads) layout, so each variable's row over the reads is contiguous
+    fields = np.ascontiguousarray((bits @ qsym).T)  # fields[v, r] = sum_u q_{uv} * b_{r,u}
+    spins = np.ascontiguousarray((1.0 - 2.0 * bits).T)  # 1 - 2 b: a flip's sign
     for beta in schedule.betas():
         # accept iff u < exp(-beta * delta), i.e. delta < -log(u) / beta
-        thresholds = -np.log(rng.random((num_reads, n)) + 1e-300) / beta
-        for v in range(n):
-            sign = 1.0 - 2.0 * bits[:, v]
-            delta = sign * (linear[v] + fields[:, v])
-            accept = delta < thresholds[:, v]
+        thresholds = np.ascontiguousarray(
+            (-np.log(rng.random((num_reads, n)) + 1e-300) / beta).T
+        )
+        # Until the first flip the state is the sweep's start state, so a
+        # variable no read accepts now is rejected in the sweep too.
+        live = (spins * (linear[:, None] + fields) < thresholds).any(axis=1)
+        if not live.any():
+            continue
+        for v in range(int(np.argmax(live)), n):
+            accept = spins[v] * (linear[v] + fields[v]) < thresholds[v]
             if not accept.any():
                 continue
-            coef = np.where(accept, sign, 0.0)
-            fields += coef[:, None] * qsym[v][None, :]
-            bits[:, v] = np.where(accept, 1.0 - bits[:, v], bits[:, v])
+            fields += np.multiply.outer(qsym[v], np.where(accept, spins[v], 0.0))
+            np.negative(spins[v], out=spins[v], where=accept)
 
-    entries = _entries_from_rows(model, bits.astype(np.uint8))
+    entries = _entries_from_rows(model, (spins.T < 0).astype(np.uint8))
     return SampleSet(
         backend=Backend.SIMULATED_ANNEALING, num_reads=num_reads, entries=entries
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from gtspq.baseline import exact_solve, random_tours
@@ -13,7 +14,7 @@ from gtspq.bench import (
     emit,
     json_text,
 )
-from gtspq.instance import Tour, tour_cost
+from gtspq.instance import GtspInstance, Tour, tour_cost
 from gtspq.qubo import build_qubo, decode, encode
 from gtspq.sampler import Backend, Failure, SampleEntry, SampleSet, sa_sample
 
@@ -182,6 +183,36 @@ def test_invariants_best_shot_and_random_mean(subsample_small_instances):
             assert backend.best_shot_ar == max(backend.ar_distribution)
             assert all(0 < ar <= 1 + 1e-12 for ar in backend.ar_distribution)
         assert report.mean_random_cost >= report.optimal_cost - 1e-9
+
+
+def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
+    """Every rotation of the exact tour (and, when symmetric, of its reversal)
+    costs exact.cost to the last bit, and no feasible shot reads AR > 1."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n, k = 6, 3
+        w = rng.integers(1, 100_000, size=(n, n)) / 1000.0
+        symmetric = bool(seed % 2)
+        if symmetric:
+            w = np.triu(w, 1) + np.triu(w, 1).T
+        np.fill_diagonal(w, 0.0)
+        inst = GtspInstance("d", gen.random_partition(n, k, rng), w, symmetric=symmetric)
+        model = build_qubo(inst)
+        exact = exact_solve(inst)
+        order = exact.tour.order
+        tours = [order[r:] + order[:r] for r in range(k)]
+        others = [t for t, _ in random_tours(inst, 50, seed=seed)]
+        shots = tours + [order[::-1]] + [t.order for t in others]
+        entries = {encode(model, t, inst): 1 for t in shots}
+        samples = _sample_set(
+            [SampleEntry(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
+        )
+        report = build_report(inst, model, {"x": samples}, exact, [exact.cost])
+        ars = report.backends["x"].ar_distribution
+        assert max(ars) == 1.0 and all(ar <= 1.0 for ar in ars)
+        if symmetric:
+            tours += [t[::-1] for t in tours]
+        assert {tour_cost(inst, t) for t in tours} == {exact.cost}
 
 
 # --- emission -------------------------------------------------------------------

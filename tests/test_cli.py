@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gtspq.cli import main
-from gtspq.instance import parse_gtsplib
+from gtspq.instance import GtspInstance, parse_gtsplib
 
 import gen
 
@@ -48,6 +49,15 @@ def test_instance_error_exit_2(tmp_path, capsys):
     assert main(["parse", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["parse", str(tmp_path / "missing.gtsp")]) == 2
+
+
+def test_bench_over_exact_cap_exit_2(write_instance, tmp_path, capsys):
+    """K=21 needs 2^20 * 20 exact-table entries, over the solver's cap."""
+    w = np.ones((21, 21)) - np.eye(21)
+    path = write_instance(GtspInstance("ring21", [[v] for v in range(21)], w, symmetric=True))
+    out = tmp_path / "run"
+    assert main(["bench", str(path), "--backend", "sa", "--out", str(out)]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_qubo_reports_variables(write_instance, tmp_path, capsys):

@@ -13,6 +13,7 @@ from gtspq.instance import (
     parse_gtsplib,
     serialize_gtsplib,
     tour_cost,
+    tour_costs,
 )
 
 import gen
@@ -81,6 +82,36 @@ def test_cyclic_invariance_rotation_and_reversal():
             assert tour_cost(inst, rotated) == pytest.approx(base)
     sym_order = tuple(c[0] for c in sym.clusters)
     assert tour_cost(sym, sym_order[::-1]) == pytest.approx(tour_cost(sym, sym_order))
+
+
+def _right_to_left(w, order):
+    total = float(w[order[-1], order[0]])
+    for pos in range(len(order) - 2, -1, -1):
+        total = float(w[order[pos], order[pos + 1]]) + total
+    return total
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_tour_cost_one_value_per_rotation_on_decimal_weights(symmetric):
+    """Rotations (and, when symmetric, reversals) agree bit for bit: each is
+    summed right to left from its cluster-0 node, a symmetric tour taking the
+    smaller direction; the batch form matches the scalar one."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n, k = 9, 5
+        w = rng.integers(1, 100_000, size=(n, n)) / 1000.0
+        if symmetric:
+            w = np.triu(w, 1) + np.triu(w, 1).T
+        np.fill_diagonal(w, 0.0)
+        inst = GtspInstance("d", gen.random_partition(n, k, rng), w, symmetric=symmetric)
+        order = tuple(int(rng.choice(c)) for c in inst.clusters)  # cluster-0 node first
+        expected = _right_to_left(w, order)
+        tours = [order[r:] + order[:r] for r in range(k)]
+        if symmetric:
+            expected = min(expected, _right_to_left(w, (order[0],) + order[:0:-1]))
+            tours += [t[::-1] for t in tours]
+        assert [tour_cost(inst, t) for t in tours] == [expected] * len(tours)
+        assert tour_costs(inst, tours).tolist() == [expected] * len(tours)
 
 
 def test_roundtrip_random_instances():

@@ -12,6 +12,7 @@ import pytest
 
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
+from gtspq.instance import GtspInstance
 from gtspq.qubo import QuboModel, build_qubo, decode, energy
 from gtspq.sampler import (
     AnnealSchedule,
@@ -20,6 +21,7 @@ from gtspq.sampler import (
     ExternalSamplerError,
     Failure,
     SampleSet,
+    _entries_from_rows,
     default_schedule,
     exhaustive_ground_state,
     external_sampler_submit,
@@ -137,6 +139,53 @@ def test_default_schedule_feasible_on_medium_fixtures():
         backend = report.backends["sa"]
         assert backend.feasible_shot_rate >= 0.9, name
         assert backend.best_shot_ar >= 0.95, name
+
+
+def _sa_reference_entries(model, num_reads, schedule, seed):
+    """Reference sweep: reads as rows, every variable tested in every sweep,
+    accepted flips applied with per-read masks."""
+    n = model.num_vars
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    q, _ = model.to_dense()
+    linear = np.diagonal(q).copy()
+    np.fill_diagonal(q, 0.0)
+    qsym = q + q.T
+    bits = rng.integers(0, 2, size=(num_reads, n)).astype(np.float64)
+    fields = bits @ qsym
+    for beta in schedule.betas():
+        thresholds = -np.log(rng.random((num_reads, n)) + 1e-300) / beta
+        for v in range(n):
+            sign = 1.0 - 2.0 * bits[:, v]
+            delta = sign * (linear[v] + fields[:, v])
+            accept = delta < thresholds[:, v]
+            if not accept.any():
+                continue
+            coef = np.where(accept, sign, 0.0)
+            fields += coef[:, None] * qsym[v][None, :]
+            bits[:, v] = np.where(accept, 1.0 - bits[:, v], bits[:, v])
+    return _entries_from_rows(model, bits.astype(np.uint8))
+
+
+def _decimal_model(seed, n, k):
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 100_000, size=(n, n)) / 1000.0
+    np.fill_diagonal(w, 0.0)
+    inst = GtspInstance(f"d{seed}", gen.random_partition(n, k, rng), w, symmetric=False)
+    return build_qubo(inst)
+
+
+@pytest.mark.parametrize("num_reads", [1, 7, 64])
+@pytest.mark.parametrize("sweeps", [1, 13, 200])
+def test_sa_matches_reference_sweep(num_reads, sweeps):
+    """Bit-identical to the reference sweep on non-integer weights."""
+    for seed, (n, k) in enumerate([(2, 2), (3, 3), (4, 3), (5, 2), (6, 4)]):
+        model = _decimal_model(seed, n, k)
+        for schedule in (
+            default_schedule(model, sweeps=sweeps),
+            AnnealSchedule(sweeps, 0.01, 5.0, "linear"),
+        ):
+            got = sa_sample(model, num_reads, schedule, seed=seed + 10).entries
+            assert got == _sa_reference_entries(model, num_reads, schedule, seed + 10)
 
 
 def test_sa_downhill_only_single_variable():
