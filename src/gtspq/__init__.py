@@ -41,7 +41,6 @@ from .qaoa import (
     sample_shots,
 )
 from .qubo import (
-    IsingModel,
     QuboModel,
     build_qubo,
     decode,
@@ -49,8 +48,8 @@ from .qubo import (
     encode,
     energies,
     energy,
+    from_terms,
     penalty_weight,
-    to_ising,
     var_index,
 )
 from .sampler import (

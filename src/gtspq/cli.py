@@ -137,6 +137,21 @@ def _parse_reduce_spec(spec: str) -> tuple[str, int | None]:
 # --- per-instance pipeline ----------------------------------------------------
 
 
+def _subsample(
+    inst: GtspInstance, target: int, seed: int
+) -> tuple[GtspInstance, preprocess.ReductionRecord]:
+    """``cluster_subsample``, the result renamed ``<name>_nodes_<n>``."""
+    reduced, record = preprocess.cluster_subsample(inst, target, seed)
+    renamed = GtspInstance(
+        name=f"{reduced.name}_nodes_{reduced.n}",
+        clusters=reduced.clusters,
+        weights=reduced.weights,
+        symmetric=reduced.symmetric,
+        coords=reduced.coords,
+    )
+    return renamed, record
+
+
 def _apply_reduction(
     inst: GtspInstance, cfg: RunConfig, index: int
 ) -> tuple[GtspInstance, preprocess.ReductionRecord | None, int | None]:
@@ -147,16 +162,7 @@ def _apply_reduction(
     if method == "nn2c":
         reduced, record = preprocess.nn2c_reduce(inst)
         return reduced, record, original_n
-    reduced, record = preprocess.cluster_subsample(
-        inst, target, stage_seed(cfg.seed, index, "subsample")
-    )
-    reduced = GtspInstance(
-        name=f"{reduced.name}_nodes_{reduced.n}",
-        clusters=reduced.clusters,
-        weights=reduced.weights,
-        symmetric=reduced.symmetric,
-        coords=reduced.coords,
-    )
+    reduced, record = _subsample(inst, target, stage_seed(cfg.seed, index, "subsample"))
     return reduced, record, original_n
 
 
@@ -336,14 +342,7 @@ def cmd_reduce(args) -> int:
         stem = f"{reduced.name}_nn2c"
     else:
         seed = args.seed if args.seed is not None else 0
-        reduced, record = preprocess.cluster_subsample(inst, target, seed)
-        reduced = GtspInstance(
-            name=f"{reduced.name}_nodes_{reduced.n}",
-            clusters=reduced.clusters,
-            weights=reduced.weights,
-            symmetric=reduced.symmetric,
-            coords=reduced.coords,
-        )
+        reduced, record = _subsample(inst, target, seed)
         stem = reduced.name
     out = Path(args.out)
     bench.atomic_write(out / f"{stem}.gtsp", serialize_gtsplib(reduced))

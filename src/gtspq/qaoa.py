@@ -98,7 +98,6 @@ class GridConfig:
     shots: int = 1500
     timeout_s: float = 300.0
     layers: int = 1
-    score: str = "shots"  # or "exact": variance-free <diagonal>
 
     def gammas(self) -> np.ndarray:
         return np.linspace(self.gamma_min, self.gamma_max, self.gamma_points)
@@ -160,30 +159,17 @@ def cost_diagonal(model: QuboModel, layout: PartitionLayout) -> np.ndarray:
     _check_dim(layout)
     n, k = layout.n, layout.k
     diag = np.full(layout.shape, model.offset, dtype=np.float64)
-    lin = np.zeros((k, n))
-    for v, c in model.linear.items():
-        lin[v // n, v % n] += c
+    lin = np.diagonal(model.q).reshape(k, n)
     for c in range(k):
         shape = [1] * k
         shape[c] = n
         diag += lin[c].reshape(shape)
-    cross: dict[tuple[int, int], np.ndarray] = {}
-    for (u, v), c in model.quadratic.items():
-        cu, iu = u // n, u % n
-        cv, iv = v // n, v % n
-        if cu == cv:
-            continue
-        mat = cross.setdefault((cu, cv), np.zeros((n, n)))
-        mat[iu, iv] += c
-    for (cu, cv), mat in cross.items():
-        shape = [1] * k
-        shape[cu] = n
-        shape[cv] = n
-        # axes must appear in tuple order when reshaping the n x n block
-        if cu < cv:
-            diag += mat.reshape(shape)
-        else:
-            diag += mat.T.reshape(shape)
+    for cu in range(k):
+        for cv in range(cu + 1, k):
+            shape = [1] * k
+            shape[cu] = n
+            shape[cv] = n
+            diag += model.q[cu * n : (cu + 1) * n, cv * n : (cv + 1) * n].reshape(shape)
     return diag.reshape(-1)
 
 
@@ -272,15 +258,16 @@ def grid_search(
 ) -> GridResult:
     """Evaluate every (gamma, beta) cell; argmin of the cell score wins.
 
-    Cells are scored by shot-estimated mean energy (or exact expectation when
-    configured); ties go to the smaller gamma, then the smaller beta. The
-    timeout covers the whole call: on expiry the best completed cell is
-    returned, with failure=timeout only if nothing completed. Cell c derives
-    its seed as seed + c, so the search is reproducible.
+    Cells are scored by shot-estimated mean energy; ties go to the smaller
+    gamma, then the smaller beta. The timeout covers the whole call: on expiry
+    the best completed cell is returned, with failure=timeout only if nothing
+    completed. Cell c derives its seed as seed + c, so the search is
+    reproducible. With ``inst`` given, each cell's feasible shot fraction is
+    read off one decode of the search's pooled unique shots.
     """
     diagonal = cost_diagonal(model, layout)
     started = time.monotonic()
-    cells: list[CellSummary] = []
+    runs: list[tuple[float, float, float, SampleSet]] = []  # gamma, beta, score, shots
     best_score = math.inf
     best_params: QaoaParams | None = None
     best_samples: SampleSet | None = None
@@ -301,28 +288,8 @@ def grid_search(
                 count, _ = pooled.get(e.bits, (0, 0.0))
                 pooled[e.bits] = (count + e.count, e.energy)
             pooled_shots += grid.shots
-            if grid.score == "exact":
-                score = float(np.real(np.sum(state.probabilities() * diagonal)))
-            else:
-                score = sum(e.energy * e.count for e in samples.entries) / grid.shots
-            feasible = None
-            if inst is not None:
-                violations, _ = qubo.decode_rows(
-                    model, inst, [e.bits for e in samples.entries]
-                )
-                good = sum(
-                    e.count for e, v in zip(samples.entries, violations) if v is None
-                )
-                feasible = good / grid.shots
-            cells.append(
-                CellSummary(
-                    gamma=float(gamma),
-                    beta=float(beta),
-                    mean_energy=score,
-                    feasible_shot_fraction=feasible,
-                    best_shot_energy=samples.entries[0].energy,
-                )
-            )
+            score = sum(e.energy * e.count for e in samples.entries) / grid.shots
+            runs.append((float(gamma), float(beta), score, samples))
             if score < best_score:
                 best_score = score
                 best_params = params
@@ -342,6 +309,18 @@ def grid_search(
         return GridResult(
             best_params=None, best_samples=empty, cells=(), search_samples=empty
         )
+    fractions: list[float | None] = [None] * len(runs)
+    if inst is not None:
+        violations, _ = qubo.decode_rows(model, inst, list(pooled))
+        feasible = {bits for bits, v in zip(pooled, violations) if v is None}
+        fractions = [
+            sum(e.count for e in samples.entries if e.bits in feasible) / grid.shots
+            for *_, samples in runs
+        ]
+    cells = tuple(
+        CellSummary(gamma, beta, score, fraction, samples.entries[0].energy)
+        for (gamma, beta, score, samples), fraction in zip(runs, fractions)
+    )
     search_entries = tuple(
         sorted(
             (SampleEntry(bits, count, e) for bits, (count, e) in pooled.items()),
@@ -354,7 +333,7 @@ def grid_search(
     return GridResult(
         best_params=best_params,
         best_samples=best_samples,
-        cells=tuple(cells),
+        cells=cells,
         search_samples=search_samples,
     )
 

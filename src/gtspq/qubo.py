@@ -18,7 +18,6 @@ two-leg cycle cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,51 +28,39 @@ VIOLATION_CLUSTER = "ClusterOneHot"
 VIOLATION_EDGE = "MissingEdge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuboModel:
-    """Sparse quadratic model over the (step, node) one-hot layout."""
+    """Quadratic model over the (step, node) one-hot layout.
+
+    ``q`` is a read-only upper-triangular (num_vars, num_vars) float64 array
+    with the linear terms on its diagonal: the energy of x is offset + x^T q x.
+    """
 
     n: int
     k: int
-    linear: dict[int, float]
-    quadratic: dict[tuple[int, int], float]
+    q: np.ndarray
     offset: float
     lam: float
     zero_is_edge: bool = False
+
+    def __post_init__(self):
+        self.q.setflags(write=False)
 
     @property
     def num_vars(self) -> int:
         return self.n * self.k
 
-    def to_dense(self) -> tuple[np.ndarray, float]:
-        """Upper-triangular coefficient matrix (linear on the diagonal)."""
-        q = np.zeros((self.num_vars, self.num_vars), dtype=np.float64)
-        if self.linear:
-            lin = np.fromiter(self.linear.keys(), dtype=np.intp, count=len(self.linear))
-            q[lin, lin] = np.fromiter(self.linear.values(), dtype=np.float64, count=len(lin))
-        if self.quadratic:
-            pairs = np.array(list(self.quadratic.keys()), dtype=np.intp)
-            q[pairs[:, 0], pairs[:, 1]] = np.fromiter(
-                self.quadratic.values(), dtype=np.float64, count=len(pairs)
-            )
-        return q, self.offset
+    @property
+    def linear(self) -> dict[int, float]:
+        """Nonzero diagonal of ``q`` by ascending variable: {v: coeff}."""
+        (v,) = np.nonzero(np.diagonal(self.q))
+        return dict(zip(v.tolist(), self.q[v, v].tolist()))
 
-
-@dataclass(frozen=True)
-class IsingModel:
-    """Spin (+/-1) equivalent of a QuboModel under x = (1 - z) / 2."""
-
-    h: dict[int, float]
-    j: dict[tuple[int, int], float]
-    offset: float
-
-    def energy(self, spins: Sequence[int]) -> float:
-        e = self.offset
-        for v, c in self.h.items():
-            e += c * spins[v]
-        for (u, v), c in self.j.items():
-            e += c * spins[u] * spins[v]
-        return float(e)
+    @property
+    def quadratic(self) -> dict[tuple[int, int], float]:
+        """Nonzero strict upper triangle of ``q`` by ascending pair: {(u, v): coeff}."""
+        u, v = np.nonzero(np.triu(self.q, 1))
+        return dict(zip(zip(u.tolist(), v.tolist()), self.q[u, v].tolist()))
 
 
 @dataclass(frozen=True)
@@ -142,69 +129,74 @@ def penalty_weight(inst: GtspInstance) -> float:
     return float(np.sum(top) + 1.0)
 
 
-def _add_quadratic(quad: dict, u: int, v: int, coeff: float) -> None:
-    key = (u, v) if u < v else (v, u)
-    quad[key] = quad.get(key, 0.0) + coeff
-
-
 def build_qubo(inst: GtspInstance, zero_is_edge: bool = False) -> QuboModel:
     """Assemble the full model: tour cost plus the three weighted penalties.
 
     ``zero_is_edge`` treats off-diagonal zero weights as genuine zero-cost
     edges (no absent-edge penalty), for synthetic instances.
+
+    The coefficients are written block by block in a fixed stage order (cost,
+    step cliques, cluster cliques, absent edges; steps in ascending order
+    within a stage), so each one is the same left-to-right float sum as a
+    term-by-term build.
     """
     n, k = inst.n, inst.k
     w = inst.weights
     lam = penalty_weight(inst)
-    linear: dict[int, float] = {}
-    quad: dict[tuple[int, int], float] = {}
-    offset = 0.0
+    q = np.zeros((n * k, n * k), dtype=np.float64)
+    off_diag = ~np.eye(n, dtype=bool)
 
-    # tour cost over consecutive steps, cyclically
+    def add_transitions(m: np.ndarray) -> None:
+        # m[i, j] onto the pair (step c, node i), (step c + 1, node j), cyclically
+        for c in range(k - 1):
+            q[c * n : (c + 1) * n, (c + 1) * n : (c + 2) * n] += m
+        q[:n, (k - 1) * n :] += m.T  # step K-1 -> step 0 (the same block when K = 2)
+
+    def add_clique(group: np.ndarray) -> None:
+        # (sum of the group - 1)^2 without its constant: -1 per variable, +2 per pair
+        g = np.sort(group)
+        q[g, g] -= lam
+        a, b = np.triu_indices(len(g), 1)
+        q[g[a], g[b]] += 2.0 * lam
+
+    add_transitions(np.where(off_diag, w, 0.0))
     for c in range(k):
-        c2 = (c + 1) % k
-        for i in range(n):
-            for j in range(n):
-                if i == j or w[i, j] == 0.0:
-                    continue
-                _add_quadratic(quad, var_index(n, c, i), var_index(n, c2, j), float(w[i, j]))
-
-    # one node per step
-    for c in range(k):
-        step_vars = [var_index(n, c, i) for i in range(n)]
-        for a_pos, u in enumerate(step_vars):
-            linear[u] = linear.get(u, 0.0) - lam
-            for v in step_vars[a_pos + 1 :]:
-                _add_quadratic(quad, u, v, 2.0 * lam)
-        offset += lam
-
-    # one node per cluster across all steps
+        add_clique(np.arange(c * n, (c + 1) * n))
     for cluster in inst.clusters:
-        group = [var_index(n, c, i) for c in range(k) for i in cluster]
-        for a_pos, u in enumerate(group):
-            linear[u] = linear.get(u, 0.0) - lam
-            for v in group[a_pos + 1 :]:
-                _add_quadratic(quad, u, v, 2.0 * lam)
-        offset += lam
-
-    # absent-edge transitions
+        add_clique((np.arange(k)[:, None] * n + np.array(cluster)).ravel())
     if not zero_is_edge:
-        zero_pairs = [
-            (i, j) for i in range(n) for j in range(n) if i != j and w[i, j] == 0.0
-        ]
-        for c in range(k):
-            c2 = (c + 1) % k
-            for i, j in zero_pairs:
-                _add_quadratic(quad, var_index(n, c, i), var_index(n, c2, j), lam)
+        add_transitions(np.where(off_diag & (w == 0.0), lam, 0.0))
 
+    offset = 0.0
+    for _ in range(2 * k):  # the constant of each step and each cluster clique
+        offset += lam
+    return QuboModel(n=n, k=k, q=q, offset=offset, lam=lam, zero_is_edge=zero_is_edge)
+
+
+def from_terms(
+    n: int,
+    k: int,
+    linear,
+    quadratic,
+    offset: float,
+    lam: float,
+    zero_is_edge: bool = False,
+) -> QuboModel:
+    """Model from term lists: (v, coeff) linear and (u, v, coeff) quadratic
+    terms. A pair is stored at (min, max); repeated terms add up."""
+    num_vars = n * k
+    lin = np.array(linear, dtype=np.float64).reshape(-1, 2)
+    quad = np.array(quadratic, dtype=np.float64).reshape(-1, 3)
+    idx = np.concatenate([lin[:, 0], quad[:, 0], quad[:, 1]])
+    if np.any((idx < 0) | (idx >= num_vars) | (idx != np.round(idx))):
+        raise ValueError(f"term index outside 0..{num_vars - 1}")
+    q = np.zeros((num_vars, num_vars), dtype=np.float64)
+    v = lin[:, 0].astype(np.intp)
+    np.add.at(q, (v, v), lin[:, 1])
+    pairs = np.sort(quad[:, :2].astype(np.intp), axis=1)
+    np.add.at(q, (pairs[:, 0], pairs[:, 1]), quad[:, 2])
     return QuboModel(
-        n=n,
-        k=k,
-        linear=linear,
-        quadratic=quad,
-        offset=offset,
-        lam=lam,
-        zero_is_edge=zero_is_edge,
+        n=n, k=k, q=q, offset=float(offset), lam=float(lam), zero_is_edge=zero_is_edge
     )
 
 
@@ -212,8 +204,7 @@ def energies(model: QuboModel, rows) -> np.ndarray:
     """Energy of every row of an (m, num_vars) 0/1 array (or list of m
     bitstrings): offset + x^T Q x, one dense product over all rows."""
     x = as_rows(rows, model.num_vars).astype(np.float64)
-    q, offset = model.to_dense()
-    return offset + np.einsum("ij,ij->i", x @ q, x)
+    return model.offset + np.einsum("ij,ij->i", x @ model.q, x)
 
 
 def energy(model: QuboModel, b) -> float:
@@ -267,22 +258,6 @@ def decode(model: QuboModel, inst: GtspInstance, b) -> DecodeResult:
     return DecodeResult(True, tour=Tour(tuple(order[0].tolist())))
 
 
-def to_ising(model: QuboModel) -> IsingModel:
-    """Energy-preserving spin form: z_v = 1 - 2*x_v."""
-    h: dict[int, float] = {}
-    j: dict[tuple[int, int], float] = {}
-    offset = model.offset
-    for v, a in model.linear.items():
-        h[v] = h.get(v, 0.0) - a / 2.0
-        offset += a / 2.0
-    for (u, v), q in model.quadratic.items():
-        offset += q / 4.0
-        h[u] = h.get(u, 0.0) - q / 4.0
-        h[v] = h.get(v, 0.0) - q / 4.0
-        j[(u, v)] = j.get((u, v), 0.0) + q / 4.0
-    return IsingModel(h=h, j=j, offset=offset)
-
-
 # --- export -----------------------------------------------------------------
 
 
@@ -292,26 +267,20 @@ def to_json_dict(model: QuboModel) -> dict:
         "n_vars": model.num_vars,
         "offset": model.offset,
         "lambda": model.lam,
-        "linear": [[v, c] for v, c in sorted(model.linear.items())],
-        "quadratic": [[u, v, c] for (u, v), c in sorted(model.quadratic.items())],
+        "linear": [[v, c] for v, c in model.linear.items()],
+        "quadratic": [[u, v, c] for (u, v), c in model.quadratic.items()],
         "layout": {"n": model.n, "k": model.k},
     }
 
 
 def from_json_dict(data: dict, zero_is_edge: bool = False) -> QuboModel:
     layout = data["layout"]
-    model = QuboModel(
-        n=int(layout["n"]),
-        k=int(layout["k"]),
-        linear={int(v): float(c) for v, c in data["linear"]},
-        quadratic={(int(u), int(v)): float(c) for u, v, c in data["quadratic"]},
-        offset=float(data["offset"]),
-        lam=float(data["lambda"]),
-        zero_is_edge=zero_is_edge,
-    )
-    if model.num_vars != int(data["n_vars"]):
+    n, k = int(layout["n"]), int(layout["k"])
+    if n * k != int(data["n_vars"]):
         raise ValueError("n_vars inconsistent with layout")
-    return model
+    return from_terms(
+        n, k, data["linear"], data["quadratic"], data["offset"], data["lambda"], zero_is_edge
+    )
 
 
 def to_coo_text(model: QuboModel) -> str:
@@ -321,8 +290,6 @@ def to_coo_text(model: QuboModel) -> str:
         f"# n_vars {model.num_vars} offset {model.offset!r} lambda {model.lam!r} "
         f"n {model.n} k {model.k}",
     ]
-    for v, c in sorted(model.linear.items()):
-        lines.append(f"{v} {v} {c!r}")
-    for (u, v), c in sorted(model.quadratic.items()):
-        lines.append(f"{u} {v} {c!r}")
+    lines += [f"{v} {v} {c!r}" for v, c in model.linear.items()]
+    lines += [f"{u} {v} {c!r}" for (u, v), c in model.quadratic.items()]
     return "\n".join(lines) + "\n"

@@ -115,20 +115,14 @@ class AnnealSchedule:
 
 def _max_flip_delta(model: QuboModel) -> float:
     """Largest possible |energy change| of any single bit flip."""
-    delta = np.zeros(model.num_vars)
-    for v, c in model.linear.items():
-        delta[v] += abs(c)
-    for (u, v), c in model.quadratic.items():
-        delta[u] += abs(c)
-        delta[v] += abs(c)
-    top = float(delta.max()) if model.num_vars else 0.0
-    return top
+    a = np.abs(model.q)
+    delta = a.sum(axis=0) + np.triu(a, 1).sum(axis=1)  # row v plus column v of |q|
+    return float(delta.max()) if model.num_vars else 0.0
 
 
 def _min_coefficient(model: QuboModel) -> float:
     """Smallest nonzero |coefficient| of the model (1.0 when all are zero)."""
-    coeffs = np.abs([*model.linear.values(), *model.quadratic.values()])
-    coeffs = coeffs[coeffs > 0.0]
+    coeffs = np.abs(model.q[model.q != 0.0])
     return float(coeffs.min()) if coeffs.size else 1.0
 
 
@@ -183,7 +177,7 @@ def exhaustive_ground_state(
     n = model.num_vars
     if n > max_vars:
         raise ValueError(f"{n} variables exceed the exhaustive cap {max_vars}")
-    q, offset = model.to_dense()
+    q, offset = model.q, model.offset
     n_lo = min((n + 1) // 2, 16)
     n_hi = n - n_lo
     hi, lo = _all_rows(n_hi), _all_rows(n_lo)
@@ -226,10 +220,9 @@ def sa_sample(
         schedule = default_schedule(model)
     n = model.num_vars
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q, _ = model.to_dense()
-    linear = np.diagonal(q).copy()
-    np.fill_diagonal(q, 0.0)
-    qsym = q + q.T
+    linear = np.diagonal(model.q)
+    qsym = model.q + model.q.T
+    np.fill_diagonal(qsym, 0.0)
 
     bits = rng.integers(0, 2, size=(num_reads, n)).astype(np.float64)
     # (num_vars, reads) layout, so each variable's row over the reads is contiguous

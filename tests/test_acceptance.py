@@ -60,7 +60,7 @@ def _scan_all_bitstrings(inst, model):
     """
     nv = model.num_vars
     n, k = model.n, model.k
-    q, offset = model.to_dense()
+    q, offset = model.q, model.offset
     linear = np.diagonal(q).copy()
     qu = q.copy()
     np.fill_diagonal(qu, 0.0)

@@ -7,7 +7,6 @@ import pytest
 
 from gtspq.instance import GtspInstance, Tour, tour_cost
 from gtspq.qubo import (
-    QuboModel,
     build_qubo,
     VIOLATION_CLUSTER,
     VIOLATION_EDGE,
@@ -17,8 +16,11 @@ from gtspq.qubo import (
     encode,
     energies,
     energy,
+    from_json_dict,
+    from_terms,
     penalty_weight,
-    to_ising,
+    to_coo_text,
+    to_json_dict,
     var_index,
 )
 
@@ -97,12 +99,12 @@ def test_no_self_pairs_and_positive_lambda():
 
 
 def test_energy_zero_bits_is_offset():
-    model = QuboModel(n=2, k=1, linear={}, quadratic={}, offset=3.5, lam=1.0)
+    model = from_terms(2, 1, [], [], offset=3.5, lam=1.0)
     assert energy(model, "00") == 3.5
 
 
 def test_energy_single_quadratic_term():
-    model = QuboModel(n=2, k=1, linear={}, quadratic={(0, 1): 3.0}, offset=1.0, lam=1.0)
+    model = from_terms(2, 1, [], [(0, 1, 3.0)], offset=1.0, lam=1.0)
     assert energy(model, "11") == 4.0
     assert energy(model, "10") == 1.0
 
@@ -169,7 +171,7 @@ def test_energies_match_per_term_loop_non_integer_weights():
 
 
 def test_energies_accepts_bitstrings_and_validates():
-    model = QuboModel(n=2, k=1, linear={1: 2.0}, quadratic={(0, 1): 3.0}, offset=1.0, lam=1.0)
+    model = from_terms(2, 1, [(1, 2.0)], [(0, 1, 3.0)], offset=1.0, lam=1.0)
     assert energies(model, ["00", "01", "11"]).tolist() == [1.0, 3.0, 6.0]
     assert energies(model, np.zeros((0, 2), dtype=np.uint8)).shape == (0,)
     with pytest.raises(ValueError):
@@ -267,7 +269,7 @@ def test_decode_rows_violation_precedence():
 
 
 def test_energy_length_mismatch():
-    model = QuboModel(n=2, k=1, linear={}, quadratic={}, offset=0.0, lam=1.0)
+    model = from_terms(2, 1, [], [], offset=0.0, lam=1.0)
     with pytest.raises(ValueError):
         energy(model, "101")
 
@@ -421,33 +423,7 @@ def test_penalty_separation_small_exhaustive():
         assert infeasible_min > feasible_max
 
 
-def test_to_ising_single_linear():
-    model = QuboModel(n=1, k=1, linear={0: 4.0}, quadratic={}, offset=0.0, lam=1.0)
-    ising = to_ising(model)
-    assert ising.h == {0: -2.0}
-    assert ising.offset == 2.0
-    assert ising.j == {}
-
-
-def test_to_ising_zero_model():
-    model = QuboModel(n=2, k=1, linear={}, quadratic={}, offset=0.0, lam=1.0)
-    ising = to_ising(model)
-    assert ising.h == {} and ising.j == {} and ising.offset == 0.0
-
-
-def test_to_ising_exhaustive_energy_equality():
-    inst = gen.make_random_instance(seed=31, n=5, k=2)
-    model = build_qubo(inst)
-    assert model.num_vars == 10
-    ising = to_ising(model)
-    for bits in all_bitstrings(10):
-        spins = [1 - 2 * int(b) for b in bits]
-        assert ising.energy(spins) == pytest.approx(energy(model, bits), abs=1e-9)
-
-
 def test_export_json_roundtrip():
-    from gtspq.qubo import from_json_dict, to_json_dict
-
     inst = gen.make_random_instance(seed=17, n=4, k=2)
     model = build_qubo(inst)
     data = to_json_dict(model)
@@ -460,8 +436,6 @@ def test_export_json_roundtrip():
 
 
 def test_export_coo_contains_all_terms():
-    from gtspq.qubo import to_coo_text
-
     inst = gen.make_random_instance(seed=18, n=3, k=2)
     model = build_qubo(inst)
     text = to_coo_text(model)
@@ -469,3 +443,122 @@ def test_export_coo_contains_all_terms():
     assert len(lines) == len(model.linear) + len(model.quadratic)
     u, v, c = lines[0].split()
     assert u == v  # linear terms first, encoded on the diagonal
+
+
+# --- the block build against the term-by-term build ----------------------------
+
+
+def _reference_build(inst, zero_is_edge=False):
+    """Term-by-term build: every term is added to a dict entry in stage order
+    (cost, step cliques, cluster cliques, absent edges). Returns the linear
+    and pair dicts, the offset and lambda."""
+    n, k = inst.n, inst.k
+    w = inst.weights
+    lam = penalty_weight(inst)
+    linear, quad = {}, {}
+    offset = 0.0
+
+    def add(u, v, c):
+        key = (u, v) if u < v else (v, u)
+        quad[key] = quad.get(key, 0.0) + c
+
+    for c in range(k):
+        for i in range(n):
+            for j in range(n):
+                if i != j and w[i, j] != 0.0:
+                    add(var_index(n, c, i), var_index(n, (c + 1) % k, j), float(w[i, j]))
+    groups = [[var_index(n, c, i) for i in range(n)] for c in range(k)]
+    groups += [[var_index(n, c, i) for c in range(k) for i in cl] for cl in inst.clusters]
+    for group in groups:
+        for pos, u in enumerate(group):
+            linear[u] = linear.get(u, 0.0) - lam
+            for v in group[pos + 1 :]:
+                add(u, v, 2.0 * lam)
+        offset += lam
+    if not zero_is_edge:
+        for c in range(k):
+            for i in range(n):
+                for j in range(n):
+                    if i != j and w[i, j] == 0.0:
+                        add(var_index(n, c, i), var_index(n, (c + 1) % k, j), lam)
+    return linear, quad, offset, lam
+
+
+def _oracle_battery():
+    """(instance, zero_is_edge) pairs with N in 2..10 and K = 2 every fourth
+    case: integer weights, 3-decimal weights, and zero weights (absent
+    edges) with and without zero_is_edge, symmetric every third case."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for trial in range(160):
+        n = int(rng.integers(2, 11))
+        k = 2 if trial % 4 == 0 else int(rng.integers(2, min(n, 6) + 1))
+        kind = trial % 5
+        if kind == 0:
+            w = rng.integers(1, 100, size=(n, n)).astype(float)
+        elif kind == 1:
+            w = rng.integers(1, 100_000, size=(n, n)) / 1000.0
+        elif kind in (2, 3):
+            w = rng.integers(0, 3, size=(n, n)).astype(float)
+        else:
+            w = rng.integers(0, 3000, size=(n, n)) / 1000.0 * (rng.random((n, n)) < 0.7)
+        symmetric = trial % 3 == 0
+        if symmetric:
+            w = np.triu(w, 1) + np.triu(w, 1).T
+        np.fill_diagonal(w, 0.0)
+        clusters = gen.random_partition(n, k, rng)
+        cases.append((GtspInstance(f"o{trial}", clusters, w, symmetric), kind == 3))
+    return cases
+
+
+def test_block_build_matches_term_build_bitwise():
+    zero_cases = 0
+    for inst, zero_is_edge in _oracle_battery():
+        model = build_qubo(inst, zero_is_edge=zero_is_edge)
+        linear, quad, offset, lam = _reference_build(inst, zero_is_edge)
+        ref_q = np.zeros((model.num_vars, model.num_vars))
+        for v, c in linear.items():
+            ref_q[v, v] = c
+        for (u, v), c in quad.items():
+            ref_q[u, v] = c
+        assert model.q.dtype == np.float64 and not model.q.flags.writeable
+        assert model.q.tobytes() == ref_q.tobytes()
+        assert type(model.offset) is float and model.offset == offset
+        assert type(model.lam) is float and model.lam == lam
+        assert model.linear == linear and model.quadratic == quad
+        ref_json = {
+            "n_vars": model.num_vars,
+            "offset": offset,
+            "lambda": lam,
+            "linear": [[v, c] for v, c in sorted(linear.items())],
+            "quadratic": [[u, v, c] for (u, v), c in sorted(quad.items())],
+            "layout": {"n": inst.n, "k": inst.k},
+        }
+        assert repr(to_json_dict(model)) == repr(ref_json)
+        ref_coo = [
+            "# qubo coo v1",
+            f"# n_vars {model.num_vars} offset {offset!r} lambda {lam!r} "
+            f"n {inst.n} k {inst.k}",
+        ]
+        ref_coo += [f"{v} {v} {c!r}" for v, c in sorted(linear.items())]
+        ref_coo += [f"{u} {v} {c!r}" for (u, v), c in sorted(quad.items())]
+        assert to_coo_text(model) == "\n".join(ref_coo) + "\n"
+        again = from_json_dict(to_json_dict(model), zero_is_edge=zero_is_edge)
+        assert again.q.tobytes() == model.q.tobytes()
+        assert (again.offset, again.lam, again.zero_is_edge) == (offset, lam, zero_is_edge)
+        zero_cases += zero_is_edge
+    assert zero_cases > 0
+
+
+def test_from_terms_folds_pairs_and_adds_repeats():
+    model = from_terms(3, 1, [(2, 1.5), (2, 0.25)], [(2, 0, 3.0), (0, 2, 1.0)], 0.5, 1.0)
+    assert model.linear == {2: 1.75}
+    assert model.quadratic == {(0, 2): 4.0}
+    assert energies(model, ["101", "001"]).tolist() == [0.5 + 1.75 + 4.0, 0.5 + 1.75]
+    with pytest.raises(ValueError):
+        model.q[0, 0] = 1.0
+    for bad in ([(3, 1.0)], [(-1, 1.0)]):
+        with pytest.raises(ValueError):
+            from_terms(3, 1, bad, [], 0.0, 1.0)
+    with pytest.raises(ValueError):
+        from_terms(3, 1, [], [(0, 3, 1.0)], 0.0, 1.0)

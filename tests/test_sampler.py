@@ -13,7 +13,7 @@ import pytest
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
 from gtspq.instance import GtspInstance
-from gtspq.qubo import QuboModel, build_qubo, decode, energy
+from gtspq.qubo import build_qubo, decode, energy, from_terms
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
@@ -40,7 +40,7 @@ def test_exhaustive_toy_ground_state(toy_instance):
 
 
 def test_exhaustive_tie_breaks_lexicographically():
-    model = QuboModel(n=3, k=1, linear={}, quadratic={}, offset=2.0, lam=1.0)
+    model = from_terms(3, 1, [], [], offset=2.0, lam=1.0)
     bits, e = exhaustive_ground_state(model)
     assert bits == "000"
     assert e == 2.0
@@ -65,16 +65,16 @@ def test_exhaustive_split_half_matches_brute_force(num_vars):
     rng = np.random.default_rng(num_vars)
     for _ in range(5):
         # small integer coefficients: many ties, all sums exact
-        model = QuboModel(
-            n=num_vars,
-            k=1,
-            linear={v: float(rng.integers(-3, 4)) for v in range(num_vars)},
-            quadratic={
-                (u, v): float(rng.integers(-3, 4))
+        model = from_terms(
+            num_vars,
+            1,
+            [(v, float(rng.integers(-3, 4))) for v in range(num_vars)],
+            [
+                (u, v, float(rng.integers(-3, 4)))
                 for u in range(num_vars)
                 for v in range(u + 1, num_vars)
                 if rng.random() < 0.5
-            },
+            ],
             offset=float(rng.integers(-5, 6)),
             lam=1.0,
         )
@@ -82,22 +82,18 @@ def test_exhaustive_split_half_matches_brute_force(num_vars):
 
 
 def test_exhaustive_all_tie_and_cross_block_tie():
-    model = QuboModel(n=7, k=3, linear={}, quadratic={}, offset=-1.5, lam=1.0)
+    model = from_terms(7, 3, [], [], offset=-1.5, lam=1.0)
     assert exhaustive_ground_state(model) == ("0" * 21, -1.5)
     # 18 variables make four blocks of 2^16 states; the minimum -1 is reached
     # in several of them, and the smallest index wins
-    tied = QuboModel(
-        n=18, k=1, linear={0: -1.0, 17: -1.0}, quadratic={(0, 17): 1.0}, offset=0.0, lam=1.0
-    )
+    tied = from_terms(18, 1, [(0, -1.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
     assert exhaustive_ground_state(tied) == ("0" * 17 + "1", -1.0)
-    later = QuboModel(
-        n=18, k=1, linear={0: -2.0, 17: -1.0}, quadratic={(0, 17): 1.0}, offset=0.0, lam=1.0
-    )
+    later = from_terms(18, 1, [(0, -2.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
     assert exhaustive_ground_state(later) == ("1" + "0" * 17, -2.0)
 
 
 def test_exhaustive_cap():
-    model = QuboModel(n=5, k=5, linear={}, quadratic={}, offset=0.0, lam=1.0)
+    model = from_terms(5, 5, [], [], offset=0.0, lam=1.0)
     with pytest.raises(ValueError):
         exhaustive_ground_state(model)
 
@@ -146,7 +142,7 @@ def _sa_reference_entries(model, num_reads, schedule, seed):
     accepted flips applied with per-read masks."""
     n = model.num_vars
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q, _ = model.to_dense()
+    q = model.q.copy()
     linear = np.diagonal(q).copy()
     np.fill_diagonal(q, 0.0)
     qsym = q + q.T
@@ -189,7 +185,7 @@ def test_sa_matches_reference_sweep(num_reads, sweeps):
 
 
 def test_sa_downhill_only_single_variable():
-    model = QuboModel(n=1, k=1, linear={0: 5.0}, quadratic={}, offset=0.0, lam=1.0)
+    model = from_terms(1, 1, [(0, 5.0)], [], offset=0.0, lam=1.0)
     result = sa_sample(model, num_reads=64, seed=0)
     assert len(result.entries) == 1
     assert result.entries[0].bits == "0"
