@@ -57,7 +57,6 @@ from .sampler import (
     Backend,
     ExternalSamplerConfig,
     Failure,
-    SampleEntry,
     SampleSet,
     default_schedule,
     exhaustive_ground_state,

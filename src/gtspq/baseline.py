@@ -159,17 +159,19 @@ def _best_tour_for_ordering(w, seq, s) -> tuple[float, tuple[int, ...]]:
 def random_tours(
     inst: GtspInstance, count: int, seed: int
 ) -> list[tuple[Tour, float]]:
-    """Uniform node per cluster, uniform cyclic cluster order; seeded."""
+    """Uniform node per cluster, uniform cyclic cluster order; seeded.
+
+    Two array draws: every tour's cluster order (each row of a tiled
+    ``arange(K)`` permuted on its own), then every step's node index below
+    its cluster's size.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    orders = []
-    for _ in range(count):
-        perm = rng.permutation(inst.k)
-        order = []
-        for m in perm:
-            cluster = inst.clusters[m]
-            order.append(cluster[int(rng.integers(len(cluster)))])
-        orders.append(order)
+    sizes = np.array([len(c) for c in inst.clusters])
+    starts = np.cumsum(sizes) - sizes  # each cluster's offset into `nodes`
+    nodes = np.concatenate(inst.clusters)
+    perm = rng.permuted(np.tile(np.arange(inst.k), (count, 1)), axis=1)
+    orders = nodes[starts[perm] + rng.integers(0, sizes[perm])]
     costs = tour_costs(inst, orders).tolist()
-    return [(Tour(tuple(order)), cost) for order, cost in zip(orders, costs)]
+    return [(Tour(tuple(order)), cost) for order, cost in zip(orders.tolist(), costs)]

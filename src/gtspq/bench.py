@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import qubo
 from .baseline import ExactResult
 from .instance import GtspInstance, tour_costs
@@ -119,20 +121,17 @@ def build_report(
         failure = samples.failure.value if samples.failure else None
         ars: list[float] = []
         costs: list[float] = []
-        weight = 0
-        if samples.failure is None:
-            entries = samples.entries
-            violations, order = qubo.decode_rows(model, inst, [e.bits for e in entries])
-            costs_by_row = tour_costs(inst, order).tolist()
-            for entry, violation, cost in zip(entries, violations, costs_by_row):
-                if violation is not None:
-                    continue
-                costs.extend([cost] * entry.count)
-                weight += entry.count
+        if samples.failure is None and len(samples.counts):
+            violations, order = qubo.decode_rows(model, inst, samples.entries)
+            feasible = np.array([v is None for v in violations], dtype=bool)
+            row_costs = tour_costs(inst, order[feasible]).tolist()
+            for cost, count in zip(row_costs, samples.counts[feasible].tolist()):
+                costs.extend([cost] * count)
                 if optimal > 0:
-                    ars.extend([approximation_ratio(optimal, cost)] * entry.count)
-            if weight == 0:
-                failure = Failure.INVALID_TOUR.value
+                    ars.extend([approximation_ratio(optimal, cost)] * count)
+        weight = len(costs)
+        if samples.failure is None and weight == 0:
+            failure = Failure.INVALID_TOUR.value
         reads = samples.num_reads
         backends[key] = BackendReport(
             feasible_shot_rate=(weight / reads) if reads else 0.0,

@@ -174,17 +174,11 @@ def _run_backend(
     if key == "exhaustive":
         try:
             bits, e = sampler.exhaustive_ground_state(model)
-            samples = sampler.SampleSet(
-                backend=sampler.Backend.EXHAUSTIVE,
-                num_reads=1,
-                entries=(sampler.SampleEntry(bits, 1, e),),
-            )
+            row = qubo.as_bits(bits, model.num_vars)[None, :]
+            samples = sampler.SampleSet.from_rows(sampler.Backend.EXHAUSTIVE, 1, row, [1], [e])
         except ValueError:
-            samples = sampler.SampleSet(
-                backend=sampler.Backend.EXHAUSTIVE,
-                num_reads=0,
-                entries=(),
-                failure=sampler.Failure.NOT_APPLICABLE,
+            samples = sampler.SampleSet.failed(
+                sampler.Backend.EXHAUSTIVE, sampler.Failure.NOT_APPLICABLE, 0
             )
     elif key == "sa":
         samples = sampler.sa_sample(
@@ -205,11 +199,8 @@ def _run_backend(
             )
             samples = grid_result.search_samples  # every shot drawn during the search
         except qaoa.StateTooLargeError:
-            samples = sampler.SampleSet(
-                backend=sampler.Backend.QAOA,
-                num_reads=0,
-                entries=(),
-                failure=sampler.Failure.NOT_APPLICABLE,
+            samples = sampler.SampleSet.failed(
+                sampler.Backend.QAOA, sampler.Failure.NOT_APPLICABLE, 0
             )
     elif key == "external":
         config = sampler.ExternalSamplerConfig(url=cfg.external_url, num_reads=cfg.reads)
@@ -261,7 +252,7 @@ def _bench_instance(payload: tuple) -> dict:
         samples, grid_result = _run_backend(key, inst, model, cfg, index)
         print(
             f"[{inst.name}] backend={key} best="
-            f"{samples.entries[0].energy if samples.entries else None} "
+            f"{samples.energies[0] if len(samples.energies) else None} "
             f"failure={samples.failure.value if samples.failure else None} "
             f"wall={samples.wall_time_s:.2f}s",
             file=sys.stderr,
@@ -380,10 +371,9 @@ def cmd_solve(args) -> int:
         )
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
-        best = samples.best()
         print(
             f"{inst.name} {key}: best_energy="
-            f"{best.energy if best else None} "
+            f"{samples.energies[0] if len(samples.energies) else None} "
             f"failure={samples.failure.value if samples.failure else None}"
         )
         failures.append(samples.failure is not None)

@@ -22,7 +22,7 @@ import numpy as np
 from . import qubo
 from .instance import GtspInstance
 from .qubo import QuboModel, var_index
-from .sampler import Backend, Failure, SampleEntry, SampleSet
+from .sampler import Backend, Failure, SampleSet
 
 MAX_SUBSPACE_DIM = 2_000_000
 
@@ -220,10 +220,24 @@ def run_qaoa(
     return state
 
 
+def _tuple_rows(flat: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The N*K one-hot bit rows of flat subspace tuple indices."""
+    rows = np.zeros((len(flat), n * k), dtype=np.uint8)
+    for c, node in enumerate(np.unravel_index(flat, (n,) * k)):
+        rows[np.arange(len(flat)), c * n + node] = 1
+    return rows
+
+
+def _tuple_index(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Flat subspace tuple index of each one-hot bit row."""
+    nodes = rows.reshape(len(rows), k, n).argmax(axis=2)
+    return np.ravel_multi_index(tuple(nodes.T), (n,) * k)
+
+
 def sample_shots(
     state: SubspaceState, diagonal: np.ndarray, shots: int, seed: int
 ) -> SampleSet:
-    """i.i.d. measurement draws; tuples rendered as full N*K bitstrings, each
+    """i.i.d. measurement draws; tuples rendered as full N*K bit rows, each
     scored by its entry of the cost diagonal."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -232,21 +246,8 @@ def sample_shots(
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(probs), size=shots, p=probs)
     uniq, counts = np.unique(draws, return_counts=True)
-    n, k = state.n, state.k
-    nodes = np.unravel_index(uniq, (n,) * k)  # K arrays: node of each step
-    rows = np.zeros((len(uniq), n * k), dtype=np.uint8)
-    for c, node in enumerate(nodes):
-        rows[np.arange(len(uniq)), c * n + node] = 1
-    entries = sorted(
-        (
-            SampleEntry(bits, count, e)
-            for bits, count, e in zip(
-                qubo.rows_to_strs(rows), counts.tolist(), diagonal[uniq].tolist()
-            )
-        ),
-        key=lambda e: (e.energy, e.bits),
-    )
-    return SampleSet(backend=Backend.QAOA, num_reads=shots, entries=tuple(entries))
+    rows = _tuple_rows(uniq, state.n, state.k)
+    return SampleSet.from_rows(Backend.QAOA, shots, rows, counts, diagonal[uniq])
 
 
 def grid_search(
@@ -262,17 +263,17 @@ def grid_search(
     gamma, then the smaller beta. The timeout covers the whole call: on expiry
     the best completed cell is returned, with failure=timeout only if nothing
     completed. Cell c derives its seed as seed + c, so the search is
-    reproducible. With ``inst`` given, each cell's feasible shot fraction is
-    read off one decode of the search's pooled unique shots.
+    reproducible. The search's shots are pooled by subspace tuple index. With
+    ``inst`` given, each cell's feasible shot fraction is read off one decode
+    of the pooled rows.
     """
+    n, k = layout.n, layout.k
     diagonal = cost_diagonal(model, layout)
     started = time.monotonic()
     runs: list[tuple[float, float, float, SampleSet]] = []  # gamma, beta, score, shots
     best_score = math.inf
     best_params: QaoaParams | None = None
     best_samples: SampleSet | None = None
-    pooled: dict[str, tuple[int, float]] = {}
-    pooled_shots = 0
     cell_index = 0
     for gamma in grid.gammas():
         for beta in grid.betas():
@@ -284,11 +285,7 @@ def grid_search(
             cell_seed = seed + cell_index
             state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
             samples = sample_shots(state, diagonal, grid.shots, cell_seed)
-            for e in samples.entries:
-                count, _ = pooled.get(e.bits, (0, 0.0))
-                pooled[e.bits] = (count + e.count, e.energy)
-            pooled_shots += grid.shots
-            score = sum(e.energy * e.count for e in samples.entries) / grid.shots
+            score = sum((samples.energies * samples.counts).tolist()) / grid.shots
             runs.append((float(gamma), float(beta), score, samples))
             if score < best_score:
                 best_score = score
@@ -300,35 +297,33 @@ def grid_search(
         break
 
     if best_samples is None:
-        empty = SampleSet(
-            backend=Backend.QAOA,
-            num_reads=0,
-            entries=(),
-            failure=Failure.TIMEOUT,
-        )
+        empty = SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0)
         return GridResult(
             best_params=None, best_samples=empty, cells=(), search_samples=empty
         )
+    cell_sets = [samples for *_, samples in runs]
+    flat, inverse = np.unique(
+        np.concatenate([_tuple_index(s.entries, n, k) for s in cell_sets]),
+        return_inverse=True,
+    )
+    counts = np.concatenate([s.counts for s in cell_sets])
+    pooled_rows = _tuple_rows(flat, n, k)
     fractions: list[float | None] = [None] * len(runs)
     if inst is not None:
-        violations, _ = qubo.decode_rows(model, inst, list(pooled))
-        feasible = {bits for bits, v in zip(pooled, violations) if v is None}
-        fractions = [
-            sum(e.count for e in samples.entries if e.bits in feasible) / grid.shots
-            for *_, samples in runs
-        ]
+        violations, _ = qubo.decode_rows(model, inst, pooled_rows)
+        feasible = np.array([v is None for v in violations], dtype=bool)[inverse]
+        starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
+        fractions = (np.add.reduceat(counts * feasible, starts) / grid.shots).tolist()
     cells = tuple(
-        CellSummary(gamma, beta, score, fraction, samples.entries[0].energy)
+        CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
         for (gamma, beta, score, samples), fraction in zip(runs, fractions)
     )
-    search_entries = tuple(
-        sorted(
-            (SampleEntry(bits, count, e) for bits, (count, e) in pooled.items()),
-            key=lambda entry: (entry.energy, entry.bits),
-        )
-    )
-    search_samples = SampleSet(
-        backend=Backend.QAOA, num_reads=pooled_shots, entries=search_entries
+    search_samples = SampleSet.from_rows(
+        Backend.QAOA,
+        grid.shots * len(runs),
+        pooled_rows,
+        np.bincount(inverse, weights=counts, minlength=len(flat)),
+        diagonal[flat],
     )
     return GridResult(
         best_params=best_params,

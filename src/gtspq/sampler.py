@@ -41,28 +41,44 @@ class Failure(enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class SampleEntry:
-    bits: str
-    count: int
-    energy: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Multiset of sampled bitstrings; entries sorted by (energy, bits)."""
+    """Multiset of sampled bit rows.
+
+    ``entries`` is a read-only (m, num_vars) uint8 array of distinct rows,
+    with ``counts`` and ``energies`` aligned to it, sorted by (energy, bits).
+    Build one with ``from_rows`` (or ``failed``); bit strings exist only in
+    the JSON form.
+    """
 
     backend: Backend
     num_reads: int
-    entries: tuple[SampleEntry, ...]
+    entries: np.ndarray
+    counts: np.ndarray
+    energies: np.ndarray
     wall_time_s: float | None = None
     failure: Failure | None = None
 
-    def total_count(self) -> int:
-        return sum(e.count for e in self.entries)
+    def __post_init__(self):
+        for arr in (self.entries, self.counts, self.energies):
+            arr.setflags(write=False)
 
-    def best(self) -> SampleEntry | None:
-        return self.entries[0] if self.entries else None
+    @classmethod
+    def from_rows(
+        cls, backend: Backend, num_reads: int, rows, counts, energies, **fields
+    ) -> "SampleSet":
+        """A set from distinct ``rows`` and their aligned counts and energies,
+        sorted by (energy, bits); ``fields`` sets ``wall_time_s`` / ``failure``."""
+        rows = np.asarray(rows, dtype=np.uint8)
+        energies = np.asarray(energies, dtype=np.float64)
+        order = np.lexsort((*rows.T[::-1], energies))  # last key is the primary one
+        counts = np.asarray(counts, dtype=np.int64)[order]
+        return cls(backend, num_reads, rows[order], counts, energies[order], **fields)
+
+    @classmethod
+    def failed(cls, backend: Backend, failure: Failure, num_reads: int) -> "SampleSet":
+        """An empty set that records the backend's failure."""
+        return cls.from_rows(backend, num_reads, np.zeros((0, 0)), [], [], failure=failure)
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         return {
@@ -71,20 +87,25 @@ class SampleSet:
             "wall_time_s": self.wall_time_s if include_timing else None,
             "failure": self.failure.value if self.failure else None,
             "entries": [
-                {"bits": e.bits, "count": e.count, "energy": e.energy}
-                for e in self.entries
+                {"bits": bits, "count": count, "energy": e}
+                for bits, count, e in zip(
+                    qubo.rows_to_strs(self.entries),
+                    self.counts.tolist(),
+                    self.energies.tolist(),
+                )
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampleSet":
-        return cls(
-            backend=Backend(data["backend"]),
-            num_reads=int(data["num_reads"]),
-            entries=tuple(
-                SampleEntry(str(e["bits"]), int(e["count"]), float(e["energy"]))
-                for e in data["entries"]
-            ),
+        entries = data["entries"]
+        bits = [str(e["bits"]) for e in entries]
+        return cls.from_rows(
+            Backend(data["backend"]),
+            int(data["num_reads"]),
+            qubo.as_rows(bits, len(bits[0]) if bits else 0),
+            [int(e["count"]) for e in entries],
+            [float(e["energy"]) for e in entries],
             wall_time_s=data.get("wall_time_s"),
             failure=Failure(data["failure"]) if data.get("failure") else None,
         )
@@ -95,22 +116,17 @@ class AnnealSchedule:
     sweeps: int
     beta_initial: float
     beta_final: float
-    interpolation: str = "geometric"  # or "linear"
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         if not (0 < self.beta_initial < self.beta_final < math.inf):
             raise ValueError("need 0 < beta_initial < beta_final < inf")
-        if self.interpolation not in ("geometric", "linear"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
 
     def betas(self) -> np.ndarray:
         if self.sweeps == 1:
             return np.array([self.beta_final])
-        if self.interpolation == "geometric":
-            return np.geomspace(self.beta_initial, self.beta_final, self.sweeps)
-        return np.linspace(self.beta_initial, self.beta_final, self.sweeps)
+        return np.geomspace(self.beta_initial, self.beta_final, self.sweeps)
 
 
 def _max_flip_delta(model: QuboModel) -> float:
@@ -137,21 +153,7 @@ def default_schedule(model: QuboModel, sweeps: int = DEFAULT_SWEEPS) -> AnnealSc
         sweeps=sweeps,
         beta_initial=math.log(2.0) / d_max,
         beta_final=math.log(100.0) / _min_coefficient(model),
-        interpolation="geometric",
     )
-
-
-def _entries_from_rows(model: QuboModel, rows: np.ndarray) -> tuple[SampleEntry, ...]:
-    """Deduplicate sample rows and recompute their energies exactly."""
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    entries = [
-        SampleEntry(bits, count, e)
-        for bits, count, e in zip(
-            qubo.rows_to_strs(uniq), counts.tolist(), qubo.energies(model, uniq).tolist()
-        )
-    ]
-    entries.sort(key=lambda e: (e.energy, e.bits))
-    return tuple(entries)
 
 
 # --- exhaustive scan ---------------------------------------------------------
@@ -245,9 +247,9 @@ def sa_sample(
             fields += np.multiply.outer(qsym[v], np.where(accept, spins[v], 0.0))
             np.negative(spins[v], out=spins[v], where=accept)
 
-    entries = _entries_from_rows(model, (spins.T < 0).astype(np.uint8))
-    return SampleSet(
-        backend=Backend.SIMULATED_ANNEALING, num_reads=num_reads, entries=entries
+    rows, counts = np.unique((spins.T < 0).astype(np.uint8), axis=0, return_counts=True)
+    return SampleSet.from_rows(
+        Backend.SIMULATED_ANNEALING, num_reads, rows, counts, qubo.energies(model, rows)
     )
 
 
@@ -304,6 +306,8 @@ def external_sampler_submit(
 ) -> SampleSet:
     """Ship the exported model, ingest (bits, count) pairs, recompute energies.
 
+    A bit string listed more than once counts once, with the counts summed.
+
     Remote failure strings map onto the failure taxonomy; transport errors
     count as a timeout; schema violations raise.
     """
@@ -316,45 +320,36 @@ def external_sampler_submit(
     try:
         response = transport(payload)
     except (urllib.error.URLError, TimeoutError, ConnectionError, OSError):
-        return SampleSet(
-            backend=Backend.EXTERNAL,
-            num_reads=config.num_reads,
-            entries=(),
-            failure=Failure.TIMEOUT,
-        )
+        return SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, config.num_reads)
 
     if not isinstance(response, dict):
         raise ExternalSamplerError("response is not a JSON object")
     reason = response.get("failure")
     if reason:
-        return SampleSet(
-            backend=Backend.EXTERNAL,
-            num_reads=config.num_reads,
-            entries=(),
-            failure=_map_remote_failure(str(reason)),
-        )
+        failure = _map_remote_failure(str(reason))
+        return SampleSet.failed(Backend.EXTERNAL, failure, config.num_reads)
     raw_entries = response.get("entries")
     if not isinstance(raw_entries, list):
         raise ExternalSamplerError("response lacks an entries list")
-    entries = []
-    total = 0
+    bits, counts = [], []
     for item in raw_entries:
-        try:
-            bits = str(item["bits"])
-            count = int(item["count"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ExternalSamplerError(f"bad entry {item!r}") from exc
-        if len(bits) != model.num_vars or set(bits) - {"0", "1"}:
+        if not isinstance(item, dict) or not isinstance(item.get("bits"), str):
+            raise ExternalSamplerError(f"entry {item!r} lacks a bit string")
+        b, count = item["bits"], item.get("count")
+        if len(b) != model.num_vars:
             raise ExternalSamplerError(
-                f"bitstring length {len(bits)} != {model.num_vars} variables"
+                f"bitstring length {len(b)} != {model.num_vars} variables"
             )
-        if count < 1:
-            raise ExternalSamplerError("entry count must be positive")
-        total += count
-        entries.append((bits, count))
-    energies = qubo.energies(model, [bits for bits, _ in entries]).tolist()
-    ranked = sorted(
-        (SampleEntry(bits, count, e) for (bits, count), e in zip(entries, energies)),
-        key=lambda e: (e.energy, e.bits),
+        if set(b) - {"0", "1"}:
+            raise ExternalSamplerError(f"bitstring {b!r} holds a character other than 0/1")
+        if type(count) is not int or count < 1:  # a bool is no count
+            raise ExternalSamplerError(f"entry count {count!r} is not a positive integer")
+        bits.append(b)
+        counts.append(count)
+    rows, inverse = np.unique(
+        qubo.as_rows(bits, model.num_vars), axis=0, return_inverse=True
     )
-    return SampleSet(backend=Backend.EXTERNAL, num_reads=total, entries=tuple(ranked))
+    merged = np.bincount(inverse.reshape(-1), weights=counts, minlength=len(rows))
+    return SampleSet.from_rows(
+        Backend.EXTERNAL, sum(counts), rows, merged, qubo.energies(model, rows)
+    )

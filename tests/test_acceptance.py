@@ -51,42 +51,43 @@ def random_battery():
     return battery
 
 
-def _scan_all_bitstrings(inst, model):
-    """Vectorized sweep over all 2^(N*K) bitstrings.
+def _all_rows(width):
+    """Every 0/1 row of the given width, in index order, as float64."""
+    shifts = np.arange(width - 1, -1, -1)
+    return ((np.arange(1 << width)[:, None] >> shifts) & 1).astype(np.float64)
 
-    Returns (max feasible energy, min infeasible energy). Feasibility here is
-    an independent check (step one-hot + cluster one-hot); the battery has no
+
+def _scan_all_bitstrings(inst, model):
+    """Split-half sweep over all 2^(N*K) bitstrings.
+
+    Returns (max feasible energy, min infeasible energy). A state is a
+    leading half h and a trailing half l of the variables, and its energy is
+    offset + h^T Q_hh h + l^T Q_ll l + h^T Q_hl l. Feasibility here is an
+    independent check (step one-hot + cluster one-hot): the two halves' bit
+    counts per step and per cluster must add to exactly 1. The battery has no
     zero-weight edges, so no edge test is needed.
     """
-    nv = model.num_vars
-    n, k = model.n, model.k
-    q, offset = model.q, model.offset
-    linear = np.diagonal(q).copy()
-    qu = q.copy()
-    np.fill_diagonal(qu, 0.0)
-    member = np.zeros((n, k))
+    n, k, nv = model.n, model.k, model.num_vars
+    q = model.q
+    # slots 0..k-1 count the bits of each step, slots k..2k-1 those of each cluster
+    slots = np.zeros((nv, 2 * k))
     for m, cluster in enumerate(inst.clusters):
-        for v in cluster:
-            member[v, m] = 1.0
-    shifts = np.arange(nv - 1, -1, -1, dtype=np.uint64)
-
-    max_feasible = -math.inf
-    min_infeasible = math.inf
-    chunk = 1 << 16
-    for start in range(0, 1 << nv, chunk):
-        ms = np.arange(start, min(start + chunk, 1 << nv), dtype=np.uint64)
-        bits = ((ms[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        energies = offset + bits @ linear + np.einsum("bi,ij,bj->b", bits, qu, bits)
-        steps = bits.reshape(len(ms), k, n)
-        step_ok = (steps.sum(axis=2) == 1).all(axis=1)
-        cluster_counts = steps.sum(axis=1) @ member
-        cluster_ok = (cluster_counts == 1).all(axis=1)
-        feasible = step_ok & cluster_ok
-        if feasible.any():
-            max_feasible = max(max_feasible, float(energies[feasible].max()))
-        if (~feasible).any():
-            min_infeasible = min(min_infeasible, float(energies[~feasible].min()))
-    return max_feasible, min_infeasible
+        for c in range(k):
+            for i in cluster:
+                slots[c * n + i, [c, k + m]] = 1.0
+    split = nv // 2
+    halves = []
+    for lo, hi in ((0, split), (split, nv)):
+        rows = _all_rows(hi - lo)
+        counts = rows @ slots[lo:hi]
+        # a half with a count above 1 has no feasible partner; else its 0/1 counts as a bit mask
+        mask = np.where((counts <= 1).all(axis=1), counts @ (1 << np.arange(2 * k)), -1)
+        halves.append((rows, np.einsum("ij,ij->i", rows @ q[lo:hi, lo:hi], rows), mask))
+    (h, e_h, mask_h), (l, e_l, mask_l) = halves
+    energies = model.offset + e_h[:, None] + e_l[None, :] + (h @ q[:split, split:]) @ l.T
+    want = np.where(mask_h >= 0, ((1 << 2 * k) - 1) - mask_h, -2)  # the complementary mask
+    feasible = want[:, None] == mask_l[None, :]
+    return float(energies[feasible].max()), float(energies[~feasible].min())
 
 
 def _all_feasible_tours(inst):
@@ -156,7 +157,7 @@ def test_criterion_05_sa_matches_ground_state():
         assert model.num_vars <= 20
         _, gs_energy = exhaustive_ground_state(model)
         for seed in range(10):
-            best = sa_sample(model, num_reads=1500, seed=seed).entries[0].energy
+            best = sa_sample(model, num_reads=1500, seed=seed).energies[0]
             assert abs(best - gs_energy) <= 1e-9, (name, seed)
 
 
@@ -179,10 +180,8 @@ def test_criterion_06_qaoa_subspace_invariants():
         state = run_qaoa(model, layout, params, seed=seed)
         assert abs(state.norm() - 1.0) < 1e-9
         shots = sample_shots(state, cost_diagonal(model, layout), shots=40, seed=seed)
-        assert shots.total_count() == 40
-        for entry in shots.entries:
-            for c in range(k):
-                assert entry.bits[c * n : (c + 1) * n].count("1") == 1
+        assert shots.counts.sum() == 40
+        assert (shots.entries.reshape(-1, k, n).sum(axis=2) == 1).all()
     # dense full-space agreement for N*K <= 12
     for n, k in shapes:
         if n * k > 12:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -218,6 +219,26 @@ def test_random_tours_feasible():
     for tour, cost in random_tours(inst, 200, seed=1):
         assert is_feasible_tour(inst, tour)
         assert cost == pytest.approx(tour_cost(inst, tour))
+
+
+def test_random_tours_uniform_over_every_tour():
+    """Every (cluster order, node per cluster) outcome is equally likely, on
+    clusters of unequal sizes whose nodes are not contiguous."""
+    clusters = [[3], [0, 5], [1, 2, 4]]
+    w = np.arange(1.0, 37.0).reshape(6, 6)
+    np.fill_diagonal(w, 0.0)
+    inst = GtspInstance("u", clusters, w, symmetric=False)
+    outcomes = {
+        choice
+        for perm in itertools.permutations(range(3))
+        for choice in itertools.product(*(clusters[m] for m in perm))
+    }
+    draws = 72_000
+    seen = Counter(t.order for t, _ in random_tours(inst, draws, seed=3))
+    assert set(seen) == outcomes
+    expected = draws / len(outcomes)
+    chi2 = sum((seen[o] - expected) ** 2 / expected for o in outcomes)
+    assert chi2 < 66.6  # the 0.999 quantile of chi-square with 35 degrees of freedom
 
 
 def test_random_tours_mean_matches_enumeration():

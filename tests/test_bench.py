@@ -15,8 +15,8 @@ from gtspq.bench import (
     json_text,
 )
 from gtspq.instance import GtspInstance, Tour, tour_cost
-from gtspq.qubo import build_qubo, decode, encode
-from gtspq.sampler import Backend, Failure, SampleEntry, SampleSet, sa_sample
+from gtspq.qubo import as_rows, build_qubo, decode, encode
+from gtspq.sampler import Backend, Failure, SampleSet, sa_sample
 
 import gen
 
@@ -31,8 +31,15 @@ def test_approximation_ratio_values():
 
 
 def _sample_set(entries, num_reads, backend=Backend.SIMULATED_ANNEALING, failure=None):
-    return SampleSet(
-        backend=backend, num_reads=num_reads, entries=tuple(entries), failure=failure
+    """A sample set from (bits, count, energy) triples."""
+    bits = [b for b, _, _ in entries]
+    return SampleSet.from_rows(
+        backend,
+        num_reads,
+        as_rows(bits, len(bits[0]) if bits else 0),
+        [count for _, count, _ in entries],
+        [e for _, _, e in entries],
+        failure=failure,
     )
 
 
@@ -45,7 +52,7 @@ def _feasible_shot_rate(samples, model, inst):
 def test_feasibility_ratio_all_feasible(toy_instance):
     model = build_qubo(toy_instance)
     bits = encode(model, Tour((0, 1)), toy_instance)
-    samples = _sample_set([SampleEntry(bits, 30, 10.0)], 30)
+    samples = _sample_set([(bits, 30, 10.0)], 30)
     assert _feasible_shot_rate(samples, model, toy_instance) == 1.0
 
 
@@ -53,7 +60,7 @@ def test_feasibility_ratio_fraction(toy_instance):
     model = build_qubo(toy_instance)
     good = encode(model, Tour((0, 1)), toy_instance)
     samples = _sample_set(
-        [SampleEntry(good, 1023, 10.0), SampleEntry("0" * 4, 477, 44.0)], 1500
+        [(good, 1023, 10.0), ("0" * 4, 477, 44.0)], 1500
     )
     assert _feasible_shot_rate(samples, model, toy_instance) == pytest.approx(0.682)
 
@@ -64,7 +71,7 @@ def test_feasibility_ratio_zero_on_failure(toy_instance):
     assert _feasible_shot_rate(samples, model, toy_instance) == 0.0
     # a failed backend's shots never count, even when some were returned
     good = encode(model, Tour((0, 1)), toy_instance)
-    failed = _sample_set([SampleEntry(good, 5, 10.0)], 5, failure=Failure.TIMEOUT)
+    failed = _sample_set([(good, 5, 10.0)], 5, failure=Failure.TIMEOUT)
     assert _feasible_shot_rate(failed, model, toy_instance) == 0.0
 
 
@@ -75,7 +82,7 @@ def test_feasibility_ratio_exhaustive_census():
     census = 0
     for m in range(1 << 12):
         bits = format(m, "012b")
-        entries.append(SampleEntry(bits, 1, 0.0))
+        entries.append((bits, 1, 0.0))
         if decode(model, inst, bits).feasible:
             census += 1
     samples = _sample_set(entries, 1 << 12)
@@ -97,7 +104,7 @@ def _toy_pipeline(toy_instance, entries, num_reads, failure=None):
 def test_build_report_every_shot_optimal(toy_instance):
     model = build_qubo(toy_instance)
     bits = encode(model, Tour((0, 1)), toy_instance)
-    _, report = _toy_pipeline(toy_instance, [SampleEntry(bits, 1500, 10.0)], 1500)
+    _, report = _toy_pipeline(toy_instance, [(bits, 1500, 10.0)], 1500)
     backend = report.backends["sa"]
     assert backend.feasible_shot_rate == 1.0
     assert backend.best_shot_ar == 1.0
@@ -107,7 +114,7 @@ def test_build_report_every_shot_optimal(toy_instance):
 
 
 def test_build_report_zero_feasible_is_invalid_tour(toy_instance):
-    _, report = _toy_pipeline(toy_instance, [SampleEntry("0000", 1500, 44.0)], 1500)
+    _, report = _toy_pipeline(toy_instance, [("0000", 1500, 44.0)], 1500)
     backend = report.backends["sa"]
     assert backend.failure == "invalid_tour"
     assert backend.ar_distribution == ()
@@ -126,9 +133,9 @@ def test_build_report_count_weighted_distribution():
     exact = exact_solve(inst)
     tours = list(itertools.islice(_feasible_tours(inst), 2))
     entries = [
-        SampleEntry(encode(model, tours[0], inst), 30, tour_cost(inst, tours[0])),
-        SampleEntry(encode(model, tours[1], inst), 5, tour_cost(inst, tours[1])),
-        SampleEntry("0" * model.num_vars, 65, 4 * model.lam),
+        (encode(model, tours[0], inst), 30, tour_cost(inst, tours[0])),
+        (encode(model, tours[1], inst), 5, tour_cost(inst, tours[1])),
+        ("0" * model.num_vars, 65, 4 * model.lam),
     ]
     random_costs = [c for _, c in random_tours(inst, 50, seed=1)]
     report = build_report(inst, model, {"sa": _sample_set(entries, 100)}, exact, random_costs)
@@ -205,7 +212,7 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
         shots = tours + [order[::-1]] + [t.order for t in others]
         entries = {encode(model, t, inst): 1 for t in shots}
         samples = _sample_set(
-            [SampleEntry(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
+            [(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
         )
         report = build_report(inst, model, {"x": samples}, exact, [exact.cost])
         ars = report.backends["x"].ar_distribution
@@ -230,7 +237,7 @@ def test_emit_empty_group(tmp_path):
 def test_emit_row_order_and_headers(toy_instance, tmp_path):
     model = build_qubo(toy_instance)
     bits = encode(model, Tour((0, 1)), toy_instance)
-    _, report = _toy_pipeline(toy_instance, [SampleEntry(bits, 10, 10.0)], 10)
+    _, report = _toy_pipeline(toy_instance, [(bits, 10, 10.0)], 10)
     group = ExperimentGroup(name="g", reports=(report, report))
     emit(group, tmp_path)
     lines = (tmp_path / "instances.csv").read_text().splitlines()
@@ -246,7 +253,7 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
 def test_emit_accepts_single_report(toy_instance, tmp_path):
     model = build_qubo(toy_instance)
     bits = encode(model, Tour((0, 1)), toy_instance)
-    _, report = _toy_pipeline(toy_instance, [SampleEntry(bits, 3, 10.0)], 3)
+    _, report = _toy_pipeline(toy_instance, [(bits, 3, 10.0)], 3)
     emit(report, tmp_path)
     data = json.loads((tmp_path / "group.json").read_text())
     assert data["name"] == "toy" and len(data["instances"]) == 1
@@ -273,7 +280,7 @@ def test_violin_csv_matches_csv_writer_output():
 def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):
     model = build_qubo(toy_instance)
     bits = encode(model, Tour((0, 1)), toy_instance)
-    _, report = _toy_pipeline(toy_instance, [SampleEntry(bits, 7, 10.0)], 7)
+    _, report = _toy_pipeline(toy_instance, [(bits, 7, 10.0)], 7)
     group = ExperimentGroup(name="g", reports=(report,))
     emit(group, tmp_path)
     first = (tmp_path / "group.json").read_bytes()

@@ -259,7 +259,11 @@ def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
             seed = stage_seed(7, index, "qaoa") + cell
             state = run_qaoa(model, layout, QaoaParams(float(gamma), float(beta)), seed)
             shots = sample_shots(state, diagonal, 40, seed)
-            good = sum(e.count for e in shots.entries if decode(model, inst, e.bits).feasible)
+            good = sum(
+                int(count)
+                for row, count in zip(shots.entries, shots.counts)
+                if decode(model, inst, row).feasible
+            )
             assert float(fraction) == good / 40
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gtspq.qubo import build_qubo, encode, energy, from_terms
+from gtspq.qubo import bits_to_str, build_qubo, encode, energy, from_terms
 from gtspq.qaoa import (
     GridConfig,
     QaoaParams,
@@ -274,9 +274,8 @@ def test_sample_shots_basis_state():
     amps[4] = 1.0  # tuple (1, 1)
     state = SubspaceState(n=3, k=2, amps=amps)
     result = sample_shots(state, cost_diagonal(model, layout), shots=50, seed=0)
-    assert len(result.entries) == 1
-    assert result.entries[0].count == 50
-    assert result.entries[0].bits == "010010"
+    assert result.entries.tolist() == [[0, 1, 0, 0, 1, 0]]
+    assert result.counts.tolist() == [50]
     assert result.backend is Backend.QAOA
 
 
@@ -286,10 +285,10 @@ def test_sample_shots_binomial_split():
     amps = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     state = SubspaceState(n=2, k=1, amps=amps)
     result = sample_shots(state, cost_diagonal(model, layout), shots=1500, seed=3)
-    assert result.total_count() == 1500
-    counts = {e.bits: e.count for e in result.entries}
+    assert result.counts.sum() == 1500
+    counts = dict(zip(map(tuple, result.entries.tolist()), result.counts.tolist()))
     sigma = math.sqrt(1500 * 0.25)
-    assert abs(counts["10"] - 750) <= 4 * sigma
+    assert abs(counts[(1, 0)] - 750) <= 4 * sigma
 
 
 def test_sample_shots_step_one_hot_always():
@@ -298,9 +297,7 @@ def test_sample_shots_step_one_hot_always():
     layout = build_layout(4, 3)
     state = run_qaoa(model, layout, QaoaParams(0.7, 0.4), seed=11)
     result = sample_shots(state, cost_diagonal(model, layout), shots=2000, seed=12)
-    for entry in result.entries:
-        for c in range(3):
-            assert entry.bits[c * 4 : (c + 1) * 4].count("1") == 1
+    assert (result.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()
 
 
 def test_sample_shots_energies_equal_qubo_energy():
@@ -314,11 +311,11 @@ def test_sample_shots_energies_equal_qubo_energy():
         state = run_qaoa(model, layout, QaoaParams(0.9, 0.3), seed=seed)
         result = sample_shots(state, cost_diagonal(model, layout), shots=3000, seed=seed)
         assert len(result.entries) > 20
-        for entry in result.entries:
+        for row, e in zip(result.entries, result.energies):
             if integer:
-                assert entry.energy == energy(model, entry.bits)
+                assert e == energy(model, row)
             else:
-                assert abs(entry.energy - energy(model, entry.bits)) <= 1e-9
+                assert abs(e - energy(model, row)) <= 1e-9
 
 
 # --- grid search ------------------------------------------------------------------------
@@ -342,7 +339,7 @@ def test_grid_1x1_degenerates_to_single_run(toy_instance):
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
     state = run_qaoa(model, layout, params, seed=5)
     direct = sample_shots(state, cost_diagonal(model, layout), shots=200, seed=5)
-    assert result.best_samples == direct
+    assert result.best_samples.to_json_dict() == direct.to_json_dict()
     assert result.best_params == params
 
 
@@ -351,7 +348,7 @@ def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     layout = build_layout(2, 2)
     result = grid_search(model, layout, GridConfig(shots=1500), seed=1, inst=toy_instance)
     optimal_bits = {encode(model, Tour((0, 1)), toy_instance), encode(model, Tour((1, 0)), toy_instance)}
-    sampled = {e.bits for e in result.best_samples.entries}
+    sampled = {bits_to_str(row) for row in result.best_samples.entries}
     assert sampled & optimal_bits
     assert len(result.cells) == 100
     assert all(c.feasible_shot_fraction is not None for c in result.cells)
@@ -363,7 +360,9 @@ def test_grid_deterministic(toy_instance):
     grid = GridConfig(gamma_points=3, beta_points=3, shots=100)
     a = grid_search(model, layout, grid, seed=2)
     b = grid_search(model, layout, grid, seed=2)
-    assert a == b
+    assert (a.best_params, a.cells) == (b.best_params, b.cells)
+    assert a.best_samples.to_json_dict() == b.best_samples.to_json_dict()
+    assert a.search_samples.to_json_dict() == b.search_samples.to_json_dict()
 
 
 def test_grid_search_samples_pool_every_cell(toy_instance):
@@ -372,12 +371,14 @@ def test_grid_search_samples_pool_every_cell(toy_instance):
     grid = GridConfig(gamma_points=4, beta_points=4, shots=100)
     result = grid_search(model, layout, grid, seed=9)
     assert result.search_samples.num_reads == 16 * 100
-    assert result.search_samples.total_count() == 16 * 100
+    pool = result.search_samples
+    assert pool.counts.sum() == 16 * 100
     # the pooled multiset dominates the best cell entry-wise
-    pooled = {e.bits: e.count for e in result.search_samples.entries}
-    for entry in result.best_samples.entries:
-        assert pooled[entry.bits] >= entry.count
-    keys = [(e.energy, e.bits) for e in result.search_samples.entries]
+    pooled = dict(zip(map(tuple, pool.entries.tolist()), pool.counts.tolist()))
+    for row, count in zip(result.best_samples.entries.tolist(), result.best_samples.counts):
+        assert pooled[tuple(row)] >= count
+    assert len(pooled) == len(pool.counts)  # one entry per distinct row
+    keys = list(zip(pool.energies.tolist(), pool.entries.tolist()))
     assert keys == sorted(keys)
 
 
@@ -408,6 +409,4 @@ def test_norm_drift_and_one_hot_over_random_draws():
         state = run_qaoa(model, layout, params, seed=seed)
         assert abs(state.norm() - 1.0) < 1e-9
         shots = sample_shots(state, cost_diagonal(model, layout), shots=64, seed=seed)
-        for entry in shots.entries:
-            steps = [entry.bits[c * 4 : (c + 1) * 4].count("1") for c in range(3)]
-            assert steps == [1, 1, 1]
+        assert (shots.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()

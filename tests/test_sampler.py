@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
 from gtspq.instance import GtspInstance
-from gtspq.qubo import build_qubo, decode, energy, from_terms
+from gtspq.qubo import as_bits, build_qubo, decode, energies, energy, from_terms
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
@@ -21,7 +22,6 @@ from gtspq.sampler import (
     ExternalSamplerError,
     Failure,
     SampleSet,
-    _entries_from_rows,
     default_schedule,
     exhaustive_ground_state,
     external_sampler_submit,
@@ -113,10 +113,9 @@ def test_schedule_validation():
         AnnealSchedule(sweeps=0, beta_initial=0.1, beta_final=1.0)
     with pytest.raises(ValueError):
         AnnealSchedule(sweeps=10, beta_initial=1.0, beta_final=0.1)
-    with pytest.raises(ValueError):
-        AnnealSchedule(sweeps=10, beta_initial=0.1, beta_final=1.0, interpolation="x")
-    lin = AnnealSchedule(sweeps=3, beta_initial=1.0, beta_final=2.0, interpolation="linear")
-    assert lin.betas().tolist() == [1.0, 1.5, 2.0]
+    geo = AnnealSchedule(sweeps=3, beta_initial=1.0, beta_final=4.0)
+    assert geo.betas().tolist() == [1.0, 2.0, 4.0]
+    assert AnnealSchedule(sweeps=1, beta_initial=1.0, beta_final=4.0).betas().tolist() == [4.0]
 
 
 def test_default_schedule_feasible_on_medium_fixtures():
@@ -159,7 +158,11 @@ def _sa_reference_entries(model, num_reads, schedule, seed):
             coef = np.where(accept, sign, 0.0)
             fields += coef[:, None] * qsym[v][None, :]
             bits[:, v] = np.where(accept, 1.0 - bits[:, v], bits[:, v])
-    return _entries_from_rows(model, bits.astype(np.uint8))
+    rows, counts = np.unique(bits.astype(np.uint8), axis=0, return_counts=True)
+    return SampleSet.from_rows(
+        Backend.SIMULATED_ANNEALING, num_reads, rows, counts, energies(model, rows)
+    )
+
 
 
 def _decimal_model(seed, n, k):
@@ -178,18 +181,18 @@ def test_sa_matches_reference_sweep(num_reads, sweeps):
         model = _decimal_model(seed, n, k)
         for schedule in (
             default_schedule(model, sweeps=sweeps),
-            AnnealSchedule(sweeps, 0.01, 5.0, "linear"),
+            AnnealSchedule(sweeps, 0.01, 5.0),
         ):
-            got = sa_sample(model, num_reads, schedule, seed=seed + 10).entries
-            assert got == _sa_reference_entries(model, num_reads, schedule, seed + 10)
+            got = sa_sample(model, num_reads, schedule, seed=seed + 10)
+            want = _sa_reference_entries(model, num_reads, schedule, seed + 10)
+            assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_sa_downhill_only_single_variable():
     model = from_terms(1, 1, [(0, 5.0)], [], offset=0.0, lam=1.0)
     result = sa_sample(model, num_reads=64, seed=0)
-    assert len(result.entries) == 1
-    assert result.entries[0].bits == "0"
-    assert result.entries[0].count == 64
+    assert result.entries.tolist() == [[0]]
+    assert result.counts.tolist() == [64]
     assert result.backend is Backend.SIMULATED_ANNEALING
 
 
@@ -198,16 +201,16 @@ def test_sa_deterministic_for_fixed_seed():
     model = build_qubo(inst)
     a = sa_sample(model, num_reads=50, seed=123)
     b = sa_sample(model, num_reads=50, seed=123)
-    assert a == b
+    assert a.to_json_dict() == b.to_json_dict()
     c = sa_sample(model, num_reads=50, seed=124)
-    assert a != c
+    assert a.to_json_dict() != c.to_json_dict()
 
 
 def test_sa_counts_sum_to_num_reads():
     inst = gen.make_random_instance(seed=7, n=3, k=2)
     model = build_qubo(inst)
     result = sa_sample(model, num_reads=200, seed=5)
-    assert result.total_count() == 200
+    assert result.counts.sum() == 200
     assert result.failure is None
 
 
@@ -215,16 +218,18 @@ def test_sa_energy_honesty():
     inst = gen.make_random_instance(seed=8, n=4, k=3)
     model = build_qubo(inst)
     result = sa_sample(model, num_reads=100, seed=2)
-    for entry in result.entries:
-        assert entry.energy == pytest.approx(energy(model, entry.bits), abs=1e-9)
+    for row, e in zip(result.entries, result.energies):
+        assert e == pytest.approx(energy(model, row), abs=1e-9)
 
 
 def test_sa_entries_sorted_by_energy_then_bits():
     inst = gen.make_random_instance(seed=9, n=4, k=3)
     model = build_qubo(inst)
-    entries = sa_sample(model, num_reads=300, seed=4).entries
-    keys = [(e.energy, e.bits) for e in entries]
+    result = sa_sample(model, num_reads=300, seed=4)
+    keys = [(e, row) for e, row in zip(result.energies.tolist(), result.entries.tolist())]
     assert keys == sorted(keys)
+    assert len(set(map(tuple, result.entries.tolist()))) == len(keys)  # distinct rows
+    assert not result.entries.flags.writeable
 
 
 def test_sa_best_read_hits_ground_state():
@@ -232,7 +237,7 @@ def test_sa_best_read_hits_ground_state():
     model = build_qubo(inst)
     _, gs = exhaustive_ground_state(model)
     result = sa_sample(model, num_reads=1500, seed=0)
-    assert result.entries[0].energy == pytest.approx(gs, abs=1e-9)
+    assert result.energies[0] == pytest.approx(gs, abs=1e-9)
 
 
 def test_sa_more_sweeps_help_on_average():
@@ -241,10 +246,10 @@ def test_sa_more_sweeps_help_on_average():
     short, long = [], []
     for seed in range(30):
         short.append(
-            sa_sample(model, 4, default_schedule(model, sweeps=20), seed).entries[0].energy
+            sa_sample(model, 4, default_schedule(model, sweeps=20), seed).energies[0]
         )
         long.append(
-            sa_sample(model, 4, default_schedule(model, sweeps=2000), seed).entries[0].energy
+            sa_sample(model, 4, default_schedule(model, sweeps=2000), seed).energies[0]
         )
     assert np.mean(long) <= np.mean(short)
 
@@ -267,7 +272,9 @@ def test_external_echo_ground_state(toy_instance):
     result = external_sampler_submit(model, ExternalSamplerConfig(transport=transport))
     assert result.backend is Backend.EXTERNAL
     assert result.num_reads == 3
-    assert result.entries == (type(result.entries[0])(gs_bits, 3, gs_energy),)
+    assert result.entries.tolist() == [as_bits(gs_bits, model.num_vars).tolist()]
+    assert result.counts.tolist() == [3]
+    assert result.energies.tolist() == [gs_energy]
 
 
 def test_external_never_trusts_remote_energy(toy_instance):
@@ -277,7 +284,7 @@ def test_external_never_trusts_remote_energy(toy_instance):
         return {"entries": [{"bits": "1001", "count": 1, "energy": -999.0}]}
 
     result = external_sampler_submit(model, ExternalSamplerConfig(transport=transport))
-    assert result.entries[0].energy == pytest.approx(energy(model, "1001"))
+    assert result.energies[0] == pytest.approx(energy(model, "1001"))
 
 
 def test_external_embedding_failure(toy_instance):
@@ -287,7 +294,8 @@ def test_external_embedding_failure(toy_instance):
         ExternalSamplerConfig(transport=lambda payload: {"failure": "embedding failed"}),
     )
     assert result.failure is Failure.COULD_NOT_EMBED
-    assert result.entries == ()
+    assert len(result.entries) == len(result.counts) == 0
+    assert result.num_reads == 1500
 
 
 def test_external_wrong_length_is_schema_error(toy_instance):
@@ -299,6 +307,38 @@ def test_external_wrong_length_is_schema_error(toy_instance):
                 transport=lambda payload: {"entries": [{"bits": "101", "count": 1}]}
             ),
         )
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ({"bits": "1001", "count": 2.7}, "count 2.7 is not a positive integer"),
+        ({"bits": "1001", "count": True}, "count True is not a positive integer"),
+        ({"bits": "1001", "count": 0}, "count 0 is not a positive integer"),
+        ({"bits": "1001", "count": "3"}, "count '3' is not a positive integer"),
+        ({"bits": "1001"}, "count None is not a positive integer"),
+        ({"bits": "1x01", "count": 1}, "'1x01' holds a character other than 0/1"),
+        ({"bits": "10 1", "count": 1}, "'10 1' holds a character other than 0/1"),
+        ({"bits": 1001, "count": 1}, "lacks a bit string"),
+        ("1001", "lacks a bit string"),
+    ],
+)
+def test_external_malformed_entry_names_its_fault(toy_instance, item, message):
+    model = _toy_model(toy_instance)
+    config = ExternalSamplerConfig(transport=lambda payload: {"entries": [item]})
+    with pytest.raises(ExternalSamplerError, match=message):
+        external_sampler_submit(model, config)
+
+
+def test_external_merges_repeated_bitstrings(toy_instance):
+    model = _toy_model(toy_instance)
+    entries = [{"bits": "1001", "count": 2}, {"bits": "0000", "count": 1}, {"bits": "1001", "count": 3}]
+    result = external_sampler_submit(
+        model, ExternalSamplerConfig(transport=lambda payload: {"entries": entries})
+    )
+    assert result.num_reads == 6
+    assert result.entries.tolist() == [[1, 0, 0, 1], [0, 0, 0, 0]]  # by energy
+    assert result.counts.tolist() == [5, 1]
 
 
 def test_external_transport_error_is_timeout(toy_instance):
@@ -336,7 +376,7 @@ def test_external_http_round_trip(toy_instance):
         url = f"http://127.0.0.1:{server.server_address[1]}/"
         result = external_sampler_submit(model, ExternalSamplerConfig(url=url))
         assert result.num_reads == 2
-        assert result.entries[0].bits == gs_bits
+        assert result.entries.tolist() == [as_bits(gs_bits, model.num_vars).tolist()]
     finally:
         server.shutdown()
 
@@ -345,11 +385,14 @@ def test_sampleset_json_round_trip(toy_instance):
     model = _toy_model(toy_instance)
     result = sa_sample(model, num_reads=20, seed=1)
     data = result.to_json_dict()
-    again = SampleSet.from_json_dict(data)
-    assert again == result
-    timed = SampleSet.from_json_dict(
-        SampleSet(Backend.QAOA, 5, result.entries, wall_time_s=1.25).to_json_dict(
-            include_timing=False
-        )
-    )
-    assert timed.wall_time_s is None
+    again = SampleSet.from_json_dict(json.loads(json.dumps(data)))
+    assert again.to_json_dict() == data
+    for name in ("entries", "counts", "energies"):
+        assert getattr(again, name).dtype == getattr(result, name).dtype
+        assert np.array_equal(getattr(again, name), getattr(result, name))
+    timed = dataclasses.replace(result, backend=Backend.QAOA, wall_time_s=1.25)
+    assert timed.to_json_dict()["wall_time_s"] == 1.25
+    assert SampleSet.from_json_dict(timed.to_json_dict(include_timing=False)).wall_time_s is None
+    failed = SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, 7)
+    assert SampleSet.from_json_dict(failed.to_json_dict()).to_json_dict() == failed.to_json_dict()
+    assert failed.num_reads == 7 and failed.entries.shape == (0, 0)
