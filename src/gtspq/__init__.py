@@ -17,7 +17,6 @@ from .bench import (
 from .instance import (
     GtspInstance,
     GtsplibError,
-    NodeCoord,
     Tour,
     is_feasible_tour,
     parse_gtsplib,
@@ -30,15 +29,14 @@ from .qaoa import (
     GridConfig,
     PartitionLayout,
     QaoaParams,
-    SubspaceState,
     apply_cost_phase,
     apply_xy_ring_mixer,
-    build_layout,
     cost_diagonal,
     grid_search,
     initial_state,
     run_qaoa,
     sample_shots,
+    xy_ring_matrix,
 )
 from .qubo import (
     QuboModel,

@@ -158,8 +158,9 @@ def _best_tour_for_ordering(w, seq, s) -> tuple[float, tuple[int, ...]]:
 
 def random_tours(
     inst: GtspInstance, count: int, seed: int
-) -> list[tuple[Tour, float]]:
-    """Uniform node per cluster, uniform cyclic cluster order; seeded.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` seeded tours, uniform node per cluster and uniform cyclic
+    cluster order: the (count, K) node-order array and its cost array.
 
     Two array draws: every tour's cluster order (each row of a tiled
     ``arange(K)`` permuted on its own), then every step's node index below
@@ -173,5 +174,4 @@ def random_tours(
     nodes = np.concatenate(inst.clusters)
     perm = rng.permuted(np.tile(np.arange(inst.k), (count, 1)), axis=1)
     orders = nodes[starts[perm] + rng.integers(0, sizes[perm])]
-    costs = tour_costs(inst, orders).tolist()
-    return [(Tour(tuple(order)), cost) for order, cost in zip(orders.tolist(), costs)]
+    return orders, tour_costs(inst, orders)

@@ -224,29 +224,17 @@ def atomic_write(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def emit(group, out_dir, formats=("json", "csv", "violin-data")) -> list:
-    """Write report files for a group or a single InstanceReport; returns the
-    paths written."""
+def emit(group, out_dir) -> None:
+    """Write the report files (group.json, the three CSVs and one violin CSV
+    per instance and backend) for a group or a single InstanceReport."""
     if isinstance(group, InstanceReport):
         group = ExperimentGroup(name=group.name, reports=(group,))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def write(path, text):
-        atomic_write(path, text)
-        written.append(path)
-
-    if "json" in formats:
-        write(out / "group.json", json_text(group.to_json_dict()))
-    if "csv" in formats:
-        write(out / "instances.csv", instances_csv(group))
-        write(out / "feasibility.csv", feasibility_csv(group))
-        write(out / "ar.csv", ar_csv(group))
-    if "violin-data" in formats:
-        violin_dir = out / "violin"
-        violin_dir.mkdir(exist_ok=True)
-        for rep in group.reports:
-            for key, b in sorted(rep.backends.items()):
-                write(violin_dir / f"{rep.name}_{key}.csv", violin_csv(b))
-    return written
+    (out / "violin").mkdir(parents=True, exist_ok=True)
+    atomic_write(out / "group.json", json_text(group.to_json_dict()))
+    atomic_write(out / "instances.csv", instances_csv(group))
+    atomic_write(out / "feasibility.csv", feasibility_csv(group))
+    atomic_write(out / "ar.csv", ar_csv(group))
+    for rep in group.reports:
+        for key, b in sorted(rep.backends.items()):
+            atomic_write(out / "violin" / f"{rep.name}_{key}.csv", violin_csv(b))

@@ -118,6 +118,14 @@ def _build_config(args) -> RunConfig:
     cfg.out = str(pick(getattr(args, "out", None), "out", "out"))
     cfg.group = str(pick(getattr(args, "group", None), "group", "custom"))
     cfg.external_url = pick(getattr(args, "external_url", None), "external_url", None)
+    for flag, value in (
+        ("--reads", cfg.reads),
+        ("--shots", cfg.shots),
+        ("--grid", min(cfg.grid)),
+        ("--layers", cfg.layers),
+    ):
+        if value < 1:
+            raise _UsageError(f"{flag} must be at least 1")
     if "external" in cfg.backends and not cfg.external_url:
         raise _UsageError("backend 'external' needs --external-url")
     return cfg
@@ -147,7 +155,6 @@ def _subsample(
         clusters=reduced.clusters,
         weights=reduced.weights,
         symmetric=reduced.symmetric,
-        coords=reduced.coords,
     )
     return renamed, record
 
@@ -186,7 +193,6 @@ def _run_backend(
         )
     elif key == "qaoa":
         try:
-            layout = qaoa.build_layout(model.n, model.k)
             grid_cfg = qaoa.GridConfig(
                 gamma_points=cfg.grid[0],
                 beta_points=cfg.grid[1],
@@ -195,7 +201,7 @@ def _run_backend(
                 layers=cfg.layers,
             )
             grid_result = qaoa.grid_search(
-                model, layout, grid_cfg, stage_seed(cfg.seed, index, "qaoa"), inst=inst
+                model, grid_cfg, stage_seed(cfg.seed, index, "qaoa"), inst=inst
             )
             samples = grid_result.search_samples  # every shot drawn during the search
         except qaoa.StateTooLargeError:
@@ -242,10 +248,12 @@ def _bench_instance(payload: tuple) -> dict:
         ),
     )
     rnd_seed = stage_seed(cfg.seed, index, "random")
-    random_costs = [c for _, c in baseline.random_tours(inst, cfg.reads, rnd_seed)]
+    _, random_costs = baseline.random_tours(inst, cfg.reads, rnd_seed)
     bench.atomic_write(
         raw_dir / "random.json",
-        bench.json_text({"seed": rnd_seed, "count": cfg.reads, "costs": random_costs}),
+        bench.json_text(
+            {"seed": rnd_seed, "count": cfg.reads, "costs": random_costs.tolist()}
+        ),
     )
 
     for key in cfg.backends:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class GtspInstance:
         clusters: Iterable[Iterable[int]],
         weights,
         symmetric: bool,
-        coords: Sequence[NodeCoord] | None = None,
     ):
         self.name = str(name)
         self.clusters = tuple(tuple(sorted(int(v) for v in c)) for c in clusters)
@@ -90,7 +89,6 @@ class GtspInstance:
         self.weights = w
         self.weights.setflags(write=False)
         self.symmetric = bool(symmetric)
-        self.coords = tuple(coords) if coords is not None else None
         self._validate()
         self.cluster_index = np.empty(self.n, dtype=np.intp)  # node -> cluster
         for m, cluster in enumerate(self.clusters):
@@ -133,8 +131,6 @@ class GtspInstance:
             raise GtsplibError("nonzero diagonal weight")
         if self.symmetric and not np.array_equal(self.weights, self.weights.T):
             raise GtsplibError("TYPE GTSP but weight matrix is not symmetric")
-        if self.coords is not None and len(self.coords) != n:
-            raise GtsplibError("coordinate count does not match DIMENSION")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GtspInstance):
@@ -461,7 +457,6 @@ def _assemble(header, coords, matrix, set_records) -> GtspInstance:
         clusters=clusters,
         weights=weights,
         symmetric=symmetric,
-        coords=coords,
     )
 
 

@@ -64,13 +64,11 @@ def _submatrix_instance(
     relabel = {old: new for new, old in enumerate(kept)}
     clusters = [[relabel[v] for v in sorted(cluster)] for cluster in kept_clusters]
     weights = inst.weights[np.ix_(kept, kept)]
-    coords = tuple(inst.coords[v] for v in kept) if inst.coords is not None else None
     reduced = GtspInstance(
         name=inst.name,
         clusters=clusters,
         weights=weights,
         symmetric=inst.symmetric,
-        coords=coords,
     )
     record = ReductionRecord(
         original_instance_name=inst.name,

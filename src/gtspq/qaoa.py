@@ -1,12 +1,13 @@
 """Depth-p alternating-operator simulator on the one-hot-per-step subspace.
 
-The state lives on the N^K tuples (i_0, ..., i_{K-1}), node i_c being the
-single set bit of step c, so the step-wise one-hot constraint holds by
-construction for every parameter choice. The mixer is an ordered product of
-two-variable XX+YY rotations along a ring within each step partition; inside
-the subspace each ring edge acts as the 2x2 block
-[[cos 2b, -i sin 2b], [-i sin 2b, cos 2b]] on the pair of tuple coordinates it
-couples. The phase layer multiplies by exp(-i*g*E) with E the full model
+The state is a complex128 array of shape (N,)*K over the tuples
+(i_0, ..., i_{K-1}), node i_c being the single set bit of step c, so the
+step-wise one-hot constraint holds by construction for every parameter
+choice. The mixer is an ordered product of two-variable XX+YY rotations along
+the ring 0-1-...-(N-1)-0 of each step; inside the subspace a ring edge acts as
+the 2x2 block [[cos 2b, -i sin 2b], [-i sin 2b, cos 2b]] on the two nodes it
+couples, so one step's ring product is one N x N matrix, applied along every
+step axis. The phase layer multiplies by exp(-i*g*E) with E the full model
 energy of the tuple's bitstring. Parameters are tuned by grid search over
 (gamma, beta) with shot-sampled mean energy as the score.
 """
@@ -21,10 +22,12 @@ import numpy as np
 
 from . import qubo
 from .instance import GtspInstance
-from .qubo import QuboModel, var_index
+from .qubo import QuboModel
 from .sampler import Backend, Failure, SampleSet
 
 MAX_SUBSPACE_DIM = 2_000_000
+GAMMA_RANGE = (0.05, math.pi)  # the grid's endpoints, both included
+BETA_RANGE = (0.05, math.pi / 2)
 
 
 class StateTooLargeError(RuntimeError):
@@ -33,12 +36,16 @@ class StateTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class PartitionLayout:
-    """Step partitions of the N*K variables and their mixing rings."""
+    """K steps of N nodes: the state's shape, capped at MAX_SUBSPACE_DIM."""
 
     n: int
     k: int
-    partitions: tuple[tuple[int, ...], ...]
-    ring_edges: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self):
+        if self.dim > MAX_SUBSPACE_DIM:
+            raise StateTooLargeError(
+                f"subspace dimension {self.n}^{self.k} exceeds {MAX_SUBSPACE_DIM}"
+            )
 
     @property
     def dim(self) -> int:
@@ -47,37 +54,6 @@ class PartitionLayout:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.k
-
-
-def build_layout(n: int, k: int) -> PartitionLayout:
-    partitions = []
-    rings = []
-    for t in range(k):
-        qs = tuple(var_index(n, t, i) for i in range(n))
-        partitions.append(qs)
-        if n < 2:
-            edges: tuple[tuple[int, int], ...] = ()
-        elif n == 2:
-            edges = ((qs[0], qs[1]),)
-        else:
-            edges = tuple((qs[i], qs[(i + 1) % n]) for i in range(n))
-        rings.append(edges)
-    return PartitionLayout(
-        n=n, k=k, partitions=tuple(partitions), ring_edges=tuple(rings)
-    )
-
-
-@dataclass(frozen=True)
-class SubspaceState:
-    n: int
-    k: int
-    amps: np.ndarray  # complex128, length n**k, C-order over (i_0..i_{K-1})
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 @dataclass(frozen=True)
@@ -89,10 +65,6 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class GridConfig:
-    gamma_min: float = 0.05
-    gamma_max: float = math.pi
-    beta_min: float = 0.05
-    beta_max: float = math.pi / 2
     gamma_points: int = 10
     beta_points: int = 10
     shots: int = 1500
@@ -100,10 +72,10 @@ class GridConfig:
     layers: int = 1
 
     def gammas(self) -> np.ndarray:
-        return np.linspace(self.gamma_min, self.gamma_max, self.gamma_points)
+        return np.linspace(*GAMMA_RANGE, self.gamma_points)
 
     def betas(self) -> np.ndarray:
-        return np.linspace(self.beta_min, self.beta_max, self.beta_points)
+        return np.linspace(*BETA_RANGE, self.beta_points)
 
 
 @dataclass(frozen=True)
@@ -131,34 +103,22 @@ class GridResult:
     search_samples: SampleSet
 
 
-def _check_dim(layout: PartitionLayout) -> None:
-    if layout.dim > MAX_SUBSPACE_DIM:
-        raise StateTooLargeError(
-            f"subspace dimension {layout.n}^{layout.k} exceeds {MAX_SUBSPACE_DIM}"
-        )
-
-
-def initial_state(layout: PartitionLayout, seed: int) -> SubspaceState:
+def initial_state(layout: PartitionLayout, seed: int) -> np.ndarray:
     """A single uniformly random one-hot basis state (one node per step)."""
-    _check_dim(layout)
     rng = np.random.default_rng(seed)
-    tup = tuple(int(x) for x in rng.integers(0, layout.n, size=layout.k))
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[np.ravel_multi_index(tup, layout.shape)] = 1.0
-    return SubspaceState(n=layout.n, k=layout.k, amps=amps)
+    state = np.zeros(layout.shape, dtype=np.complex128)
+    state[tuple(rng.integers(0, layout.n, size=layout.k))] = 1.0
+    return state
 
 
-def cost_diagonal(model: QuboModel, layout: PartitionLayout) -> np.ndarray:
-    """Model energy of every subspace tuple's bitstring, as a flat vector.
+def cost_diagonal(model: QuboModel) -> np.ndarray:
+    """Model energy of every subspace tuple's bitstring, shape (N,)*K.
 
     Same-step quadratic terms never fire on one-hot tuples, so only linear
     terms and cross-step couplings contribute on top of the offset.
     """
-    if (model.n, model.k) != (layout.n, layout.k):
-        raise ValueError("model layout does not match the partition layout")
-    _check_dim(layout)
-    n, k = layout.n, layout.k
-    diag = np.full(layout.shape, model.offset, dtype=np.float64)
+    n, k = model.n, model.k
+    diag = np.full(PartitionLayout(n, k).shape, model.offset, dtype=np.float64)
     lin = np.diagonal(model.q).reshape(k, n)
     for c in range(k):
         shape = [1] * k
@@ -170,37 +130,38 @@ def cost_diagonal(model: QuboModel, layout: PartitionLayout) -> np.ndarray:
             shape[cu] = n
             shape[cv] = n
             diag += model.q[cu * n : (cu + 1) * n, cv * n : (cv + 1) * n].reshape(shape)
-    return diag.reshape(-1)
+    return diag
 
 
-def apply_cost_phase(
-    state: SubspaceState, diagonal: np.ndarray, gamma: float
-) -> SubspaceState:
-    amps = state.amps * np.exp(-1j * gamma * diagonal)
-    return SubspaceState(n=state.n, k=state.k, amps=amps)
+def apply_cost_phase(state: np.ndarray, diagonal: np.ndarray, gamma: float) -> np.ndarray:
+    return state * np.exp(-1j * gamma * diagonal)
 
 
-def apply_xy_ring_mixer(
-    state: SubspaceState, layout: PartitionLayout, beta: float
-) -> SubspaceState:
-    """Ordered product of ring-edge rotations, partitions then edges ascending."""
-    n, k = layout.n, layout.k
-    arr = state.amps.copy().reshape(layout.shape)
+def xy_ring_matrix(n: int, beta: float) -> np.ndarray:
+    """One step's mixer: the product of the ring-edge rotations (i, i+1 mod n)
+    for i ascending, the first edge applied first. n = 2 has the single edge
+    (0, 1) and n = 1 none."""
     c2 = math.cos(2.0 * beta)
     s2 = math.sin(2.0 * beta)
-    for t, edges in enumerate(layout.ring_edges):
-        for u, v in edges:
-            a = u - t * n
-            b = v - t * n
-            idx_a = [slice(None)] * k
-            idx_b = [slice(None)] * k
-            idx_a[t] = a
-            idx_b[t] = b
-            amp_a = arr[tuple(idx_a)].copy()
-            amp_b = arr[tuple(idx_b)]
-            arr[tuple(idx_a)] = c2 * amp_a - 1j * s2 * amp_b
-            arr[tuple(idx_b)] = -1j * s2 * amp_a + c2 * amp_b
-    return SubspaceState(n=n, k=k, amps=arr.reshape(-1))
+    m = np.eye(n, dtype=np.complex128)
+    for a in range(n if n > 2 else n - 1):
+        b = (a + 1) % n
+        m[[a, b]] = c2 * m[[a, b]] - 1j * s2 * m[[b, a]]
+    return m
+
+
+def apply_xy_ring_mixer(state: np.ndarray, beta: float) -> np.ndarray:
+    """The ring matrix applied along every step axis.
+
+    Each pass mixes the leading axis and moves it to the back, so after K
+    passes every step is mixed once and the axes are back in order.
+    """
+    n = state.shape[0]
+    mixer_t = xy_ring_matrix(n, beta).T
+    out = state
+    for _ in range(state.ndim):
+        out = out.reshape(n, -1).T @ mixer_t
+    return out.reshape(state.shape)
 
 
 def run_qaoa(
@@ -209,14 +170,14 @@ def run_qaoa(
     params: QaoaParams,
     seed: int,
     diagonal: np.ndarray | None = None,
-) -> SubspaceState:
+) -> np.ndarray:
     """initial basis state, then (phase, mixer) x layers."""
     if diagonal is None:
-        diagonal = cost_diagonal(model, layout)
+        diagonal = cost_diagonal(model)
     state = initial_state(layout, seed)
     for _ in range(params.layers):
         state = apply_cost_phase(state, diagonal, params.gamma)
-        state = apply_xy_ring_mixer(state, layout, params.beta)
+        state = apply_xy_ring_mixer(state, params.beta)
     return state
 
 
@@ -235,24 +196,25 @@ def _tuple_index(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def sample_shots(
-    state: SubspaceState, diagonal: np.ndarray, shots: int, seed: int
+    state: np.ndarray, diagonal: np.ndarray, shots: int, seed: int
 ) -> SampleSet:
     """i.i.d. measurement draws; tuples rendered as full N*K bit rows, each
     scored by its entry of the cost diagonal."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
+    probs = np.abs(state.reshape(-1)) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(probs), size=shots, p=probs)
     uniq, counts = np.unique(draws, return_counts=True)
-    rows = _tuple_rows(uniq, state.n, state.k)
-    return SampleSet.from_rows(Backend.QAOA, shots, rows, counts, diagonal[uniq])
+    rows = _tuple_rows(uniq, state.shape[0], state.ndim)
+    return SampleSet.from_rows(
+        Backend.QAOA, shots, rows, counts, diagonal.reshape(-1)[uniq]
+    )
 
 
 def grid_search(
     model: QuboModel,
-    layout: PartitionLayout,
     grid: GridConfig,
     seed: int,
     inst: GtspInstance | None = None,
@@ -267,8 +229,9 @@ def grid_search(
     ``inst`` given, each cell's feasible shot fraction is read off one decode
     of the pooled rows.
     """
-    n, k = layout.n, layout.k
-    diagonal = cost_diagonal(model, layout)
+    n, k = model.n, model.k
+    layout = PartitionLayout(n, k)
+    diagonal = cost_diagonal(model)
     started = time.monotonic()
     runs: list[tuple[float, float, float, SampleSet]] = []  # gamma, beta, score, shots
     best_score = math.inf
@@ -323,7 +286,7 @@ def grid_search(
         grid.shots * len(runs),
         pooled_rows,
         np.bincount(inverse, weights=counts, minlength=len(flat)),
-        diagonal[flat],
+        diagonal.reshape(-1)[flat],
     )
     return GridResult(
         best_params=best_params,

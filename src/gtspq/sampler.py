@@ -165,9 +165,7 @@ def _all_rows(width: int) -> np.ndarray:
     return ((np.arange(1 << width, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def exhaustive_ground_state(
-    model: QuboModel, max_vars: int = EXHAUSTIVE_CAP
-) -> tuple[str, float]:
+def exhaustive_ground_state(model: QuboModel) -> tuple[str, float]:
     """Global minimum-energy bitstring; ties go to the lexicographically
     smallest string (bit 0 most significant).
 
@@ -177,8 +175,8 @@ def exhaustive_ground_state(
     most 2^16 states in index order.
     """
     n = model.num_vars
-    if n > max_vars:
-        raise ValueError(f"{n} variables exceed the exhaustive cap {max_vars}")
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"{n} variables exceed the exhaustive cap {EXHAUSTIVE_CAP}")
     q, offset = model.q, model.offset
     n_lo = min((n + 1) // 2, 16)
     n_hi = n - n_lo

@@ -93,7 +93,7 @@ def test_feasibility_ratio_exhaustive_census():
 def _toy_pipeline(toy_instance, entries, num_reads, failure=None):
     model = build_qubo(toy_instance)
     exact = exact_solve(toy_instance)
-    random_costs = [c for _, c in random_tours(toy_instance, 100, seed=0)]
+    random_costs = random_tours(toy_instance, 100, seed=0)[1].tolist()
     samples = _sample_set(entries, num_reads, failure=failure)
     report = build_report(
         toy_instance, model, {"sa": samples}, exact, random_costs
@@ -137,7 +137,7 @@ def test_build_report_count_weighted_distribution():
         (encode(model, tours[1], inst), 5, tour_cost(inst, tours[1])),
         ("0" * model.num_vars, 65, 4 * model.lam),
     ]
-    random_costs = [c for _, c in random_tours(inst, 50, seed=1)]
+    random_costs = random_tours(inst, 50, seed=1)[1].tolist()
     report = build_report(inst, model, {"sa": _sample_set(entries, 100)}, exact, random_costs)
     backend = report.backends["sa"]
     assert len(backend.ar_distribution) == 35  # one point per shot, not per bitstring
@@ -160,7 +160,7 @@ def test_report_recomputation_oracle(toy_instance):
     model = build_qubo(toy_instance)
     samples = sa_sample(model, num_reads=400, seed=5)
     exact = exact_solve(toy_instance)
-    random_costs = [c for _, c in random_tours(toy_instance, 200, seed=2)]
+    random_costs = random_tours(toy_instance, 200, seed=2)[1].tolist()
     report = build_report(toy_instance, model, {"sa": samples}, exact, random_costs)
 
     raw = samples.to_json_dict()
@@ -182,7 +182,7 @@ def test_invariants_best_shot_and_random_mean(subsample_small_instances):
     for inst in subsample_small_instances[:4]:
         model = build_qubo(inst)
         exact = exact_solve(inst)
-        random_costs = [c for _, c in random_tours(inst, 300, seed=7)]
+        random_costs = random_tours(inst, 300, seed=7)[1].tolist()
         samples = sa_sample(model, num_reads=200, seed=3)
         report = build_report(inst, model, {"sa": samples}, exact, random_costs)
         backend = report.backends["sa"]
@@ -208,8 +208,8 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
         exact = exact_solve(inst)
         order = exact.tour.order
         tours = [order[r:] + order[:r] for r in range(k)]
-        others = [t for t, _ in random_tours(inst, 50, seed=seed)]
-        shots = tours + [order[::-1]] + [t.order for t in others]
+        others = random_tours(inst, 50, seed=seed)[0]
+        shots = tours + [order[::-1]] + list(map(tuple, others.tolist()))
         entries = {encode(model, t, inst): 1 for t in shots}
         samples = _sample_set(
             [(bits, 1, 0.0) for bits in sorted(entries)], len(entries)

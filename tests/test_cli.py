@@ -155,6 +155,20 @@ def test_external_backend_requires_url(write_instance, tmp_path):
     assert main(["solve", str(path), "--backend", "external"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--grid", "0x10"), ("--shots", "0"), ("--reads", "0"), ("--layers", "0")]
+)
+def test_bench_rejects_counts_below_one(write_instance, tmp_path, capsys, flag, value):
+    """A grid axis, shot, read or layer count below 1 is a usage error: no
+    cell runs and nothing is written."""
+    path = write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))
+    out = tmp_path / "run"
+    args = ["bench", str(path), "--backend", "qaoa", "--reads", "20", "--shots", "20"]
+    assert main(args + ["--grid", "2x2", flag, value, "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _bench_args(paths, out, seed="7"):
     return [
         "bench",
@@ -241,7 +255,7 @@ def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
     """Each grid cell's feasible_shot_fraction is the decoded share of that
     cell's shots, redrawn here from the cell's seed."""
     from gtspq.cli import stage_seed
-    from gtspq.qaoa import QaoaParams, build_layout, cost_diagonal, run_qaoa, sample_shots
+    from gtspq.qaoa import PartitionLayout, QaoaParams, cost_diagonal, run_qaoa, sample_shots
     from gtspq.qubo import build_qubo, decode
 
     out = tmp_path / "run"
@@ -249,8 +263,8 @@ def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
     for index, raw in enumerate(sorted((out / "raw").iterdir())):
         inst = parse_gtsplib((raw / "instance.gtsp").read_text())
         model = build_qubo(inst)
-        layout = build_layout(inst.n, inst.k)
-        diagonal = cost_diagonal(model, layout)
+        layout = PartitionLayout(inst.n, inst.k)
+        diagonal = cost_diagonal(model)
         lines = (raw / "qaoa_grid.csv").read_text().splitlines()[1:]
         assert len(lines) == 9
         for cell, line in enumerate(lines):

@@ -9,16 +9,16 @@ from gtspq.qubo import bits_to_str, build_qubo, encode, energy, from_terms
 from gtspq.qaoa import (
     GridConfig,
     QaoaParams,
+    PartitionLayout,
     StateTooLargeError,
-    SubspaceState,
     apply_cost_phase,
     apply_xy_ring_mixer,
-    build_layout,
     cost_diagonal,
     grid_search,
     initial_state,
     run_qaoa,
     sample_shots,
+    xy_ring_matrix,
 )
 from gtspq.sampler import Backend, Failure
 from gtspq.instance import GtspInstance, Tour
@@ -27,6 +27,16 @@ import gen
 
 
 # --- dense full-space oracle ----------------------------------------------------
+
+
+def ring_edges(n):
+    """One step's mixer edges (node pairs) in application order: the ring
+    0-1-...-(n-1)-0, a single edge for two nodes, none for one."""
+    if n < 2:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    return [(i, (i + 1) % n) for i in range(n)]
 
 
 def dense_simulate(model, layout, params, init_tuple):
@@ -61,10 +71,10 @@ def dense_simulate(model, layout, params, init_tuple):
     s2 = math.sin(2 * params.beta)
     for _ in range(params.layers):
         state = state * phases
-        for t, edges in enumerate(layout.ring_edges):
-            for u, v in edges:
-                bu = nq - 1 - u  # bit position within the integer index
-                bv = nq - 1 - v
+        for t in range(k):
+            for a, b in ring_edges(n):
+                bu = nq - 1 - (t * n + a)  # bit position within the integer index
+                bv = nq - 1 - (t * n + b)
                 for m in range(dim):
                     if (m >> bu) & 1 and not (m >> bv) & 1:
                         partner = m ^ (1 << bu) ^ (1 << bv)
@@ -84,50 +94,87 @@ def subspace_index_in_dense(layout, flat_index):
     return m
 
 
-# --- layout ----------------------------------------------------------------------
+# --- layout and ring matrix ------------------------------------------------------
 
 
-def test_layout_partitions_cover_all_variables():
-    layout = build_layout(4, 3)
-    flat = [q for p in layout.partitions for q in p]
-    assert sorted(flat) == list(range(12))
-    assert all(len(p) == 4 for p in layout.partitions)
+def test_layout_shape_covers_all_tuples(toy_instance):
+    layout = PartitionLayout(4, 3)
+    assert layout.shape == (4, 4, 4) and layout.dim == 64
+    model = build_qubo(toy_instance)
+    assert cost_diagonal(model).shape == PartitionLayout(model.n, model.k).shape
+
+
+def _edge_rotation(n, a, b, beta):
+    """The 2x2 XX+YY block on nodes (a, b), embedded in the n x n identity."""
+    r = np.eye(n, dtype=np.complex128)
+    r[a, a] = r[b, b] = math.cos(2 * beta)
+    r[a, b] = r[b, a] = -1j * math.sin(2 * beta)
+    return r
+
+
+def _edge_product(n, edges, beta):
+    m = np.eye(n, dtype=np.complex128)
+    for a, b in edges:
+        m = _edge_rotation(n, a, b, beta) @ m
+    return m
 
 
 @pytest.mark.parametrize("n,expected_edges", [(1, 0), (2, 1), (3, 3), (5, 5)])
-def test_ring_edge_counts(n, expected_edges):
-    layout = build_layout(n, 2)
-    assert all(len(edges) == expected_edges for edges in layout.ring_edges)
+def test_ring_matrix_matches_edge_product(n, expected_edges):
+    assert len(ring_edges(n)) == expected_edges
+    for beta in (0.05, 0.4, 1.3):
+        expected = _edge_product(n, ring_edges(n), beta)
+        assert np.allclose(xy_ring_matrix(n, beta), expected, rtol=0, atol=1e-14)
 
 
-def test_ring_edges_are_ascending_cycles():
-    layout = build_layout(4, 2)
-    assert layout.ring_edges[0] == ((0, 1), (1, 2), (2, 3), (3, 0))
-    assert layout.ring_edges[1] == ((4, 5), (5, 6), (6, 7), (7, 4))
+def test_ring_matrix_is_ordered_ascending_product():
+    """Edge rotations sharing a node do not commute: the ascending order
+    is the one applied."""
+    edges = ring_edges(4)
+    assert edges == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    descending = _edge_product(4, edges[::-1], 0.4)
+    assert not np.allclose(xy_ring_matrix(4, 0.4), descending, atol=1e-3)
+
+
+def test_ring_matrix_is_unitary():
+    for n in range(1, 8):
+        for beta in (0.0, 0.05, 0.7, math.pi / 2, 2.9):
+            m = xy_ring_matrix(n, beta)
+            assert np.allclose(m @ m.conj().T, np.eye(n), rtol=0, atol=1e-13)
+
+
+def test_ring_matrix_single_node_is_identity():
+    for beta in (0.05, 0.7, 1.3):
+        assert xy_ring_matrix(1, beta).tolist() == [[1.0 + 0.0j]]
+
+
+def test_ring_matrix_two_nodes_is_one_rotation():
+    for beta in (0.05, 0.7, 1.3):
+        c, s = math.cos(2 * beta), math.sin(2 * beta)
+        assert np.array_equal(xy_ring_matrix(2, beta), [[c, -1j * s], [-1j * s, c]])
 
 
 # --- initial state ----------------------------------------------------------------
 
 
 def test_initial_state_unique_when_single_node():
-    layout = build_layout(1, 3)
-    state = initial_state(layout, seed=5)
-    assert state.amps.tolist() == [1.0 + 0.0j]
+    state = initial_state(PartitionLayout(1, 3), seed=5)
+    assert state.reshape(-1).tolist() == [1.0 + 0.0j]
 
 
 def test_initial_state_deterministic():
-    layout = build_layout(3, 2)
+    layout = PartitionLayout(3, 2)
     a = initial_state(layout, seed=9)
     b = initial_state(layout, seed=9)
-    assert np.array_equal(a.amps, b.amps)
+    assert np.array_equal(a, b)
 
 
 def test_initial_state_uniform_over_basis():
-    layout = build_layout(3, 2)
+    layout = PartitionLayout(3, 2)
     counts = np.zeros(9)
     trials = 10_000
     for seed in range(trials):
-        counts[int(np.argmax(np.abs(initial_state(layout, seed).amps)))] += 1
+        counts[int(np.argmax(np.abs(initial_state(layout, seed))))] += 1
     expected = trials / 9
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # chi-square with 8 degrees of freedom: mean 8, std 4
@@ -136,7 +183,7 @@ def test_initial_state_uniform_over_basis():
 
 def test_state_too_large_guard():
     with pytest.raises(StateTooLargeError):
-        initial_state(build_layout(20, 7), seed=0)
+        PartitionLayout(20, 7)
 
 
 # --- cost diagonal -----------------------------------------------------------------
@@ -144,8 +191,7 @@ def test_state_too_large_guard():
 
 def test_cost_diagonal_toy_values(toy_instance):
     model = build_qubo(toy_instance)
-    layout = build_layout(2, 2)
-    diag = cost_diagonal(model, layout).reshape(2, 2)
+    diag = cost_diagonal(model)
     assert diag[0, 1] == pytest.approx(10.0)  # the feasible tour (0, 1)
     assert diag[1, 0] == pytest.approx(10.0)
     # same node twice: one cluster double-selected, the other unselected
@@ -157,14 +203,12 @@ def test_cost_diagonal_matches_energy_per_entry():
     for n, k in ((3, 2), (3, 3), (4, 4)):
         inst = gen.make_random_instance(seed=14, n=n, k=k)
         model = build_qubo(inst)
-        layout = build_layout(n, k)
-        diag = cost_diagonal(model, layout)
-        for flat in range(layout.dim):
-            tup = np.unravel_index(flat, layout.shape)
+        diag = cost_diagonal(model)
+        for tup in np.ndindex(diag.shape):
             bits = ["0"] * (n * k)
             for c, node in enumerate(tup):
                 bits[c * n + node] = "1"
-            assert diag[flat] == pytest.approx(energy(model, "".join(bits)), abs=1e-9)
+            assert diag[tup] == pytest.approx(energy(model, "".join(bits)), abs=1e-9)
 
 
 # --- unitaries ----------------------------------------------------------------------
@@ -172,61 +216,56 @@ def test_cost_diagonal_matches_energy_per_entry():
 
 def _random_state(layout, seed):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-    amps /= np.linalg.norm(amps)
-    return SubspaceState(n=layout.n, k=layout.k, amps=amps)
+    state = rng.normal(size=layout.shape) + 1j * rng.normal(size=layout.shape)
+    return state / np.linalg.norm(state)
 
 
 def test_cost_phase_gamma_zero_is_identity():
-    layout = build_layout(3, 2)
+    layout = PartitionLayout(3, 2)
     state = _random_state(layout, 0)
-    diag = np.arange(layout.dim, dtype=float)
+    diag = np.arange(layout.dim, dtype=float).reshape(layout.shape)
     out = apply_cost_phase(state, diag, 0.0)
-    assert np.allclose(out.amps, state.amps)
+    assert np.allclose(out, state)
 
 
 def test_cost_phase_preserves_probabilities_and_expectation():
-    layout = build_layout(3, 2)
-    diag = np.linspace(0, 5, layout.dim)
+    layout = PartitionLayout(3, 2)
+    diag = np.linspace(0, 5, layout.dim).reshape(layout.shape)
     for seed in range(5):
         state = _random_state(layout, seed)
         out = apply_cost_phase(state, diag, 0.817)
-        assert np.allclose(np.abs(out.amps) ** 2, np.abs(state.amps) ** 2, atol=1e-12)
-        before = float(np.sum(state.probabilities() * diag))
-        after = float(np.sum(out.probabilities() * diag))
+        assert np.allclose(np.abs(out) ** 2, np.abs(state) ** 2, atol=1e-12)
+        before = float(np.sum(np.abs(state) ** 2 * diag))
+        after = float(np.sum(np.abs(out) ** 2 * diag))
         assert after == pytest.approx(before, abs=1e-9)
 
 
 def test_mixer_beta_zero_is_identity():
-    layout = build_layout(4, 2)
-    state = _random_state(layout, 1)
-    out = apply_xy_ring_mixer(state, layout, 0.0)
-    assert np.allclose(out.amps, state.amps)
+    state = _random_state(PartitionLayout(4, 2), 1)
+    out = apply_xy_ring_mixer(state, 0.0)
+    assert np.allclose(out, state)
 
 
 def test_mixer_two_node_partition_swaps_with_phase():
-    layout = build_layout(2, 1)
-    state = SubspaceState(n=2, k=1, amps=np.array([1.0 + 0j, 0.0 + 0j]))
-    out = apply_xy_ring_mixer(state, layout, math.pi / 4)
-    assert np.allclose(out.amps, [0.0, -1j])
+    state = np.array([1.0 + 0j, 0.0 + 0j])
+    out = apply_xy_ring_mixer(state, math.pi / 4)
+    assert np.allclose(out, [0.0, -1j])
 
 
 def test_mixer_unitary_over_many_applications():
-    layout = build_layout(4, 3)
-    state = _random_state(layout, 2)
+    state = _random_state(PartitionLayout(4, 3), 2)
     for i in range(100):
-        state = apply_xy_ring_mixer(state, layout, 0.05 + 0.01 * i)
-    assert state.norm() == pytest.approx(1.0, abs=1e-9)
+        state = apply_xy_ring_mixer(state, 0.05 + 0.01 * i)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixer_preserves_subspace_support():
     # a basis state spreads only across tuples; any support pattern is valid,
     # but the vector length never changes and no mass leaks out
-    layout = build_layout(3, 3)
-    state = initial_state(layout, seed=3)
-    out = apply_xy_ring_mixer(state, layout, 0.3)
-    assert out.amps.shape == (27,)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    state = initial_state(PartitionLayout(3, 3), seed=3)
+    out = apply_xy_ring_mixer(state, 0.3)
+    assert out.shape == (3, 3, 3)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- full circuit --------------------------------------------------------------------
@@ -235,17 +274,17 @@ def test_mixer_preserves_subspace_support():
 def test_run_qaoa_zero_params_returns_initial_state():
     inst = gen.make_random_instance(seed=15, n=3, k=2)
     model = build_qubo(inst)
-    layout = build_layout(3, 2)
+    layout = PartitionLayout(3, 2)
     out = run_qaoa(model, layout, QaoaParams(0.0, 0.0), seed=7)
     init = initial_state(layout, seed=7)
-    assert np.allclose(out.amps, init.amps)
+    assert np.allclose(out, init)
 
 
 @pytest.mark.parametrize("n,k,seed", [(2, 2, 0), (3, 2, 1), (4, 3, 2)])
 def test_subspace_matches_dense_full_space(n, k, seed):
     inst = gen.make_random_instance(seed=40 + seed, n=n, k=k)
     model = build_qubo(inst)
-    layout = build_layout(n, k)
+    layout = PartitionLayout(n, k)
     rng = np.random.default_rng(seed)
     params = QaoaParams(
         gamma=float(rng.uniform(0.05, math.pi)),
@@ -253,12 +292,12 @@ def test_subspace_matches_dense_full_space(n, k, seed):
         layers=int(rng.integers(1, 3)),
     )
     init = initial_state(layout, seed=seed)
-    init_tuple = tuple(int(x) for x in np.unravel_index(int(np.argmax(np.abs(init.amps))), layout.shape))
-    sub = run_qaoa(model, layout, params, seed=seed)
+    init_tuple = tuple(int(x) for x in np.unravel_index(int(np.argmax(np.abs(init))), layout.shape))
+    sub = run_qaoa(model, layout, params, seed=seed).reshape(-1)
     dense = dense_simulate(model, layout, params, init_tuple)
     for flat in range(layout.dim):
         dense_idx = subspace_index_in_dense(layout, flat)
-        assert sub.amps[flat] == pytest.approx(dense[dense_idx], abs=1e-8)
+        assert sub[flat] == pytest.approx(dense[dense_idx], abs=1e-8)
     # all mass stays on the subspace images
     sub_mass = sum(abs(dense[subspace_index_in_dense(layout, f)]) ** 2 for f in range(layout.dim))
     assert sub_mass == pytest.approx(1.0, abs=1e-9)
@@ -268,23 +307,19 @@ def test_subspace_matches_dense_full_space(n, k, seed):
 
 
 def test_sample_shots_basis_state():
-    layout = build_layout(3, 2)
     model = from_terms(3, 2, [], [], offset=0.0, lam=1.0)
-    amps = np.zeros(9, dtype=complex)
-    amps[4] = 1.0  # tuple (1, 1)
-    state = SubspaceState(n=3, k=2, amps=amps)
-    result = sample_shots(state, cost_diagonal(model, layout), shots=50, seed=0)
+    state = np.zeros((3, 3), dtype=complex)
+    state[1, 1] = 1.0
+    result = sample_shots(state, cost_diagonal(model), shots=50, seed=0)
     assert result.entries.tolist() == [[0, 1, 0, 0, 1, 0]]
     assert result.counts.tolist() == [50]
     assert result.backend is Backend.QAOA
 
 
 def test_sample_shots_binomial_split():
-    layout = build_layout(2, 1)
     model = from_terms(2, 1, [], [], offset=0.0, lam=1.0)
-    amps = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    state = SubspaceState(n=2, k=1, amps=amps)
-    result = sample_shots(state, cost_diagonal(model, layout), shots=1500, seed=3)
+    state = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    result = sample_shots(state, cost_diagonal(model), shots=1500, seed=3)
     assert result.counts.sum() == 1500
     counts = dict(zip(map(tuple, result.entries.tolist()), result.counts.tolist()))
     sigma = math.sqrt(1500 * 0.25)
@@ -294,9 +329,8 @@ def test_sample_shots_binomial_split():
 def test_sample_shots_step_one_hot_always():
     inst = gen.make_random_instance(seed=16, n=4, k=3)
     model = build_qubo(inst)
-    layout = build_layout(4, 3)
-    state = run_qaoa(model, layout, QaoaParams(0.7, 0.4), seed=11)
-    result = sample_shots(state, cost_diagonal(model, layout), shots=2000, seed=12)
+    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.7, 0.4), seed=11)
+    result = sample_shots(state, cost_diagonal(model), shots=2000, seed=12)
     assert (result.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()
 
 
@@ -307,9 +341,8 @@ def test_sample_shots_energies_equal_qubo_energy():
             w = inst.weights * np.random.default_rng(seed).uniform(0.1, 3.7, size=(4, 4))
             inst = GtspInstance(inst.name, inst.clusters, w, symmetric=False)
         model = build_qubo(inst)
-        layout = build_layout(4, 3)
-        state = run_qaoa(model, layout, QaoaParams(0.9, 0.3), seed=seed)
-        result = sample_shots(state, cost_diagonal(model, layout), shots=3000, seed=seed)
+        state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.9, 0.3), seed=seed)
+        result = sample_shots(state, cost_diagonal(model), shots=3000, seed=seed)
         assert len(result.entries) > 20
         for row, e in zip(result.entries, result.energies):
             if integer:
@@ -332,21 +365,19 @@ def test_grid_endpoints_inclusive():
 
 def test_grid_1x1_degenerates_to_single_run(toy_instance):
     model = build_qubo(toy_instance)
-    layout = build_layout(2, 2)
     grid = GridConfig(gamma_points=1, beta_points=1, shots=200)
-    result = grid_search(model, layout, grid, seed=5)
+    result = grid_search(model, grid, seed=5)
     assert len(result.cells) == 1
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
-    state = run_qaoa(model, layout, params, seed=5)
-    direct = sample_shots(state, cost_diagonal(model, layout), shots=200, seed=5)
+    state = run_qaoa(model, PartitionLayout(2, 2), params, seed=5)
+    direct = sample_shots(state, cost_diagonal(model), shots=200, seed=5)
     assert result.best_samples.to_json_dict() == direct.to_json_dict()
     assert result.best_params == params
 
 
 def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     model = build_qubo(toy_instance)
-    layout = build_layout(2, 2)
-    result = grid_search(model, layout, GridConfig(shots=1500), seed=1, inst=toy_instance)
+    result = grid_search(model, GridConfig(shots=1500), seed=1, inst=toy_instance)
     optimal_bits = {encode(model, Tour((0, 1)), toy_instance), encode(model, Tour((1, 0)), toy_instance)}
     sampled = {bits_to_str(row) for row in result.best_samples.entries}
     assert sampled & optimal_bits
@@ -356,10 +387,9 @@ def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
 
 def test_grid_deterministic(toy_instance):
     model = build_qubo(toy_instance)
-    layout = build_layout(2, 2)
     grid = GridConfig(gamma_points=3, beta_points=3, shots=100)
-    a = grid_search(model, layout, grid, seed=2)
-    b = grid_search(model, layout, grid, seed=2)
+    a = grid_search(model, grid, seed=2)
+    b = grid_search(model, grid, seed=2)
     assert (a.best_params, a.cells) == (b.best_params, b.cells)
     assert a.best_samples.to_json_dict() == b.best_samples.to_json_dict()
     assert a.search_samples.to_json_dict() == b.search_samples.to_json_dict()
@@ -367,9 +397,8 @@ def test_grid_deterministic(toy_instance):
 
 def test_grid_search_samples_pool_every_cell(toy_instance):
     model = build_qubo(toy_instance)
-    layout = build_layout(2, 2)
     grid = GridConfig(gamma_points=4, beta_points=4, shots=100)
-    result = grid_search(model, layout, grid, seed=9)
+    result = grid_search(model, grid, seed=9)
     assert result.search_samples.num_reads == 16 * 100
     pool = result.search_samples
     assert pool.counts.sum() == 16 * 100
@@ -384,9 +413,8 @@ def test_grid_search_samples_pool_every_cell(toy_instance):
 
 def test_grid_timeout_zero_cells(toy_instance):
     model = build_qubo(toy_instance)
-    layout = build_layout(2, 2)
     grid = GridConfig(shots=10, timeout_s=-1.0)
-    result = grid_search(model, layout, grid, seed=0)
+    result = grid_search(model, grid, seed=0)
     assert result.best_params is None
     assert result.best_samples.failure is Failure.TIMEOUT
     assert result.cells == ()
@@ -399,7 +427,7 @@ def test_norm_drift_and_one_hot_over_random_draws():
     rng = np.random.default_rng(77)
     inst = gen.make_random_instance(seed=50, n=4, k=3)
     model = build_qubo(inst)
-    layout = build_layout(4, 3)
+    layout = PartitionLayout(4, 3)
     for _ in range(50):
         params = QaoaParams(
             gamma=float(rng.uniform(0, math.pi)),
@@ -407,6 +435,6 @@ def test_norm_drift_and_one_hot_over_random_draws():
         )
         seed = int(rng.integers(1 << 31))
         state = run_qaoa(model, layout, params, seed=seed)
-        assert abs(state.norm() - 1.0) < 1e-9
-        shots = sample_shots(state, cost_diagonal(model, layout), shots=64, seed=seed)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-9
+        shots = sample_shots(state, cost_diagonal(model), shots=64, seed=seed)
         assert (shots.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()
