@@ -175,10 +175,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def instances_csv(group: ExperimentGroup) -> str:
     rows = [[r.name, r.n, r.k, r.qubits, r.original_n] for r in group.reports]
     return _csv_text(["name", "n", "k", "qubits", "original_n"], rows)
@@ -216,22 +212,29 @@ def violin_csv(report: BackendReport) -> str:
     return "ar\n" + "".join(f"{ar!r}\n" for ar in report.ar_distribution)
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a partial file."""
+def atomic_write(path: Path, content: str | dict) -> None:
+    """Write via a temp file and rename, so readers never see a partial file.
+
+    A dict is streamed as JSON (indent 2, sorted keys, final newline), so no
+    copy of the whole text is held in memory.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with tmp.open("w", encoding="utf-8") as f:
+        if isinstance(content, dict):
+            json.dump(content, f, indent=2, sort_keys=True)
+            f.write("\n")
+        else:
+            f.write(content)
     tmp.replace(path)
 
 
-def emit(group, out_dir) -> None:
-    """Write the report files (group.json, the three CSVs and one violin CSV
-    per instance and backend) for a group or a single InstanceReport."""
-    if isinstance(group, InstanceReport):
-        group = ExperimentGroup(name=group.name, reports=(group,))
+def emit(group: ExperimentGroup, out_dir) -> None:
+    """Write the report files: group.json, the three CSVs and one violin CSV
+    per instance and backend."""
     out = Path(out_dir)
     (out / "violin").mkdir(parents=True, exist_ok=True)
-    atomic_write(out / "group.json", json_text(group.to_json_dict()))
+    atomic_write(out / "group.json", group.to_json_dict())
     atomic_write(out / "instances.csv", instances_csv(group))
     atomic_write(out / "feasibility.csv", feasibility_csv(group))
     atomic_write(out / "ar.csv", ar_csv(group))

@@ -5,9 +5,10 @@ One ``--seed`` determines every stochastic stage. Stage seeds derive as
 sa=2, qaoa=3, random=4, so runs are reproducible instance by instance and
 stage by stage regardless of --jobs scheduling.
 
-Exit codes: 0 success, 1 usage error, 2 instance/model error, 3 when every
-requested backend reported a failure. Diagnostics go to stderr; all output
-files are written atomically (temp + rename).
+Exit codes: 0 success, 1 usage error, 2 instance/model error or a malformed
+external-sampler response, 3 when every requested backend reported a
+failure. Diagnostics go to stderr; all output files are written atomically
+(temp + rename).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import baseline, bench, preprocess, qaoa, qubo, sampler
 from .instance import GtsplibError, GtspInstance, parse_gtsplib, serialize_gtsplib
 
 _STAGE = {"subsample": 1, "sa": 2, "qaoa": 3, "random": 4}
-_BACKENDS = ("exhaustive", "sa", "qaoa", "external")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,29 +78,29 @@ def _build_config(args) -> RunConfig:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     inst_val = getattr(args, "instance", None)
     instances = [inst_val] if isinstance(inst_val, str) else list(inst_val or [])
-    cfg = RunConfig(instances=instances, backends=[])
+    cfg = RunConfig(instances=instances, backends=["sa"])
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, key):
+        """The flag, else the config file's value, else the RunConfig default."""
         if flag_value is not None:
             return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
+        return file_cfg.get(key, getattr(cfg, key))
 
-    backends = pick(getattr(args, "backend", None), "backends", "sa")
+    backends = pick(getattr(args, "backend", None), "backends")
     if isinstance(backends, str):
         backends = [b.strip() for b in backends.split(",") if b.strip()]
+    known = {b.value for b in sampler.Backend}
     for b in backends:
-        if b not in _BACKENDS:
+        if b not in known:
             raise _UsageError(f"unknown backend {b!r}")
     if not backends:
         raise _UsageError("at least one backend is required")
     cfg.backends = backends
-    cfg.reduce = pick(getattr(args, "reduce", None), "reduce", "none")
-    cfg.seed = int(pick(getattr(args, "seed", None), "seed", 0))
-    cfg.reads = int(pick(getattr(args, "reads", None), "reads", sampler.DEFAULT_NUM_READS))
-    cfg.shots = int(pick(getattr(args, "shots", None), "shots", 1500))
-    grid = pick(getattr(args, "grid", None), "grid", "10x10")
+    cfg.reduce = pick(getattr(args, "reduce", None), "reduce")
+    cfg.seed = int(pick(getattr(args, "seed", None), "seed"))
+    cfg.reads = int(pick(getattr(args, "reads", None), "reads"))
+    cfg.shots = int(pick(getattr(args, "shots", None), "shots"))
+    grid = pick(getattr(args, "grid", None), "grid")
     if isinstance(grid, str):
         try:
             ga, _, gb = grid.lower().partition("x")
@@ -109,15 +109,13 @@ def _build_config(args) -> RunConfig:
             raise _UsageError(f"bad --grid value {grid!r}, expected GxG") from None
     else:
         cfg.grid = (int(grid[0]), int(grid[1]))
-    cfg.timeout_s = float(pick(getattr(args, "timeout_s", None), "timeout_s", 300.0))
-    cfg.layers = int(pick(getattr(args, "layers", None), "layers", 1))
-    cfg.zero_is_edge = bool(
-        pick(getattr(args, "zero_is_edge", None) or None, "zero_is_edge", False)
-    )
-    cfg.jobs = int(pick(getattr(args, "jobs", None), "jobs", 1))
-    cfg.out = str(pick(getattr(args, "out", None), "out", "out"))
-    cfg.group = str(pick(getattr(args, "group", None), "group", "custom"))
-    cfg.external_url = pick(getattr(args, "external_url", None), "external_url", None)
+    cfg.timeout_s = float(pick(getattr(args, "timeout_s", None), "timeout_s"))
+    cfg.layers = int(pick(getattr(args, "layers", None), "layers"))
+    cfg.zero_is_edge = bool(pick(getattr(args, "zero_is_edge", None) or None, "zero_is_edge"))
+    cfg.jobs = int(pick(getattr(args, "jobs", None), "jobs"))
+    cfg.out = str(pick(getattr(args, "out", None), "out"))
+    cfg.group = str(pick(getattr(args, "group", None), "group"))
+    cfg.external_url = pick(getattr(args, "external_url", None), "external_url")
     for flag, value in (
         ("--reads", cfg.reads),
         ("--shots", cfg.shots),
@@ -178,41 +176,26 @@ def _run_backend(
 ) -> tuple[sampler.SampleSet, qaoa.GridResult | None]:
     started = time.monotonic()
     grid_result = None
-    if key == "exhaustive":
-        try:
-            bits, e = sampler.exhaustive_ground_state(model)
-            row = qubo.as_bits(bits, model.num_vars)[None, :]
-            samples = sampler.SampleSet.from_rows(sampler.Backend.EXHAUSTIVE, 1, row, [1], [e])
-        except ValueError:
-            samples = sampler.SampleSet.failed(
-                sampler.Backend.EXHAUSTIVE, sampler.Failure.NOT_APPLICABLE, 0
-            )
-    elif key == "sa":
+    backend = sampler.Backend(key)
+    if backend is sampler.Backend.EXHAUSTIVE:
+        samples = sampler.exhaustive_ground_state(model)
+    elif backend is sampler.Backend.SIMULATED_ANNEALING:
         samples = sampler.sa_sample(
             model, num_reads=cfg.reads, seed=stage_seed(cfg.seed, index, "sa")
         )
-    elif key == "qaoa":
-        try:
-            grid_cfg = qaoa.GridConfig(
-                gamma_points=cfg.grid[0],
-                beta_points=cfg.grid[1],
-                shots=cfg.shots,
-                timeout_s=cfg.timeout_s,
-                layers=cfg.layers,
-            )
-            grid_result = qaoa.grid_search(
-                model, grid_cfg, stage_seed(cfg.seed, index, "qaoa"), inst=inst
-            )
-            samples = grid_result.search_samples  # every shot drawn during the search
-        except qaoa.StateTooLargeError:
-            samples = sampler.SampleSet.failed(
-                sampler.Backend.QAOA, sampler.Failure.NOT_APPLICABLE, 0
-            )
-    elif key == "external":
+    elif backend is sampler.Backend.QAOA:
+        grid_cfg = qaoa.GridConfig(
+            gamma_points=cfg.grid[0],
+            beta_points=cfg.grid[1],
+            shots=cfg.shots,
+            timeout_s=cfg.timeout_s,
+            layers=cfg.layers,
+        )
+        grid_result = qaoa.grid_search(model, grid_cfg, stage_seed(cfg.seed, index, "qaoa"), inst)
+        samples = grid_result.search_samples  # every shot drawn during the search
+    else:
         config = sampler.ExternalSamplerConfig(url=cfg.external_url, num_reads=cfg.reads)
         samples = sampler.external_sampler_submit(model, config)
-    else:
-        raise _UsageError(f"unknown backend {key!r}")
     samples = dataclasses.replace(samples, wall_time_s=time.monotonic() - started)
     return samples, grid_result
 
@@ -230,30 +213,25 @@ def _bench_instance(payload: tuple) -> dict:
     bench.atomic_write(raw_dir / "instance.gtsp", serialize_gtsplib(inst))
     if record is not None:
         bench.atomic_write(
-            raw_dir / "reduction.json",
-            bench.json_text({**record.to_json_dict(), "original_n": original_n}),
+            raw_dir / "reduction.json", {**record.to_json_dict(), "original_n": original_n}
         )
-    bench.atomic_write(raw_dir / "model.json", bench.json_text(qubo.to_json_dict(model)))
+    bench.atomic_write(raw_dir / "model.json", qubo.to_json_dict(model))
     bench.atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
 
     exact = baseline.exact_solve(inst)
     bench.atomic_write(
         raw_dir / "exact.json",
-        bench.json_text(
-            {
-                "tour": list(exact.tour.order),
-                "cost": exact.cost,
-                "explored_orderings": exact.explored_orderings,
-            }
-        ),
+        {
+            "tour": list(exact.tour.order),
+            "cost": exact.cost,
+            "explored_orderings": exact.explored_orderings,
+        },
     )
     rnd_seed = stage_seed(cfg.seed, index, "random")
     _, random_costs = baseline.random_tours(inst, cfg.reads, rnd_seed)
     bench.atomic_write(
         raw_dir / "random.json",
-        bench.json_text(
-            {"seed": rnd_seed, "count": cfg.reads, "costs": random_costs.tolist()}
-        ),
+        {"seed": rnd_seed, "count": cfg.reads, "costs": random_costs.tolist()},
     )
 
     for key in cfg.backends:
@@ -266,10 +244,7 @@ def _bench_instance(payload: tuple) -> dict:
             file=sys.stderr,
         )
         samples = dataclasses.replace(samples, wall_time_s=None)  # keep runs byte-identical
-        bench.atomic_write(
-            raw_dir / f"samples_{key}.json",
-            bench.json_text(samples.to_json_dict(include_timing=False)),
-        )
+        bench.atomic_write(raw_dir / f"samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(raw_dir / "qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
     return {"index": index, "raw_dir": str(raw_dir)}
@@ -345,7 +320,7 @@ def cmd_reduce(args) -> int:
         stem = reduced.name
     out = Path(args.out)
     bench.atomic_write(out / f"{stem}.gtsp", serialize_gtsplib(reduced))
-    bench.atomic_write(out / f"{stem}.json", bench.json_text(record.to_json_dict()))
+    bench.atomic_write(out / f"{stem}.json", record.to_json_dict())
     print(f"{reduced.name}: N={reduced.n}, K={reduced.k} -> {out / (stem + '.gtsp')}")
     return EXIT_OK
 
@@ -354,7 +329,7 @@ def cmd_qubo(args) -> int:
     inst = _read_instance(args.instance)
     model = qubo.build_qubo(inst, zero_is_edge=bool(args.zero_is_edge))
     out = Path(args.out)
-    bench.atomic_write(out / f"{inst.name}_model.json", bench.json_text(qubo.to_json_dict(model)))
+    bench.atomic_write(out / f"{inst.name}_model.json", qubo.to_json_dict(model))
     bench.atomic_write(out / f"{inst.name}_model.coo", qubo.to_coo_text(model))
     print(
         f"{inst.name}: variables={model.num_vars}, lambda={model.lam}, "
@@ -373,10 +348,7 @@ def cmd_solve(args) -> int:
     failures = []
     for key in cfg.backends:
         samples, grid_result = _run_backend(key, inst, model, cfg, 0)
-        bench.atomic_write(
-            out / f"{inst.name}_samples_{key}.json",
-            bench.json_text(samples.to_json_dict(include_timing=True)),
-        )
+        bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
         print(
@@ -394,7 +366,7 @@ def cmd_bench(args) -> int:
         raise _UsageError("bench needs at least one instance file")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    bench.atomic_write(out / "config.json", bench.json_text(cfg.to_json_dict()))
+    bench.atomic_write(out / "config.json", cfg.to_json_dict())
     payloads = [
         (cfg.to_json_dict(), index, path) for index, path in enumerate(cfg.instances)
     ]
@@ -486,7 +458,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GtsplibError, ValueError, OSError, KeyError) as exc:
+    except (GtsplibError, sampler.ExternalSamplerError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSTANCE
 

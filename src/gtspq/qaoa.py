@@ -8,8 +8,8 @@ the ring 0-1-...-(N-1)-0 of each step; inside the subspace a ring edge acts as
 the 2x2 block [[cos 2b, -i sin 2b], [-i sin 2b, cos 2b]] on the two nodes it
 couples, so one step's ring product is one N x N matrix, applied along every
 step axis. The phase layer multiplies by exp(-i*g*E) with E the full model
-energy of the tuple's bitstring. Parameters are tuned by grid search over
-(gamma, beta) with shot-sampled mean energy as the score.
+energy of the tuple's bitstring. The grid search runs every (gamma, beta)
+cell and scores it by its shot-sampled mean energy.
 """
 
 from __future__ import annotations
@@ -83,22 +83,21 @@ class CellSummary:
     gamma: float
     beta: float
     mean_energy: float
-    feasible_shot_fraction: float | None
+    feasible_shot_fraction: float
     best_shot_energy: float
 
 
 @dataclass(frozen=True)
 class GridResult:
-    """Argmin cell (params + its samples), per-cell summaries, and the pooled
-    multiset of every shot drawn during the search.
+    """Per-cell summaries and the pooled multiset of every shot drawn during
+    the search.
 
     ``search_samples`` is what downstream reporting consumes: the best shot
     observed anywhere during parameter optimization, with feasibility rates
-    averaged over the whole search rather than one concentrated cell.
+    averaged over the whole search rather than one concentrated cell. When
+    the search ran no cell it is an empty set recording the failure.
     """
 
-    best_params: QaoaParams | None
-    best_samples: SampleSet
     cells: tuple[CellSummary, ...]
     search_samples: SampleSet
 
@@ -214,30 +213,26 @@ def sample_shots(
 
 
 def grid_search(
-    model: QuboModel,
-    grid: GridConfig,
-    seed: int,
-    inst: GtspInstance | None = None,
+    model: QuboModel, grid: GridConfig, seed: int, inst: GtspInstance
 ) -> GridResult:
-    """Evaluate every (gamma, beta) cell; argmin of the cell score wins.
+    """Evaluate every (gamma, beta) cell, gamma-major.
 
-    Cells are scored by shot-estimated mean energy; ties go to the smaller
-    gamma, then the smaller beta. The timeout covers the whole call: on expiry
-    the best completed cell is returned, with failure=timeout only if nothing
-    completed. Cell c derives its seed as seed + c, so the search is
-    reproducible. The search's shots are pooled by subspace tuple index. With
-    ``inst`` given, each cell's feasible shot fraction is read off one decode
-    of the pooled rows.
+    Each cell is scored by its shot-estimated mean energy. The timeout
+    covers the whole call: on expiry the completed cells are returned, with
+    failure=timeout only if none completed. A model whose N^K amplitudes
+    exceed ``MAX_SUBSPACE_DIM`` runs no cell and fails as not_applicable.
+    Cell c derives its seed as seed + c, so the search is reproducible. The
+    search's shots are pooled by subspace tuple index, and each cell's
+    feasible shot fraction is read off one decode of the pooled rows.
     """
     n, k = model.n, model.k
-    layout = PartitionLayout(n, k)
+    try:
+        layout = PartitionLayout(n, k)
+    except StateTooLargeError:
+        return GridResult((), SampleSet.failed(Backend.QAOA, Failure.NOT_APPLICABLE, 0))
     diagonal = cost_diagonal(model)
     started = time.monotonic()
     runs: list[tuple[float, float, float, SampleSet]] = []  # gamma, beta, score, shots
-    best_score = math.inf
-    best_params: QaoaParams | None = None
-    best_samples: SampleSet | None = None
-    cell_index = 0
     for gamma in grid.gammas():
         for beta in grid.betas():
             if time.monotonic() - started > grid.timeout_s:
@@ -245,25 +240,17 @@ def grid_search(
             params = QaoaParams(
                 gamma=float(gamma), beta=float(beta), layers=grid.layers
             )
-            cell_seed = seed + cell_index
+            cell_seed = seed + len(runs)
             state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
             samples = sample_shots(state, diagonal, grid.shots, cell_seed)
             score = sum((samples.energies * samples.counts).tolist()) / grid.shots
             runs.append((float(gamma), float(beta), score, samples))
-            if score < best_score:
-                best_score = score
-                best_params = params
-                best_samples = samples
-            cell_index += 1
         else:
             continue
         break
 
-    if best_samples is None:
-        empty = SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0)
-        return GridResult(
-            best_params=None, best_samples=empty, cells=(), search_samples=empty
-        )
+    if not runs:
+        return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
     cell_sets = [samples for *_, samples in runs]
     flat, inverse = np.unique(
         np.concatenate([_tuple_index(s.entries, n, k) for s in cell_sets]),
@@ -271,12 +258,10 @@ def grid_search(
     )
     counts = np.concatenate([s.counts for s in cell_sets])
     pooled_rows = _tuple_rows(flat, n, k)
-    fractions: list[float | None] = [None] * len(runs)
-    if inst is not None:
-        violations, _ = qubo.decode_rows(model, inst, pooled_rows)
-        feasible = np.array([v is None for v in violations], dtype=bool)[inverse]
-        starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
-        fractions = (np.add.reduceat(counts * feasible, starts) / grid.shots).tolist()
+    violations, _ = qubo.decode_rows(model, inst, pooled_rows)
+    feasible = np.array([v is None for v in violations], dtype=bool)[inverse]
+    starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
+    fractions = (np.add.reduceat(counts * feasible, starts) / grid.shots).tolist()
     cells = tuple(
         CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
         for (gamma, beta, score, samples), fraction in zip(runs, fractions)
@@ -288,12 +273,7 @@ def grid_search(
         np.bincount(inverse, weights=counts, minlength=len(flat)),
         diagonal.reshape(-1)[flat],
     )
-    return GridResult(
-        best_params=best_params,
-        best_samples=best_samples,
-        cells=cells,
-        search_samples=search_samples,
-    )
+    return GridResult(cells, search_samples)
 
 
 def grid_summary_csv(result: GridResult) -> str:
@@ -301,9 +281,8 @@ def grid_summary_csv(result: GridResult) -> str:
     best_shot_energy."""
     lines = ["gamma,beta,mean_energy,feasible_shot_fraction,best_shot_energy"]
     for cell in result.cells:
-        frac = "" if cell.feasible_shot_fraction is None else repr(cell.feasible_shot_fraction)
         lines.append(
-            f"{cell.gamma!r},{cell.beta!r},{cell.mean_energy!r},{frac},"
-            f"{cell.best_shot_energy!r}"
+            f"{cell.gamma!r},{cell.beta!r},{cell.mean_energy!r},"
+            f"{cell.feasible_shot_fraction!r},{cell.best_shot_energy!r}"
         )
     return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ from .qubo import QuboModel
 EXHAUSTIVE_CAP = 24
 DEFAULT_NUM_READS = 1500
 DEFAULT_SWEEPS = 1000
+EXTERNAL_TIMEOUT_S = 30.0  # per HTTP request to the external sampler
 
 
 class Backend(enum.Enum):
@@ -80,11 +81,11 @@ class SampleSet:
         """An empty set that records the backend's failure."""
         return cls.from_rows(backend, num_reads, np.zeros((0, 0)), [], [], failure=failure)
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "backend": self.backend.value,
             "num_reads": self.num_reads,
-            "wall_time_s": self.wall_time_s if include_timing else None,
+            "wall_time_s": self.wall_time_s,
             "failure": self.failure.value if self.failure else None,
             "entries": [
                 {"bits": bits, "count": count, "energy": e}
@@ -165,9 +166,10 @@ def _all_rows(width: int) -> np.ndarray:
     return ((np.arange(1 << width, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def exhaustive_ground_state(model: QuboModel) -> tuple[str, float]:
-    """Global minimum-energy bitstring; ties go to the lexicographically
-    smallest string (bit 0 most significant).
+def exhaustive_ground_state(model: QuboModel) -> SampleSet:
+    """The global minimum-energy row as a one-entry set of one read; ties go
+    to the lexicographically smallest row (bit 0 most significant). Above
+    ``EXHAUSTIVE_CAP`` variables the set is a ``not_applicable`` failure.
 
     Split-half scan: with H the rows of the leading variables and L those of
     the trailing ones, the energies of all states H x L are
@@ -176,7 +178,7 @@ def exhaustive_ground_state(model: QuboModel) -> tuple[str, float]:
     """
     n = model.num_vars
     if n > EXHAUSTIVE_CAP:
-        raise ValueError(f"{n} variables exceed the exhaustive cap {EXHAUSTIVE_CAP}")
+        return SampleSet.failed(Backend.EXHAUSTIVE, Failure.NOT_APPLICABLE, 0)
     q, offset = model.q, model.offset
     n_lo = min((n + 1) // 2, 16)
     n_hi = n - n_lo
@@ -195,8 +197,8 @@ def exhaustive_ground_state(model: QuboModel) -> tuple[str, float]:
         if energies.flat[idx] < best_e:
             best_e = float(energies.flat[idx])
             best_m = (start << n_lo) + idx
-    bits = np.array([(best_m >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
-    return qubo.bits_to_str(bits), float(qubo.energies(model, bits[None, :])[0])
+    row = np.array([[(best_m >> (n - 1 - j)) & 1 for j in range(n)]], dtype=np.uint8)
+    return SampleSet.from_rows(Backend.EXHAUSTIVE, 1, row, [1], qubo.energies(model, row))
 
 
 # --- simulated annealing -----------------------------------------------------
@@ -269,16 +271,15 @@ class ExternalSamplerConfig:
     url: str | None = None
     transport: Callable[[dict], dict] | None = None
     num_reads: int = DEFAULT_NUM_READS
-    timeout_s: float = 30.0
 
 
-def _http_transport(url: str, timeout_s: float) -> Callable[[dict], dict]:
+def _http_transport(url: str) -> Callable[[dict], dict]:
     def send(payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
         req = urllib.request.Request(
             url, data=body, headers={"Content-Type": "application/json"}
         )
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+        with urllib.request.urlopen(req, timeout=EXTERNAL_TIMEOUT_S) as resp:
             return json.loads(resp.read().decode("utf-8"))
 
     return send
@@ -313,7 +314,7 @@ def external_sampler_submit(
     if transport is None:
         if config.url is None:
             raise ValueError("external sampler needs a url or a transport")
-        transport = _http_transport(config.url, config.timeout_s)
+        transport = _http_transport(config.url)
     payload = {"model": qubo.to_json_dict(model), "num_reads": config.num_reads}
     try:
         response = transport(payload)

@@ -141,7 +141,8 @@ def test_criterion_04_ground_state_correctness(random_battery):
     """The exhaustive minimum decodes to a feasible tour at the exact optimum."""
     for inst in random_battery:
         model = build_qubo(inst)
-        bits, gs_energy = exhaustive_ground_state(model)
+        ground = exhaustive_ground_state(model)
+        bits, gs_energy = ground.entries[0], float(ground.energies[0])
         verdict = decode(model, inst, bits)
         assert verdict.feasible, inst.name
         optimal = exact_solve(inst).cost
@@ -155,7 +156,7 @@ def test_criterion_05_sa_matches_ground_state():
         inst = gen.subsample_instance(name, n, k)
         model = build_qubo(inst)
         assert model.num_vars <= 20
-        _, gs_energy = exhaustive_ground_state(model)
+        gs_energy = exhaustive_ground_state(model).energies[0]
         for seed in range(10):
             best = sa_sample(model, num_reads=1500, seed=seed).energies[0]
             assert abs(best - gs_energy) <= 1e-9, (name, seed)
@@ -215,7 +216,7 @@ def test_criterion_07_qaoa_end_to_end_small_instances():
         exact = exact_solve(inst)
         hits = 0
         for seed in range(10):
-            result = grid_search(model, GridConfig(shots=1500), seed=seed)
+            result = grid_search(model, GridConfig(shots=1500), seed, inst)
             _, random_costs = random_tours(inst, 100, seed=seed)
             report = build_report(
                 inst, model, {"qaoa": result.search_samples}, exact, random_costs.tolist()

@@ -12,7 +12,6 @@ from gtspq.bench import (
     approximation_ratio,
     build_report,
     emit,
-    json_text,
 )
 from gtspq.instance import GtspInstance, Tour, tour_cost
 from gtspq.qubo import as_rows, build_qubo, decode, encode
@@ -250,15 +249,6 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
     assert len(violin.read_text().splitlines()) == 11
 
 
-def test_emit_accepts_single_report(toy_instance, tmp_path):
-    model = build_qubo(toy_instance)
-    bits = encode(model, Tour((0, 1)), toy_instance)
-    _, report = _toy_pipeline(toy_instance, [(bits, 3, 10.0)], 3)
-    emit(report, tmp_path)
-    data = json.loads((tmp_path / "group.json").read_text())
-    assert data["name"] == "toy" and len(data["instances"]) == 1
-
-
 def test_violin_csv_matches_csv_writer_output():
     import csv
     import io
@@ -285,4 +275,4 @@ def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):
     emit(group, tmp_path)
     first = (tmp_path / "group.json").read_bytes()
     reloaded = json.loads(first)
-    assert json_text(reloaded).encode() == first
+    assert (json.dumps(reloaded, indent=2, sort_keys=True) + "\n").encode() == first

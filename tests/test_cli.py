@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,52 @@ def test_solve_all_backends_failed_exit_3(write_instance, tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_bench_malformed_external_response_exit_2(write_instance, tmp_path, capsys):
+    """An endpoint that answers with a bit string of the wrong length is an
+    error of the model's sampler, not of the usage: exit 2, no traceback."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            payload = json.dumps({"entries": [{"bits": "01", "count": 1}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    path = write_instance(gen.subsample_instance("9p43_nodes_5", 5, 3))
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}/"
+        args = ["bench", str(path), "--backend", "external", "--external-url", url]
+        assert main(args + ["--reads", "20", "--out", str(tmp_path / "run")]) == 2
+    finally:
+        server.shutdown()
+    assert "error: bitstring length 2 != 15 variables" in capsys.readouterr().err
+
+
+def test_bench_over_sampler_caps_not_applicable_exit_3(write_instance, tmp_path):
+    """56 variables exceed the exhaustive cap and 8^7 amplitudes the QAOA
+    simulator's; the exact baseline still runs. Both cells read
+    not_applicable, so every backend failed."""
+    path = write_instance(gen.make_random_instance(seed=3, n=8, k=7, name="big8x7"))
+    out = tmp_path / "run"
+    args = ["bench", str(path), "--backend", "exhaustive,qaoa", "--reads", "20"]
+    assert main(args + ["--out", str(out)]) == 3
+    rows = (out / "report" / "feasibility.csv").read_text().splitlines()
+    assert rows[1:] == [
+        "big8x7,exhaustive,0.0,not_applicable",
+        "big8x7,qaoa,0.0,not_applicable",
+    ]
+    assert not (out / "raw" / "000_big8x7" / "qaoa_grid.csv").exists()
 
 
 def test_external_backend_requires_url(write_instance, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gtspq.qubo import bits_to_str, build_qubo, encode, energy, from_terms
+from gtspq.qubo import build_qubo, encode, energy, from_terms
 from gtspq.qaoa import (
     GridConfig,
     QaoaParams,
@@ -366,46 +366,51 @@ def test_grid_endpoints_inclusive():
 def test_grid_1x1_degenerates_to_single_run(toy_instance):
     model = build_qubo(toy_instance)
     grid = GridConfig(gamma_points=1, beta_points=1, shots=200)
-    result = grid_search(model, grid, seed=5)
+    result = grid_search(model, grid, 5, toy_instance)
     assert len(result.cells) == 1
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
     state = run_qaoa(model, PartitionLayout(2, 2), params, seed=5)
     direct = sample_shots(state, cost_diagonal(model), shots=200, seed=5)
-    assert result.best_samples.to_json_dict() == direct.to_json_dict()
-    assert result.best_params == params
+    assert result.search_samples.to_json_dict() == direct.to_json_dict()
+    assert (result.cells[0].gamma, result.cells[0].beta) == (params.gamma, params.beta)
 
 
 def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     model = build_qubo(toy_instance)
-    result = grid_search(model, GridConfig(shots=1500), seed=1, inst=toy_instance)
+    result = grid_search(model, GridConfig(shots=1500), 1, toy_instance)
     optimal_bits = {encode(model, Tour((0, 1)), toy_instance), encode(model, Tour((1, 0)), toy_instance)}
-    sampled = {bits_to_str(row) for row in result.best_samples.entries}
-    assert sampled & optimal_bits
+    # the first cell of least mean energy; only the optimal tours reach its energy
+    best = min(result.cells, key=lambda c: c.mean_energy)
+    assert best.best_shot_energy == pytest.approx(min(energy(model, b) for b in optimal_bits))
     assert len(result.cells) == 100
-    assert all(c.feasible_shot_fraction is not None for c in result.cells)
+    assert all(0.0 <= c.feasible_shot_fraction <= 1.0 for c in result.cells)
 
 
 def test_grid_deterministic(toy_instance):
     model = build_qubo(toy_instance)
     grid = GridConfig(gamma_points=3, beta_points=3, shots=100)
-    a = grid_search(model, grid, seed=2)
-    b = grid_search(model, grid, seed=2)
-    assert (a.best_params, a.cells) == (b.best_params, b.cells)
-    assert a.best_samples.to_json_dict() == b.best_samples.to_json_dict()
+    a = grid_search(model, grid, 2, toy_instance)
+    b = grid_search(model, grid, 2, toy_instance)
+    assert a.cells == b.cells
     assert a.search_samples.to_json_dict() == b.search_samples.to_json_dict()
 
 
 def test_grid_search_samples_pool_every_cell(toy_instance):
     model = build_qubo(toy_instance)
     grid = GridConfig(gamma_points=4, beta_points=4, shots=100)
-    result = grid_search(model, grid, seed=9)
+    result = grid_search(model, grid, 9, toy_instance)
     assert result.search_samples.num_reads == 16 * 100
     pool = result.search_samples
     assert pool.counts.sum() == 16 * 100
-    # the pooled multiset dominates the best cell entry-wise
+    # the pooled multiset dominates every cell's shots entry-wise
     pooled = dict(zip(map(tuple, pool.entries.tolist()), pool.counts.tolist()))
-    for row, count in zip(result.best_samples.entries.tolist(), result.best_samples.counts):
-        assert pooled[tuple(row)] >= count
+    diagonal = cost_diagonal(model)
+    for c, cell in enumerate(result.cells):
+        params = QaoaParams(cell.gamma, cell.beta)
+        state = run_qaoa(model, PartitionLayout(2, 2), params, 9 + c, diagonal=diagonal)
+        shots = sample_shots(state, diagonal, 100, 9 + c)
+        for row, count in zip(shots.entries.tolist(), shots.counts.tolist()):
+            assert pooled[tuple(row)] >= count
     assert len(pooled) == len(pool.counts)  # one entry per distinct row
     keys = list(zip(pool.energies.tolist(), pool.entries.tolist()))
     assert keys == sorted(keys)
@@ -414,10 +419,21 @@ def test_grid_search_samples_pool_every_cell(toy_instance):
 def test_grid_timeout_zero_cells(toy_instance):
     model = build_qubo(toy_instance)
     grid = GridConfig(shots=10, timeout_s=-1.0)
-    result = grid_search(model, grid, seed=0)
-    assert result.best_params is None
-    assert result.best_samples.failure is Failure.TIMEOUT
+    result = grid_search(model, grid, 0, toy_instance)
+    assert result.search_samples.failure is Failure.TIMEOUT
+    assert result.search_samples.num_reads == 0
     assert result.cells == ()
+
+
+def test_grid_over_state_cap_not_applicable():
+    """8^7 > MAX_SUBSPACE_DIM amplitudes: no cell runs, and the search
+    fails as not_applicable with no reads."""
+    inst = gen.make_random_instance(seed=3, n=8, k=7)
+    result = grid_search(build_qubo(inst), GridConfig(1, 1, shots=10), 0, inst)
+    assert result.cells == ()
+    assert result.search_samples.backend is Backend.QAOA
+    assert result.search_samples.failure is Failure.NOT_APPLICABLE
+    assert result.search_samples.num_reads == 0
 
 
 # --- invariants over random draws ----------------------------------------------------

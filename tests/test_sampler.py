@@ -14,7 +14,7 @@ import pytest
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
 from gtspq.instance import GtspInstance
-from gtspq.qubo import as_bits, build_qubo, decode, energies, energy, from_terms
+from gtspq.qubo import as_bits, bits_to_str, build_qubo, decode, energies, energy, from_terms
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
@@ -31,9 +31,15 @@ from gtspq.sampler import (
 import gen
 
 
+def _ground(model):
+    """The exhaustive set's one row as a bit string, and its energy."""
+    result = exhaustive_ground_state(model)
+    return bits_to_str(result.entries[0]), float(result.energies[0])
+
+
 def test_exhaustive_toy_ground_state(toy_instance):
     model = build_qubo(toy_instance)
-    bits, e = exhaustive_ground_state(model)
+    bits, e = _ground(model)
     verdict = decode(model, toy_instance, bits)
     assert verdict.feasible
     assert e == pytest.approx(10.0)
@@ -41,7 +47,7 @@ def test_exhaustive_toy_ground_state(toy_instance):
 
 def test_exhaustive_tie_breaks_lexicographically():
     model = from_terms(3, 1, [], [], offset=2.0, lam=1.0)
-    bits, e = exhaustive_ground_state(model)
+    bits, e = _ground(model)
     assert bits == "000"
     assert e == 2.0
 
@@ -78,31 +84,39 @@ def test_exhaustive_split_half_matches_brute_force(num_vars):
             offset=float(rng.integers(-5, 6)),
             lam=1.0,
         )
-        assert exhaustive_ground_state(model) == _brute_force(model)
+        assert _ground(model) == _brute_force(model)
 
 
 def test_exhaustive_all_tie_and_cross_block_tie():
     model = from_terms(7, 3, [], [], offset=-1.5, lam=1.0)
-    assert exhaustive_ground_state(model) == ("0" * 21, -1.5)
+    assert _ground(model) == ("0" * 21, -1.5)
     # 18 variables make four blocks of 2^16 states; the minimum -1 is reached
     # in several of them, and the smallest index wins
     tied = from_terms(18, 1, [(0, -1.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
-    assert exhaustive_ground_state(tied) == ("0" * 17 + "1", -1.0)
+    assert _ground(tied) == ("0" * 17 + "1", -1.0)
     later = from_terms(18, 1, [(0, -2.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
-    assert exhaustive_ground_state(later) == ("1" + "0" * 17, -2.0)
+    assert _ground(later) == ("1" + "0" * 17, -2.0)
 
 
 def test_exhaustive_cap():
-    model = from_terms(5, 5, [], [], offset=0.0, lam=1.0)
-    with pytest.raises(ValueError):
-        exhaustive_ground_state(model)
+    """At 24 variables the scan returns one read of its one row; at 25 it
+    returns a not_applicable failure with no reads."""
+    at_cap = exhaustive_ground_state(from_terms(8, 3, [(5, -1.0)], [], offset=0.0, lam=1.0))
+    assert at_cap.backend is Backend.EXHAUSTIVE and at_cap.failure is None
+    assert at_cap.num_reads == 1 and at_cap.counts.tolist() == [1]
+    assert at_cap.entries.tolist() == [[int(v == 5) for v in range(24)]]
+    assert at_cap.energies.tolist() == [-1.0]
+    over = exhaustive_ground_state(from_terms(5, 5, [], [], offset=0.0, lam=1.0))
+    assert over.backend is Backend.EXHAUSTIVE
+    assert over.failure is Failure.NOT_APPLICABLE
+    assert over.num_reads == 0 and len(over.counts) == 0
 
 
 def test_exhaustive_matches_exact_baseline():
     for seed in (1, 2, 3):
         inst = gen.make_random_instance(seed=seed, n=4, k=3)
         model = build_qubo(inst)
-        bits, e = exhaustive_ground_state(model)
+        bits, e = _ground(model)
         verdict = decode(model, inst, bits)
         assert verdict.feasible
         assert e == pytest.approx(exact_solve(inst).cost, abs=1e-9)
@@ -235,7 +249,7 @@ def test_sa_entries_sorted_by_energy_then_bits():
 def test_sa_best_read_hits_ground_state():
     inst = gen.make_random_instance(seed=10, n=5, k=3)  # 15 vars
     model = build_qubo(inst)
-    _, gs = exhaustive_ground_state(model)
+    _, gs = _ground(model)
     result = sa_sample(model, num_reads=1500, seed=0)
     assert result.energies[0] == pytest.approx(gs, abs=1e-9)
 
@@ -263,7 +277,7 @@ def _toy_model(toy_instance):
 
 def test_external_echo_ground_state(toy_instance):
     model = _toy_model(toy_instance)
-    gs_bits, gs_energy = exhaustive_ground_state(model)
+    gs_bits, gs_energy = _ground(model)
 
     def transport(payload):
         assert payload["model"]["n_vars"] == model.num_vars
@@ -353,7 +367,7 @@ def test_external_transport_error_is_timeout(toy_instance):
 
 def test_external_http_round_trip(toy_instance):
     model = _toy_model(toy_instance)
-    gs_bits, _ = exhaustive_ground_state(model)
+    gs_bits, _ = _ground(model)
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -392,7 +406,7 @@ def test_sampleset_json_round_trip(toy_instance):
         assert np.array_equal(getattr(again, name), getattr(result, name))
     timed = dataclasses.replace(result, backend=Backend.QAOA, wall_time_s=1.25)
     assert timed.to_json_dict()["wall_time_s"] == 1.25
-    assert SampleSet.from_json_dict(timed.to_json_dict(include_timing=False)).wall_time_s is None
+    assert SampleSet.from_json_dict(data).wall_time_s is None
     failed = SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, 7)
     assert SampleSet.from_json_dict(failed.to_json_dict()).to_json_dict() == failed.to_json_dict()
     assert failed.num_reads == 7 and failed.entries.shape == (0, 0)

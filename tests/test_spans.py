@@ -2,8 +2,9 @@
 
 ``pipebench/spans.py`` replaces gtspq functions by their module attribute and
 reads counters off their arguments, e.g. ``run_qaoa``'s layout and params at
-positions 1 and 2. A rename or a moved argument would break only traced
-benchmark runs, so one small traced ``bench`` run here checks the counters.
+positions 1 and 2 and ``exhaustive_ground_state``'s model at position 0. A
+rename or a moved argument would break only traced benchmark runs, so one
+small traced ``bench`` run here checks the counters.
 """
 
 from __future__ import annotations
@@ -45,3 +46,4 @@ def test_traced_bench_counts_qaoa_cells_and_amplitudes(write_instance, tmp_path)
     counts = tracer.counts[tracer.run]
     assert counts["qaoa.cells"] == 4
     assert counts["qaoa.amplitudes"] == 4 * n**k
+    assert counts["sampler.exhaustive_states"] == 2 ** (n * k)
