@@ -17,7 +17,6 @@ from .bench import (
 from .instance import (
     GtspInstance,
     GtsplibError,
-    Tour,
     is_feasible_tour,
     parse_gtsplib,
     serialize_gtsplib,
@@ -43,12 +42,11 @@ from .qubo import (
     build_qubo,
     decode,
     decode_rows,
-    encode,
+    encode_rows,
     energies,
     energy,
     from_terms,
     penalty_weight,
-    var_index,
 )
 from .sampler import (
     AnnealSchedule,

@@ -28,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import GtspInstance, Tour, tour_costs
+from .instance import GtspInstance, tour_costs
 
 EXACT_STATE_CAP = 1 << 24  # float64 table entries (128 MiB)
 
 
 @dataclass(frozen=True)
 class ExactResult:
-    tour: Tour
+    tour: tuple[int, ...]  # node ids in visiting order, cluster 0 first
     cost: float
     # (K-1)!: the number of cluster orderings the optimum ranges over
     explored_orderings: int
@@ -91,9 +91,7 @@ def exact_solve(inst: GtspInstance) -> ExactResult:
 
     seq = [inst.clusters[m] for m in ordering]
     cost, tour = min(_best_tour_for_ordering(w, seq, s) for s in seq[0])
-    return ExactResult(
-        tour=Tour(tour), cost=cost, explored_orderings=math.factorial(inst.k - 1)
-    )
+    return ExactResult(tour=tour, cost=cost, explored_orderings=math.factorial(inst.k - 1))
 
 
 def _suffix_table(w, starts, cols, col_bit) -> np.ndarray:

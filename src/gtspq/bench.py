@@ -44,18 +44,6 @@ class BackendReport:
     wall_time_s: float | None
     failure: str | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feasible_shot_rate": self.feasible_shot_rate,
-            "ar_distribution": list(self.ar_distribution),
-            "best_shot_ar": self.best_shot_ar,
-            "mean_solver_cost": self.mean_solver_cost,
-            "mean_random_cost": self.mean_random_cost,
-            "optimal_cost": self.optimal_cost,
-            "wall_time_s": self.wall_time_s,
-            "failure": self.failure,
-        }
-
 
 @dataclass(frozen=True)
 class InstanceReport:
@@ -81,7 +69,8 @@ class InstanceReport:
             "optimal_cost": self.optimal_cost,
             "mean_random_cost": self.mean_random_cost,
             "backends": {
-                key: rep.to_json_dict() for key, rep in sorted(self.backends.items())
+                # vars, not asdict: asdict copies ar_distribution float by float
+                key: vars(rep) for key, rep in sorted(self.backends.items())
             },
         }
 

@@ -5,9 +5,10 @@ One ``--seed`` determines every stochastic stage. Stage seeds derive as
 sa=2, qaoa=3, random=4, so runs are reproducible instance by instance and
 stage by stage regardless of --jobs scheduling.
 
-Exit codes: 0 success, 1 usage error, 2 instance/model error or a malformed
-external-sampler response, 3 when every requested backend reported a
-failure. Diagnostics go to stderr; all output files are written atomically
+Exit codes: 0 success, 1 usage error (flags or a --config file), 2
+instance/model error, a malformed external-sampler response or a malformed
+``config.json`` read by ``report``, 3 when every requested backend reported
+a failure. Diagnostics go to stderr; all output files are written atomically
 (temp + rename).
 """
 
@@ -49,10 +50,32 @@ def _read_instance(path: str) -> GtspInstance:
     return parse_gtsplib(Path(path).read_text(encoding="utf-8"))
 
 
+# the type of each field that holds one JSON scalar
+_SCALAR_FIELDS = {
+    "reduce": str,
+    "seed": int,
+    "reads": int,
+    "shots": int,
+    "timeout_s": float,
+    "layers": int,
+    "zero_is_edge": bool,
+    "jobs": int,
+    "out": str,
+    "group": str,
+}
+
+
 @dataclasses.dataclass
 class RunConfig:
-    instances: list[str]
-    backends: list[str]
+    """One run's settings, as its ``config.json`` holds them.
+
+    Construction takes the JSON forms too (a comma list of backends, a "GxG"
+    string or a list for the grid, an integer timeout) and raises ValueError
+    on the first field of the wrong type or out of range.
+    """
+
+    instances: list[str] = dataclasses.field(default_factory=list)
+    backends: list[str] = dataclasses.field(default_factory=lambda: ["sa"])
     reduce: str = "none"  # none | nn2c | subsample:<target>
     seed: int = 0
     reads: int = sampler.DEFAULT_NUM_READS
@@ -66,67 +89,81 @@ class RunConfig:
     group: str = "custom"
     external_url: str | None = None
 
-    def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["grid"] = list(self.grid)
-        return d
+    def __post_init__(self):
+        if isinstance(self.backends, str):
+            self.backends = [b.strip() for b in self.backends.split(",") if b.strip()]
+        if isinstance(self.grid, str):
+            ga, _, gb = self.grid.lower().partition("x")
+            try:
+                self.grid = (int(ga), int(gb))
+            except ValueError:
+                raise ValueError(f"bad --grid value {self.grid!r}, expected GxG") from None
+        if isinstance(self.grid, list):
+            self.grid = tuple(self.grid)
+        if type(self.timeout_s) is int:
+            self.timeout_s = float(self.timeout_s)
+        for key, ok in (
+            ("instances", _is_list_of(self.instances, str)),
+            ("backends", _is_list_of(self.backends, str)),
+            ("grid", _is_list_of(self.grid, int, tuple) and len(self.grid) == 2),
+            ("external_url", self.external_url is None or type(self.external_url) is str),
+            *((key, type(getattr(self, key)) is kind) for key, kind in _SCALAR_FIELDS.items()),
+        ):
+            if not ok:
+                raise ValueError(f"bad {key} value {getattr(self, key)!r}")
+        known = {b.value for b in sampler.Backend}
+        for b in self.backends:
+            if b not in known:
+                raise ValueError(f"unknown backend {b!r}")
+        if not self.backends:
+            raise ValueError("at least one backend is required")
+        for flag, value in (
+            ("--reads", self.reads),
+            ("--shots", self.shots),
+            ("--grid", min(self.grid)),
+            ("--layers", self.layers),
+        ):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1")
+        if not self.timeout_s >= 0:  # NaN too: no elapsed time exceeds it
+            raise ValueError(f"--timeout-s must be at least 0, got {self.timeout_s!r}")
+        _parse_reduce_spec(self.reduce)
+        if "external" in self.backends and not self.external_url:
+            raise ValueError("backend 'external' needs --external-url")
+
+    @classmethod
+    def from_dict(cls, data, **overrides) -> "RunConfig":
+        """The config a JSON object describes, with ``overrides`` on top;
+        ValueError if it is not an object or has a key that is not a field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(**{**data, **overrides})
+
+
+def _is_list_of(value, kind: type, container: type = list) -> bool:
+    return isinstance(value, container) and all(type(v) is kind for v in value)
 
 
 def _build_config(args) -> RunConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    inst_val = getattr(args, "instance", None)
-    instances = [inst_val] if isinstance(inst_val, str) else list(inst_val or [])
-    cfg = RunConfig(instances=instances, backends=["sa"])
-
-    def pick(flag_value, key):
-        """The flag, else the config file's value, else the RunConfig default."""
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, getattr(cfg, key))
-
-    backends = pick(getattr(args, "backend", None), "backends")
-    if isinstance(backends, str):
-        backends = [b.strip() for b in backends.split(",") if b.strip()]
-    known = {b.value for b in sampler.Backend}
-    for b in backends:
-        if b not in known:
-            raise _UsageError(f"unknown backend {b!r}")
-    if not backends:
-        raise _UsageError("at least one backend is required")
-    cfg.backends = backends
-    cfg.reduce = pick(getattr(args, "reduce", None), "reduce")
-    cfg.seed = int(pick(getattr(args, "seed", None), "seed"))
-    cfg.reads = int(pick(getattr(args, "reads", None), "reads"))
-    cfg.shots = int(pick(getattr(args, "shots", None), "shots"))
-    grid = pick(getattr(args, "grid", None), "grid")
-    if isinstance(grid, str):
-        try:
-            ga, _, gb = grid.lower().partition("x")
-            cfg.grid = (int(ga), int(gb))
-        except ValueError:
-            raise _UsageError(f"bad --grid value {grid!r}, expected GxG") from None
-    else:
-        cfg.grid = (int(grid[0]), int(grid[1]))
-    cfg.timeout_s = float(pick(getattr(args, "timeout_s", None), "timeout_s"))
-    cfg.layers = int(pick(getattr(args, "layers", None), "layers"))
-    cfg.zero_is_edge = bool(pick(getattr(args, "zero_is_edge", None) or None, "zero_is_edge"))
-    cfg.jobs = int(pick(getattr(args, "jobs", None), "jobs"))
-    cfg.out = str(pick(getattr(args, "out", None), "out"))
-    cfg.group = str(pick(getattr(args, "group", None), "group"))
-    cfg.external_url = pick(getattr(args, "external_url", None), "external_url")
-    for flag, value in (
-        ("--reads", cfg.reads),
-        ("--shots", cfg.shots),
-        ("--grid", min(cfg.grid)),
-        ("--layers", cfg.layers),
-    ):
-        if value < 1:
-            raise _UsageError(f"{flag} must be at least 1")
-    if "external" in cfg.backends and not cfg.external_url:
-        raise _UsageError("backend 'external' needs --external-url")
-    return cfg
+    """The --config file's values, overridden by the flags given; the
+    instances are the command line's. A bad value, or a config file that
+    cannot be read or is not a JSON object of known keys, is a usage error."""
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if f.name != "instances" and getattr(args, f.name) is not None
+    }
+    instances = [args.instance] if isinstance(args.instance, str) else args.instance
+    try:
+        file_cfg = {}
+        if args.config:
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        return RunConfig.from_dict(file_cfg, **flags, instances=instances)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _parse_reduce_spec(spec: str) -> tuple[str, int | None]:
@@ -134,10 +171,12 @@ def _parse_reduce_spec(spec: str) -> tuple[str, int | None]:
         return spec, None
     if spec.startswith("subsample:"):
         try:
-            return "subsample", int(spec.split(":", 1)[1])
+            target = int(spec.removeprefix("subsample:"))
         except ValueError:
-            pass
-    raise _UsageError(f"bad --reduce value {spec!r}, expected nn2c|subsample:TARGET")
+            target = 0
+        if target >= 1:
+            return "subsample", target
+    raise ValueError(f"bad --reduce value {spec!r}, expected nn2c|subsample:TARGET, TARGET >= 1")
 
 
 # --- per-instance pipeline ----------------------------------------------------
@@ -202,9 +241,7 @@ def _run_backend(
 
 def _bench_instance(payload: tuple) -> dict:
     """Solve one instance end to end and persist its raw artifacts."""
-    cfg_dict, index, path = payload
-    cfg = RunConfig(**cfg_dict)
-    cfg.grid = tuple(cfg.grid)
+    cfg, index, path = payload
     inst = _read_instance(path)
     inst, record, original_n = _apply_reduction(inst, cfg, index)
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
@@ -222,7 +259,7 @@ def _bench_instance(payload: tuple) -> dict:
     bench.atomic_write(
         raw_dir / "exact.json",
         {
-            "tour": list(exact.tour.order),
+            "tour": list(exact.tour),
             "cost": exact.cost,
             "explored_orderings": exact.explored_orderings,
         },
@@ -261,7 +298,7 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
         model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
         exact_data = json.loads((raw_dir / "exact.json").read_text(encoding="utf-8"))
         exact = baseline.ExactResult(
-            tour=baseline.Tour(tuple(exact_data["tour"])),
+            tour=tuple(exact_data["tour"]),
             cost=float(exact_data["cost"]),
             explored_orderings=int(exact_data["explored_orderings"]),
         )
@@ -307,7 +344,10 @@ def cmd_parse(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    method, target = _parse_reduce_spec(args.reduce)
+    try:
+        method, target = _parse_reduce_spec(args.reduce)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if method == "none":
         raise _UsageError("--reduce must be nn2c or subsample:TARGET")
     inst = _read_instance(args.instance)
@@ -340,7 +380,6 @@ def cmd_qubo(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _build_config(args)
-    cfg.instances = [args.instance]
     inst = _read_instance(args.instance)
     inst, _, _ = _apply_reduction(inst, cfg, 0)
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
@@ -366,10 +405,8 @@ def cmd_bench(args) -> int:
         raise _UsageError("bench needs at least one instance file")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    bench.atomic_write(out / "config.json", cfg.to_json_dict())
-    payloads = [
-        (cfg.to_json_dict(), index, path) for index, path in enumerate(cfg.instances)
-    ]
+    bench.atomic_write(out / "config.json", dataclasses.asdict(cfg))
+    payloads = [(cfg, index, path) for index, path in enumerate(cfg.instances)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             list(pool.map(_bench_instance, payloads))
@@ -384,9 +421,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.run_dir)
-    cfg_data = json.loads((out / "config.json").read_text(encoding="utf-8"))
-    cfg = RunConfig(**cfg_data)
-    cfg.grid = tuple(cfg.grid)
+    cfg = RunConfig.from_dict(json.loads((out / "config.json").read_text(encoding="utf-8")))
     group = _aggregate_raw(out, cfg)
     target = Path(args.out) if args.out else out / "report"
     bench.emit(group, target)
@@ -397,7 +432,13 @@ def cmd_report(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--backend", type=str, default=None, help="comma list: exhaustive,sa,qaoa,external")
+    p.add_argument(
+        "--backend",
+        dest="backends",
+        type=str,
+        default=None,
+        help="comma list: exhaustive,sa,qaoa,external",
+    )
     p.add_argument("--reads", type=int, default=None, help="annealer-style reads (default 1500)")
     p.add_argument("--shots", type=int, default=None, help="QAOA shots per grid cell (default 1500)")
     p.add_argument("--grid", type=str, default=None, help="QAOA grid, e.g. 10x10")

@@ -46,25 +46,6 @@ class NodeCoord:
     y: float
 
 
-@dataclass(frozen=True)
-class Tour:
-    """Ordered choice of one node per cluster; the last leg closes the cycle."""
-
-    order: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-
-def _tour_order(t) -> tuple[int, ...]:
-    if isinstance(t, Tour):
-        return t.order
-    return tuple(int(v) for v in t)
-
-
 class GtspInstance:
     """A clustered routing instance: nodes, a cluster partition, and weights.
 
@@ -102,9 +83,6 @@ class GtspInstance:
     @property
     def k(self) -> int:
         return len(self.clusters)
-
-    def cluster_of(self, node: int) -> int:
-        return int(self.cluster_index[node])
 
     def _validate(self) -> None:
         n = self.weights.shape[0]
@@ -146,9 +124,9 @@ class GtspInstance:
         return f"GtspInstance(name={self.name!r}, n={self.n}, k={self.k}, symmetric={self.symmetric})"
 
 
-def tour_cost(inst: GtspInstance, t) -> float:
-    """Total weight of the cyclic tour, closing leg included (see ``tour_costs``)."""
-    order = _tour_order(t)
+def tour_cost(inst: GtspInstance, order) -> float:
+    """Total weight of the cyclic tour given as its K node ids in visiting
+    order, closing leg included (see ``tour_costs``)."""
     if len(order) != inst.k:
         raise ValueError(f"tour length {len(order)} != cluster count {inst.k}")
     return float(tour_costs(inst, [order])[0])
@@ -184,20 +162,14 @@ def _right_to_left_cost(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def is_feasible_tour(inst: GtspInstance, t) -> bool:
-    """True iff the tour picks exactly one node from each cluster."""
-    try:
-        order = _tour_order(t)
-    except (TypeError, ValueError):
+def is_feasible_tour(inst: GtspInstance, order) -> bool:
+    """True iff ``order`` is K integer node ids, one from each cluster."""
+    order = np.asarray(order)
+    if order.shape != (inst.k,) or order.dtype.kind not in "iu":
         return False
-    if len(order) != inst.k:
+    if not ((order >= 0) & (order < inst.n)).all():
         return False
-    hit = [0] * inst.k
-    for v in order:
-        if not 0 <= v < inst.n:
-            return False
-        hit[inst.cluster_of(v)] += 1
-    return all(c == 1 for c in hit)
+    return bool((np.sort(inst.cluster_index[order]) == np.arange(inst.k)).all())
 
 
 # --- TSPLIB distance conventions -------------------------------------------

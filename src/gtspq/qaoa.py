@@ -180,20 +180,6 @@ def run_qaoa(
     return state
 
 
-def _tuple_rows(flat: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The N*K one-hot bit rows of flat subspace tuple indices."""
-    rows = np.zeros((len(flat), n * k), dtype=np.uint8)
-    for c, node in enumerate(np.unravel_index(flat, (n,) * k)):
-        rows[np.arange(len(flat)), c * n + node] = 1
-    return rows
-
-
-def _tuple_index(rows: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Flat subspace tuple index of each one-hot bit row."""
-    nodes = rows.reshape(len(rows), k, n).argmax(axis=2)
-    return np.ravel_multi_index(tuple(nodes.T), (n,) * k)
-
-
 def sample_shots(
     state: np.ndarray, diagonal: np.ndarray, shots: int, seed: int
 ) -> SampleSet:
@@ -206,7 +192,8 @@ def sample_shots(
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(probs), size=shots, p=probs)
     uniq, counts = np.unique(draws, return_counts=True)
-    rows = _tuple_rows(uniq, state.shape[0], state.ndim)
+    orders = np.stack(np.unravel_index(uniq, state.shape), axis=1)
+    rows = qubo.encode_rows(state.shape[0], orders)
     return SampleSet.from_rows(
         Backend.QAOA, shots, rows, counts, diagonal.reshape(-1)[uniq]
     )
@@ -221,13 +208,13 @@ def grid_search(
     covers the whole call: on expiry the completed cells are returned, with
     failure=timeout only if none completed. A model whose N^K amplitudes
     exceed ``MAX_SUBSPACE_DIM`` runs no cell and fails as not_applicable.
-    Cell c derives its seed as seed + c, so the search is reproducible. The
-    search's shots are pooled by subspace tuple index, and each cell's
-    feasible shot fraction is read off one decode of the pooled rows.
+    Cell c derives its seed as seed + c, so the search is reproducible. One
+    decode of every cell's rows gives each cell's feasible shot fraction and
+    each row's node order; the search's shots are pooled by the order's flat
+    subspace tuple index.
     """
-    n, k = model.n, model.k
     try:
-        layout = PartitionLayout(n, k)
+        layout = PartitionLayout(model.n, model.k)
     except StateTooLargeError:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.NOT_APPLICABLE, 0))
     diagonal = cost_diagonal(model)
@@ -252,24 +239,25 @@ def grid_search(
     if not runs:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
     cell_sets = [samples for *_, samples in runs]
-    flat, inverse = np.unique(
-        np.concatenate([_tuple_index(s.entries, n, k) for s in cell_sets]),
-        return_inverse=True,
-    )
+    rows = np.concatenate([s.entries for s in cell_sets])
+    violations, order = qubo.decode_rows(model, inst, rows)
+    feasible = np.array([v is None for v in violations], dtype=bool)
     counts = np.concatenate([s.counts for s in cell_sets])
-    pooled_rows = _tuple_rows(flat, n, k)
-    violations, _ = qubo.decode_rows(model, inst, pooled_rows)
-    feasible = np.array([v is None for v in violations], dtype=bool)[inverse]
     starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
     fractions = (np.add.reduceat(counts * feasible, starts) / grid.shots).tolist()
     cells = tuple(
         CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
         for (gamma, beta, score, samples), fraction in zip(runs, fractions)
     )
+    flat, first, inverse = np.unique(
+        np.ravel_multi_index(tuple(order.T), layout.shape),
+        return_index=True,
+        return_inverse=True,
+    )
     search_samples = SampleSet.from_rows(
         Backend.QAOA,
         grid.shots * len(runs),
-        pooled_rows,
+        rows[first],
         np.bincount(inverse, weights=counts, minlength=len(flat)),
         diagonal.reshape(-1)[flat],
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import GtspInstance, Tour, is_feasible_tour
+from .instance import GtspInstance
 
 VIOLATION_STEP = "StepOneHot"
 VIOLATION_CLUSTER = "ClusterOneHot"
@@ -65,31 +65,12 @@ class QuboModel:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Tour read off a bitstring, or the first violated constraint class."""
+    """Tour (its node ids in visiting order) read off a bitstring, or the
+    first violated constraint class."""
 
     feasible: bool
-    tour: Tour | None = None
+    tour: tuple[int, ...] | None = None
     violation: str | None = None
-
-
-def var_index(n: int, c: int, i: int) -> int:
-    """Flat variable id of (step c, node i)."""
-    if not 0 <= c:
-        raise ValueError(f"step {c} out of range")
-    if not 0 <= i < n:
-        raise ValueError(f"node {i} out of range 0..{n - 1}")
-    return c * n + i
-
-
-def as_bits(b, num_vars: int) -> np.ndarray:
-    """Coerce a bitstring (str of 0/1 or int sequence) to a uint8 array."""
-    if isinstance(b, str):
-        arr = np.frombuffer(b.encode("ascii"), dtype=np.uint8) - ord("0")
-    else:
-        arr = np.asarray(b, dtype=np.uint8)
-    if arr.shape != (num_vars,) or np.any(arr > 1):
-        raise ValueError(f"expected a bitstring of length {num_vars}")
-    return arr
 
 
 def as_rows(rows, num_vars: int) -> np.ndarray:
@@ -114,10 +95,6 @@ def rows_to_strs(rows) -> list[str]:
     width = arr.shape[1]
     text = (arr + ord("0")).tobytes().decode("ascii")
     return [text[i * width : (i + 1) * width] for i in range(len(arr))]
-
-
-def bits_to_str(arr) -> str:
-    return rows_to_strs(np.asarray(arr, dtype=np.uint8)[None, :])[0]
 
 
 def penalty_weight(inst: GtspInstance) -> float:
@@ -209,18 +186,21 @@ def energies(model: QuboModel, rows) -> np.ndarray:
 
 def energy(model: QuboModel, b) -> float:
     """offset + linear + quadratic terms evaluated on the bitstring."""
-    return float(energies(model, as_bits(b, model.num_vars)[None, :])[0])
+    return float(energies(model, [b])[0])
 
 
-def encode(model: QuboModel, t, inst: GtspInstance) -> str:
-    """Bitstring with exactly one set bit per step, per the tour order."""
-    if not is_feasible_tour(inst, t):
-        raise ValueError("cannot encode an infeasible tour")
-    order = t.order if isinstance(t, Tour) else tuple(t)
-    bits = np.zeros(model.num_vars, dtype=np.uint8)
-    for c, node in enumerate(order):
-        bits[var_index(model.n, c, node)] = 1
-    return bits_to_str(bits)
+def encode_rows(n: int, orders) -> np.ndarray:
+    """The (m, n*K) one-hot rows of an (m, K) node-order array: bit c*n + node
+    is set for the node at step c. ``decode_rows``' order is its inverse."""
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or orders.dtype.kind not in "iu":
+        raise ValueError("expected an (m, K) integer array of node orders")
+    if not ((orders >= 0) & (orders < n)).all():
+        raise ValueError(f"node id outside 0..{n - 1}")
+    m, k = orders.shape
+    rows = np.zeros((m, n * k), dtype=np.uint8)
+    rows[np.arange(m)[:, None], np.arange(k) * n + orders] = 1
+    return rows
 
 
 def decode_rows(
@@ -252,10 +232,10 @@ def decode_rows(
 
 def decode(model: QuboModel, inst: GtspInstance, b) -> DecodeResult:
     """Read a tour off the bitstring; never repairs, only classifies failures."""
-    violations, order = decode_rows(model, inst, as_bits(b, model.num_vars)[None, :])
+    violations, order = decode_rows(model, inst, [b])
     if violations[0] is not None:
         return DecodeResult(False, violation=violations[0])
-    return DecodeResult(True, tour=Tour(tuple(order[0].tolist())))
+    return DecodeResult(True, tour=tuple(order[0].tolist()))
 
 
 # --- export -----------------------------------------------------------------

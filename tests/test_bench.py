@@ -13,8 +13,8 @@ from gtspq.bench import (
     build_report,
     emit,
 )
-from gtspq.instance import GtspInstance, Tour, tour_cost
-from gtspq.qubo import as_rows, build_qubo, decode, encode
+from gtspq.instance import GtspInstance, tour_cost
+from gtspq.qubo import as_rows, build_qubo, decode, encode_rows, rows_to_strs
 from gtspq.sampler import Backend, Failure, SampleSet, sa_sample
 
 import gen
@@ -42,6 +42,10 @@ def _sample_set(entries, num_reads, backend=Backend.SIMULATED_ANNEALING, failure
     )
 
 
+def _bits(n, order) -> str:
+    return rows_to_strs(encode_rows(n, [order]))[0]
+
+
 def _feasible_shot_rate(samples, model, inst):
     exact = exact_solve(inst)
     report = build_report(inst, model, {"sa": samples}, exact, [exact.cost])
@@ -50,14 +54,14 @@ def _feasible_shot_rate(samples, model, inst):
 
 def test_feasibility_ratio_all_feasible(toy_instance):
     model = build_qubo(toy_instance)
-    bits = encode(model, Tour((0, 1)), toy_instance)
+    bits = _bits(2, (0, 1))
     samples = _sample_set([(bits, 30, 10.0)], 30)
     assert _feasible_shot_rate(samples, model, toy_instance) == 1.0
 
 
 def test_feasibility_ratio_fraction(toy_instance):
     model = build_qubo(toy_instance)
-    good = encode(model, Tour((0, 1)), toy_instance)
+    good = _bits(2, (0, 1))
     samples = _sample_set(
         [(good, 1023, 10.0), ("0" * 4, 477, 44.0)], 1500
     )
@@ -69,7 +73,7 @@ def test_feasibility_ratio_zero_on_failure(toy_instance):
     samples = _sample_set([], 0, failure=Failure.COULD_NOT_EMBED)
     assert _feasible_shot_rate(samples, model, toy_instance) == 0.0
     # a failed backend's shots never count, even when some were returned
-    good = encode(model, Tour((0, 1)), toy_instance)
+    good = _bits(2, (0, 1))
     failed = _sample_set([(good, 5, 10.0)], 5, failure=Failure.TIMEOUT)
     assert _feasible_shot_rate(failed, model, toy_instance) == 0.0
 
@@ -101,8 +105,7 @@ def _toy_pipeline(toy_instance, entries, num_reads, failure=None):
 
 
 def test_build_report_every_shot_optimal(toy_instance):
-    model = build_qubo(toy_instance)
-    bits = encode(model, Tour((0, 1)), toy_instance)
+    bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 1500, 10.0)], 1500)
     backend = report.backends["sa"]
     assert backend.feasible_shot_rate == 1.0
@@ -132,8 +135,8 @@ def test_build_report_count_weighted_distribution():
     exact = exact_solve(inst)
     tours = list(itertools.islice(_feasible_tours(inst), 2))
     entries = [
-        (encode(model, tours[0], inst), 30, tour_cost(inst, tours[0])),
-        (encode(model, tours[1], inst), 5, tour_cost(inst, tours[1])),
+        (_bits(inst.n, tours[0]), 30, tour_cost(inst, tours[0])),
+        (_bits(inst.n, tours[1]), 5, tour_cost(inst, tours[1])),
         ("0" * model.num_vars, 65, 4 * model.lam),
     ]
     random_costs = random_tours(inst, 50, seed=1)[1].tolist()
@@ -151,7 +154,7 @@ def test_build_report_count_weighted_distribution():
 def _feasible_tours(inst):
     for choice in itertools.product(*inst.clusters):
         for perm in itertools.permutations(choice):
-            yield Tour(perm)
+            yield perm
 
 
 def test_report_recomputation_oracle(toy_instance):
@@ -205,11 +208,11 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
         inst = GtspInstance("d", gen.random_partition(n, k, rng), w, symmetric=symmetric)
         model = build_qubo(inst)
         exact = exact_solve(inst)
-        order = exact.tour.order
+        order = exact.tour
         tours = [order[r:] + order[:r] for r in range(k)]
         others = random_tours(inst, 50, seed=seed)[0]
         shots = tours + [order[::-1]] + list(map(tuple, others.tolist()))
-        entries = {encode(model, t, inst): 1 for t in shots}
+        entries = {_bits(inst.n, t): 1 for t in shots}
         samples = _sample_set(
             [(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
         )
@@ -234,8 +237,7 @@ def test_emit_empty_group(tmp_path):
 
 
 def test_emit_row_order_and_headers(toy_instance, tmp_path):
-    model = build_qubo(toy_instance)
-    bits = encode(model, Tour((0, 1)), toy_instance)
+    bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 10, 10.0)], 10)
     group = ExperimentGroup(name="g", reports=(report, report))
     emit(group, tmp_path)
@@ -268,8 +270,7 @@ def test_violin_csv_matches_csv_writer_output():
 
 
 def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):
-    model = build_qubo(toy_instance)
-    bits = encode(model, Tour((0, 1)), toy_instance)
+    bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 7, 10.0)], 7)
     group = ExperimentGroup(name="g", reports=(report,))
     emit(group, tmp_path)

@@ -105,6 +105,9 @@ def test_reduce_requires_method(write_instance):
     inst = gen.subsample_instance("6fri26_nodes_3", 3, 2)
     path = write_instance(inst)
     assert main(["reduce", str(path), "--reduce", "bogus"]) == 1
+    out = path.parent / "r"
+    assert main(["reduce", str(path), "--reduce", "subsample:0", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_solve_writes_samples(write_instance, tmp_path, capsys):
@@ -214,6 +217,43 @@ def test_bench_rejects_counts_below_one(write_instance, tmp_path, capsys, flag, 
     args = ["bench", str(path), "--backend", "qaoa", "--reads", "20", "--shots", "20"]
     assert main(args + ["--grid", "2x2", flag, value, "--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--reduce", "bogus"),
+        ("--reduce", "subsample:0"),
+        ("--reduce", "subsample:-2"),
+        ("--timeout-s", "nan"),
+        ("--timeout-s", "-1"),
+    ],
+)
+def test_bench_rejects_bad_reduce_and_timeout(write_instance, tmp_path, capsys, flag, value):
+    """A reduce spec that does not parse, a subsample target below 1 and a
+    timeout that is not >= 0 (NaN would never expire) are usage errors
+    raised before anything is written."""
+    path = write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))
+    out = tmp_path / "run"
+    assert main(["bench", str(path), "--reads", "20", flag, value, "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2]", '{"grid": 5}', '{"reads": null}', '{"read": 30}', '{"seed": "5"}', "{", None],
+    ids=["list", "grid-int", "reads-null", "unknown-key", "seed-str", "not-json", "missing"],
+)
+def test_bench_malformed_config_file_is_usage_error(write_instance, tmp_path, capsys, content):
+    path = write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "run"
+    assert main(["bench", str(path), "--config", str(cfg), "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -390,3 +430,24 @@ def test_config_file_precedence(bench_paths, tmp_path, capsys):
     assert written["reads"] == 25  # flag beats config file
     assert written["seed"] == 5  # config file beats default
     assert written["backends"] == ["sa"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: [c],
+        lambda c: {**c, "grid": 5},
+        lambda c: {**c, "reads": None},
+        lambda c: {**c, "extra": 1},
+    ],
+    ids=["list", "grid-int", "reads-null", "unknown-key"],
+)
+def test_report_malformed_config_exit_2(bench_paths, tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    (out / "config.json").write_text(json.dumps(edit(cfg)))
+    capsys.readouterr()
+    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "again").exists()

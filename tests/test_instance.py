@@ -8,7 +8,6 @@ import pytest
 from gtspq.instance import (
     GtsplibError,
     GtspInstance,
-    Tour,
     is_feasible_tour,
     parse_gtsplib,
     serialize_gtsplib,
@@ -28,20 +27,20 @@ def test_parse_toy_explicit_matrix(toy_instance):
 
 
 def test_tour_cost_symmetric_cycle(toy_instance):
-    assert tour_cost(toy_instance, Tour((0, 1))) == 10.0
+    assert tour_cost(toy_instance, (0, 1)) == 10.0
 
 
 def test_tour_cost_asymmetric_two_leg_cycle():
     inst = GtspInstance(
         "two", [[0], [1]], [[0.0, 3.0], [7.0, 0.0]], symmetric=False
     )
-    assert tour_cost(inst, Tour((0, 1))) == 10.0
-    assert tour_cost(inst, Tour((1, 0))) == 10.0
+    assert tour_cost(inst, (0, 1)) == 10.0
+    assert tour_cost(inst, (1, 0)) == 10.0
 
 
 def test_tour_cost_rejects_wrong_length(toy_instance):
     with pytest.raises(ValueError):
-        tour_cost(toy_instance, Tour((0,)))
+        tour_cost(toy_instance, (0,))
 
 
 def test_tour_cost_matches_independent_resummation():
@@ -54,7 +53,7 @@ def test_tour_cost_matches_independent_resummation():
             a = perm[pos]
             b = perm[(pos + 1) % 4]
             expected += float(inst.weights[a][b])
-        assert tour_cost(inst, Tour(perm)) == pytest.approx(expected, abs=1e-12)
+        assert tour_cost(inst, perm) == pytest.approx(expected, abs=1e-12)
 
 
 def test_is_feasible_tour_cases():
@@ -64,11 +63,15 @@ def test_is_feasible_tour_cases():
         np.ones((3, 3)) - np.eye(3),
         symmetric=True,
     )
-    assert is_feasible_tour(inst, Tour((0, 2))) is True
-    assert is_feasible_tour(inst, Tour((0, 1))) is False
-    assert is_feasible_tour(inst, Tour((2, 0))) is True
-    assert is_feasible_tour(inst, Tour((0,))) is False
-    assert is_feasible_tour(inst, Tour((0, 9))) is False
+    assert is_feasible_tour(inst, (0, 2)) is True
+    assert is_feasible_tour(inst, (0, 1)) is False
+    assert is_feasible_tour(inst, (2, 0)) is True
+    assert is_feasible_tour(inst, (0,)) is False
+    assert is_feasible_tour(inst, (0, 9)) is False
+    assert is_feasible_tour(inst, (-1, 2)) is False
+    assert is_feasible_tour(inst, np.array([2, 1])) is True
+    assert is_feasible_tour(inst, [[0, 2]]) is False  # a batch of one is not a tour
+    assert is_feasible_tour(inst, (0.5, 2.7)) is False  # ids are not truncated to (0, 2)
 
 
 def test_cyclic_invariance_rotation_and_reversal():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gtspq.qubo import build_qubo, encode, energy, from_terms
+from gtspq.qubo import build_qubo, encode_rows, energy, from_terms
 from gtspq.qaoa import (
     GridConfig,
     QaoaParams,
@@ -21,7 +21,7 @@ from gtspq.qaoa import (
     xy_ring_matrix,
 )
 from gtspq.sampler import Backend, Failure
-from gtspq.instance import GtspInstance, Tour
+from gtspq.instance import GtspInstance
 
 import gen
 
@@ -334,6 +334,20 @@ def test_sample_shots_step_one_hot_always():
     assert (result.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()
 
 
+def test_sample_shots_rows_encode_the_drawn_tuples():
+    """Each distinct draw's row is ``encode_rows`` of its unravelled tuple."""
+    model = build_qubo(gen.make_random_instance(seed=19, n=4, k=3))
+    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.6, 0.5), seed=19)
+    result = sample_shots(state, cost_diagonal(model), shots=500, seed=20)
+    probs = np.abs(state.reshape(-1)) ** 2
+    draws = np.random.default_rng(20).choice(len(probs), size=500, p=probs / probs.sum())
+    flat, counts = np.unique(draws, return_counts=True)
+    rows = encode_rows(4, np.stack(np.unravel_index(flat, state.shape), axis=1))
+    want = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    assert dict(zip(map(tuple, result.entries.tolist()), result.counts.tolist())) == want
+    assert len(want) > 20
+
+
 def test_sample_shots_energies_equal_qubo_energy():
     for seed, integer in ((17, True), (18, False)):
         inst = gen.make_random_instance(seed=seed, n=4, k=3)
@@ -378,10 +392,10 @@ def test_grid_1x1_degenerates_to_single_run(toy_instance):
 def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     model = build_qubo(toy_instance)
     result = grid_search(model, GridConfig(shots=1500), 1, toy_instance)
-    optimal_bits = {encode(model, Tour((0, 1)), toy_instance), encode(model, Tour((1, 0)), toy_instance)}
+    optimal_rows = encode_rows(2, [(0, 1), (1, 0)])
     # the first cell of least mean energy; only the optimal tours reach its energy
     best = min(result.cells, key=lambda c: c.mean_energy)
-    assert best.best_shot_energy == pytest.approx(min(energy(model, b) for b in optimal_bits))
+    assert best.best_shot_energy == pytest.approx(min(energy(model, row) for row in optimal_rows))
     assert len(result.cells) == 100
     assert all(0.0 <= c.feasible_shot_fraction <= 1.0 for c in result.cells)
 

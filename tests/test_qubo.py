@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gtspq.instance import GtspInstance, Tour, tour_cost
+from gtspq.instance import GtspInstance, tour_cost
 from gtspq.qubo import (
     build_qubo,
     VIOLATION_CLUSTER,
@@ -13,15 +13,15 @@ from gtspq.qubo import (
     VIOLATION_STEP,
     decode,
     decode_rows,
-    encode,
+    encode_rows,
     energies,
     energy,
     from_json_dict,
     from_terms,
     penalty_weight,
+    rows_to_strs,
     to_coo_text,
     to_json_dict,
-    var_index,
 )
 
 import gen
@@ -31,7 +31,7 @@ def all_feasible_tours(inst):
     """Independent enumeration: one node per cluster, every step assignment."""
     for choice in itertools.product(*inst.clusters):
         for perm in itertools.permutations(choice):
-            yield Tour(perm)
+            yield perm
 
 
 def all_bitstrings(num_vars):
@@ -39,12 +39,34 @@ def all_bitstrings(num_vars):
         yield format(m, f"0{num_vars}b")
 
 
-def test_var_index_examples():
-    assert var_index(3, 0, 0) == 0
-    assert var_index(3, 1, 2) == 5
-    assert var_index(5, 3, 4) == 19  # 20 variables for a 5-node / 4-cluster layout
-    with pytest.raises(ValueError):
-        var_index(3, 0, 3)
+def bits_of(n, order) -> str:
+    """The bitstring of one node order, checked only for range."""
+    return rows_to_strs(encode_rows(n, [order]))[0]
+
+
+def test_encode_rows_bit_positions():
+    assert np.flatnonzero(encode_rows(3, [[0, 2]])).tolist() == [0, 5]
+    row = encode_rows(5, [[1, 0, 3, 4]])  # 20 variables for a 5-node / 4-step layout
+    assert row.shape == (1, 20) and row.dtype == np.uint8
+    assert np.flatnonzero(row).tolist() == [1, 5, 13, 19]
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            encode_rows(3, [[0, bad]])
+    for shape_fault in ([0, 1], [[[0, 1]]], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            encode_rows(3, shape_fault)
+
+
+def test_encode_rows_inverts_decode_rows_order():
+    rng = np.random.default_rng(104)
+    for n, k in ((2, 2), (3, 2), (4, 4), (5, 3), (7, 4)):
+        inst = gen.make_random_instance(int(rng.integers(1 << 31)), n, k)
+        model = build_qubo(inst, zero_is_edge=True)
+        orders = rng.integers(0, n, size=(50, k))
+        rows = encode_rows(n, orders)
+        assert (rows.reshape(50, k, n).sum(axis=2) == 1).all()
+        _, decoded = decode_rows(model, inst, rows)
+        assert decoded.tolist() == orders.tolist()
 
 
 def test_penalty_weight_top_k_sum():
@@ -67,7 +89,7 @@ def test_penalty_weight_equal_weights():
 def test_penalty_weight_upper_bounds_tour_cost(toy_instance):
     lam = penalty_weight(toy_instance)
     assert lam == 11.0
-    assert lam > tour_cost(toy_instance, Tour((0, 1)))
+    assert lam > tour_cost(toy_instance, (0, 1))
 
 
 def test_penalty_weight_few_positive_edges():
@@ -80,8 +102,7 @@ def test_penalty_weight_few_positive_edges():
 
 def test_build_qubo_feasible_state_energy_is_tour_cost(toy_instance):
     model = build_qubo(toy_instance)
-    bits = encode(model, Tour((0, 1)), toy_instance)
-    assert energy(model, bits) == pytest.approx(10.0, abs=1e-12)
+    assert energy(model, bits_of(2, (0, 1))) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_build_qubo_all_zero_bitstring(toy_instance):
@@ -201,15 +222,6 @@ def _reference_decode(model, inst, row):
     return None, order
 
 
-def _one_hot_rows(rng, n, k, m):
-    """Rows with one set bit per step, so cluster and edge checks are reached."""
-    rows = np.zeros((m, n * k), dtype=np.uint8)
-    nodes = rng.integers(0, n, size=(m, k))
-    for c in range(k):
-        rows[np.arange(m), c * n + nodes[:, c]] = 1
-    return rows
-
-
 def test_decode_rows_matches_per_row_reference():
     rng = np.random.default_rng(103)
     census = {None: 0, VIOLATION_STEP: 0, VIOLATION_CLUSTER: 0, VIOLATION_EDGE: 0}
@@ -222,7 +234,8 @@ def test_decode_rows_matches_per_row_reference():
             rows = np.concatenate(
                 [
                     rng.integers(0, 2, size=(20, model.num_vars), dtype=np.uint8),
-                    _one_hot_rows(rng, n, k, 60),
+                    # one set bit per step, so cluster and edge checks are reached
+                    encode_rows(n, rng.integers(0, n, size=(60, k))),
                 ]
             )
             violations, order = decode_rows(model, inst, rows)
@@ -239,7 +252,7 @@ def test_decode_rows_matches_per_row_reference():
                 assert verdict.violation == expected
                 assert verdict.feasible == (expected is None)
                 if expected is None:
-                    assert verdict.tour == Tour(tuple(expected_order))
+                    assert verdict.tour == tuple(expected_order)
     assert all(count > 0 for count in census.values()), census
 
 
@@ -249,22 +262,21 @@ def test_decode_rows_violation_precedence():
     inst = GtspInstance("prec", [[0], [1], [2]], w, symmetric=False)
     model = build_qubo(inst)
 
-    def row(*order):
-        return [int(b) for b in encode_unchecked(model, order)]
-
-    step_and_cluster = row(0, 0, 1)
-    step_and_cluster[0 * 3 + 2] = 1  # step 0 holds two nodes
-    rows = [
-        step_and_cluster,
-        row(1, 0, 1),  # cluster 1 twice, and the absent leg 1 -> 0
-        row(2, 1, 0),  # legs 2->1, 1->0 (absent), 0->2
-        row(0, 1, 2),
-    ]
-    violations, order = decode_rows(model, inst, np.array(rows))
+    rows = encode_rows(
+        3,
+        [
+            [0, 0, 1],
+            [1, 0, 1],  # cluster 1 twice, and the absent leg 1 -> 0
+            [2, 1, 0],  # legs 2->1, 1->0 (absent), 0->2
+            [0, 1, 2],
+        ],
+    )
+    rows[0, 0 * 3 + 2] = 1  # step 0 holds two nodes
+    violations, order = decode_rows(model, inst, rows)
     assert violations == [VIOLATION_STEP, VIOLATION_CLUSTER, VIOLATION_EDGE, None]
     assert order.tolist() == [[-1, -1, -1], [1, 0, 1], [2, 1, 0], [0, 1, 2]]
     relaxed = build_qubo(inst, zero_is_edge=True)
-    violations, _ = decode_rows(relaxed, inst, np.array(rows))
+    violations, _ = decode_rows(relaxed, inst, rows)
     assert violations == [VIOLATION_STEP, VIOLATION_CLUSTER, None, None]
 
 
@@ -276,23 +288,23 @@ def test_energy_length_mismatch():
 
 def test_encode_examples(toy_instance):
     model = build_qubo(toy_instance)
-    assert encode(model, Tour((0, 1)), toy_instance) == "1001"
+    assert bits_of(model.n, (0, 1)) == "1001"
     inst = gen.make_random_instance(seed=7, n=3, k=2)
     model3 = build_qubo(inst)
     tour = None
     for cand in all_feasible_tours(inst):
-        if cand.order[0] == 2:
+        if cand[0] == 2:
             tour = cand
             break
-    bits = encode(model3, tour, inst)
-    assert bits[var_index(3, 0, tour.order[0])] == "1"
+    bits = bits_of(model3.n, tour)
+    assert bits[0 * 3 + tour[0]] == "1"
     assert sum(b == "1" for b in bits) == 2
 
 
-def test_encode_rejects_infeasible(toy_instance):
+def test_infeasible_tour_row_decodes_as_cluster_violation(toy_instance):
+    """Encoding checks only the node range; the cluster check is the decoder's."""
     model = build_qubo(toy_instance)
-    with pytest.raises(ValueError):
-        encode(model, Tour((0, 0)), toy_instance)
+    assert decode(model, toy_instance, bits_of(model.n, (0, 0))).violation == VIOLATION_CLUSTER
 
 
 def test_encode_decode_roundtrip_all_tours():
@@ -300,8 +312,7 @@ def test_encode_decode_roundtrip_all_tours():
     model = build_qubo(inst)
     seen = 0
     for tour in all_feasible_tours(inst):
-        bits = encode(model, tour, inst)
-        verdict = decode(model, inst, bits)
+        verdict = decode(model, inst, bits_of(model.n, tour))
         assert verdict.feasible and verdict.tour == tour
         seen += 1
     assert seen > 0
@@ -310,47 +321,29 @@ def test_encode_decode_roundtrip_all_tours():
 def test_decode_violation_classes():
     inst = gen.make_random_instance(seed=3, n=3, k=2)  # no zero-weight edges
     model = build_qubo(inst)
-    two_in_step0 = ["0"] * model.num_vars
-    two_in_step0[var_index(3, 0, 0)] = "1"
-    two_in_step0[var_index(3, 0, 1)] = "1"
-    two_in_step0[var_index(3, 1, 2)] = "1"
-    assert decode(model, inst, "".join(two_in_step0)).violation == "StepOneHot"
-
-    same_node_twice = ["0"] * model.num_vars
-    same_node_twice[var_index(3, 0, 0)] = "1"
-    same_node_twice[var_index(3, 1, 0)] = "1"
-    assert decode(model, inst, "".join(same_node_twice)).violation == "ClusterOneHot"
+    two_in_step0 = encode_rows(3, [[0, 2]])[0]
+    two_in_step0[0 * 3 + 1] = 1
+    assert decode(model, inst, two_in_step0).violation == "StepOneHot"
+    same_node_twice = bits_of(3, (0, 0))
+    assert decode(model, inst, same_node_twice).violation == "ClusterOneHot"
 
 
 def test_decode_missing_edge_and_zero_is_edge_flag():
     w = np.array([[0.0, 0.0, 2.0], [4.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     inst = GtspInstance("z", [[0, 1], [2]], w, symmetric=False)
     model = build_qubo(inst)
-    bits = ["0"] * model.num_vars
-    bits[var_index(3, 0, 0)] = "1"  # leg 0 -> 2 exists, leg 2 -> 0 exists
-    bits[var_index(3, 1, 2)] = "1"
-    assert decode(model, inst, "".join(bits)).feasible
-
-    bad = ["0"] * model.num_vars
-    bad[var_index(3, 0, 1)] = "1"
-    bad[var_index(3, 1, 2)] = "1"
+    # leg 0 -> 2 exists, leg 2 -> 0 exists
+    assert decode(model, inst, bits_of(3, (0, 2))).feasible
     # leg 2 -> 1 has weight 3, leg 1 -> 2 has weight 3; feasible
-    assert decode(model, inst, "".join(bad)).feasible
+    assert decode(model, inst, bits_of(3, (1, 2))).feasible
 
     w2 = np.array([[0.0, 0.0], [0.0, 0.0]])
     inst2 = GtspInstance("z2", [[0], [1]], w2, symmetric=True)
     model2 = build_qubo(inst2)
-    bits2 = encode_unchecked(model2, (0, 1))
+    bits2 = bits_of(2, (0, 1))
     assert decode(model2, inst2, bits2).violation == "MissingEdge"
     model2b = build_qubo(inst2, zero_is_edge=True)
     assert decode(model2b, inst2, bits2).feasible
-
-
-def encode_unchecked(model, order):
-    bits = ["0"] * model.num_vars
-    for c, node in enumerate(order):
-        bits[var_index(model.n, c, node)] = "1"
-    return "".join(bits)
 
 
 def test_decode_census_matches_independent_checker():
@@ -391,7 +384,7 @@ def test_k2_double_transition_accumulates(toy_instance):
     model = build_qubo(toy_instance)
     # both cyclic transitions land on the same pair: w01 + w10 (no penalty part,
     # the two variables sit in different steps and different clusters)
-    cost_pair = model.quadratic[(var_index(2, 0, 0), var_index(2, 1, 1))]
+    cost_pair = model.quadratic[(0 * 2 + 0, 1 * 2 + 1)]  # (step 0, node 0), (step 1, node 1)
     assert cost_pair == pytest.approx(10.0)
 
 
@@ -402,7 +395,7 @@ def test_feasible_energy_identity_random_instances():
         inst = gen.make_random_instance(int(rng.integers(1 << 31)), n, k)
         model = build_qubo(inst)
         for tour in all_feasible_tours(inst):
-            assert energy(model, encode(model, tour, inst)) == pytest.approx(
+            assert energy(model, bits_of(n, tour)) == pytest.approx(
                 tour_cost(inst, tour), abs=1e-9
             )
 
@@ -458,6 +451,9 @@ def _reference_build(inst, zero_is_edge=False):
     linear, quad = {}, {}
     offset = 0.0
 
+    def var(c, i):  # flat id of (step c, node i)
+        return c * n + i
+
     def add(u, v, c):
         key = (u, v) if u < v else (v, u)
         quad[key] = quad.get(key, 0.0) + c
@@ -466,9 +462,9 @@ def _reference_build(inst, zero_is_edge=False):
         for i in range(n):
             for j in range(n):
                 if i != j and w[i, j] != 0.0:
-                    add(var_index(n, c, i), var_index(n, (c + 1) % k, j), float(w[i, j]))
-    groups = [[var_index(n, c, i) for i in range(n)] for c in range(k)]
-    groups += [[var_index(n, c, i) for c in range(k) for i in cl] for cl in inst.clusters]
+                    add(var(c, i), var((c + 1) % k, j), float(w[i, j]))
+    groups = [[var(c, i) for i in range(n)] for c in range(k)]
+    groups += [[var(c, i) for c in range(k) for i in cl] for cl in inst.clusters]
     for group in groups:
         for pos, u in enumerate(group):
             linear[u] = linear.get(u, 0.0) - lam
@@ -480,7 +476,7 @@ def _reference_build(inst, zero_is_edge=False):
             for i in range(n):
                 for j in range(n):
                     if i != j and w[i, j] == 0.0:
-                        add(var_index(n, c, i), var_index(n, (c + 1) % k, j), lam)
+                        add(var(c, i), var((c + 1) % k, j), lam)
     return linear, quad, offset, lam
 
 

@@ -14,7 +14,7 @@ import pytest
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
 from gtspq.instance import GtspInstance
-from gtspq.qubo import as_bits, bits_to_str, build_qubo, decode, energies, energy, from_terms
+from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, from_terms, rows_to_strs
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
@@ -34,7 +34,7 @@ import gen
 def _ground(model):
     """The exhaustive set's one row as a bit string, and its energy."""
     result = exhaustive_ground_state(model)
-    return bits_to_str(result.entries[0]), float(result.energies[0])
+    return rows_to_strs(result.entries)[0], float(result.energies[0])
 
 
 def test_exhaustive_toy_ground_state(toy_instance):
@@ -286,7 +286,7 @@ def test_external_echo_ground_state(toy_instance):
     result = external_sampler_submit(model, ExternalSamplerConfig(transport=transport))
     assert result.backend is Backend.EXTERNAL
     assert result.num_reads == 3
-    assert result.entries.tolist() == [as_bits(gs_bits, model.num_vars).tolist()]
+    assert result.entries.tolist() == as_rows([gs_bits], model.num_vars).tolist()
     assert result.counts.tolist() == [3]
     assert result.energies.tolist() == [gs_energy]
 
@@ -390,7 +390,7 @@ def test_external_http_round_trip(toy_instance):
         url = f"http://127.0.0.1:{server.server_address[1]}/"
         result = external_sampler_submit(model, ExternalSamplerConfig(url=url))
         assert result.num_reads == 2
-        assert result.entries.tolist() == [as_bits(gs_bits, model.num_vars).tolist()]
+        assert result.entries.tolist() == as_rows([gs_bits], model.num_vars).tolist()
     finally:
         server.shutdown()
 
