@@ -25,7 +25,6 @@ from .instance import (
 )
 from .preprocess import ReductionRecord, cluster_subsample, nn2c_reduce
 from .qaoa import (
-    GridConfig,
     PartitionLayout,
     QaoaParams,
     apply_cost_phase,
@@ -51,12 +50,12 @@ from .qubo import (
 from .sampler import (
     AnnealSchedule,
     Backend,
-    ExternalSamplerConfig,
     Failure,
     SampleSet,
     default_schedule,
     exhaustive_ground_state,
     external_sampler_submit,
+    http_transport,
     sa_sample,
 )
 

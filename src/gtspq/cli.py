@@ -122,12 +122,13 @@ class RunConfig:
             ("--shots", self.shots),
             ("--grid", min(self.grid)),
             ("--layers", self.layers),
+            ("--jobs", self.jobs),
         ):
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1")
         if not self.timeout_s >= 0:  # NaN too: no elapsed time exceeds it
             raise ValueError(f"--timeout-s must be at least 0, got {self.timeout_s!r}")
-        _parse_reduce_spec(self.reduce)
+        preprocess.parse_spec(self.reduce)
         if "external" in self.backends and not self.external_url:
             raise ValueError("backend 'external' needs --external-url")
 
@@ -166,48 +167,7 @@ def _build_config(args) -> RunConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _parse_reduce_spec(spec: str) -> tuple[str, int | None]:
-    if spec == "none" or spec == "nn2c":
-        return spec, None
-    if spec.startswith("subsample:"):
-        try:
-            target = int(spec.removeprefix("subsample:"))
-        except ValueError:
-            target = 0
-        if target >= 1:
-            return "subsample", target
-    raise ValueError(f"bad --reduce value {spec!r}, expected nn2c|subsample:TARGET, TARGET >= 1")
-
-
 # --- per-instance pipeline ----------------------------------------------------
-
-
-def _subsample(
-    inst: GtspInstance, target: int, seed: int
-) -> tuple[GtspInstance, preprocess.ReductionRecord]:
-    """``cluster_subsample``, the result renamed ``<name>_nodes_<n>``."""
-    reduced, record = preprocess.cluster_subsample(inst, target, seed)
-    renamed = GtspInstance(
-        name=f"{reduced.name}_nodes_{reduced.n}",
-        clusters=reduced.clusters,
-        weights=reduced.weights,
-        symmetric=reduced.symmetric,
-    )
-    return renamed, record
-
-
-def _apply_reduction(
-    inst: GtspInstance, cfg: RunConfig, index: int
-) -> tuple[GtspInstance, preprocess.ReductionRecord | None, int | None]:
-    method, target = _parse_reduce_spec(cfg.reduce)
-    if method == "none":
-        return inst, None, None
-    original_n = inst.n
-    if method == "nn2c":
-        reduced, record = preprocess.nn2c_reduce(inst)
-        return reduced, record, original_n
-    reduced, record = _subsample(inst, target, stage_seed(cfg.seed, index, "subsample"))
-    return reduced, record, original_n
 
 
 def _run_backend(
@@ -223,18 +183,19 @@ def _run_backend(
             model, num_reads=cfg.reads, seed=stage_seed(cfg.seed, index, "sa")
         )
     elif backend is sampler.Backend.QAOA:
-        grid_cfg = qaoa.GridConfig(
-            gamma_points=cfg.grid[0],
-            beta_points=cfg.grid[1],
+        grid_result = qaoa.grid_search(
+            model,
+            inst,
+            stage_seed(cfg.seed, index, "qaoa"),
+            grid=cfg.grid,
             shots=cfg.shots,
             timeout_s=cfg.timeout_s,
             layers=cfg.layers,
         )
-        grid_result = qaoa.grid_search(model, grid_cfg, stage_seed(cfg.seed, index, "qaoa"), inst)
         samples = grid_result.search_samples  # every shot drawn during the search
     else:
-        config = sampler.ExternalSamplerConfig(url=cfg.external_url, num_reads=cfg.reads)
-        samples = sampler.external_sampler_submit(model, config)
+        transport = sampler.http_transport(cfg.external_url)
+        samples = sampler.external_sampler_submit(model, cfg.reads, transport)
     samples = dataclasses.replace(samples, wall_time_s=time.monotonic() - started)
     return samples, grid_result
 
@@ -242,15 +203,17 @@ def _run_backend(
 def _bench_instance(payload: tuple) -> dict:
     """Solve one instance end to end and persist its raw artifacts."""
     cfg, index, path = payload
-    inst = _read_instance(path)
-    inst, record, original_n = _apply_reduction(inst, cfg, index)
+    original = _read_instance(path)
+    inst, record = preprocess.reduce(
+        original, cfg.reduce, stage_seed(cfg.seed, index, "subsample")
+    )
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     raw_dir = Path(cfg.out) / "raw" / f"{index:03d}_{inst.name}"
 
     bench.atomic_write(raw_dir / "instance.gtsp", serialize_gtsplib(inst))
     if record is not None:
         bench.atomic_write(
-            raw_dir / "reduction.json", {**record.to_json_dict(), "original_n": original_n}
+            raw_dir / "reduction.json", {**record.to_json_dict(), "original_n": original.n}
         )
     bench.atomic_write(raw_dir / "model.json", qubo.to_json_dict(model))
     bench.atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
@@ -345,19 +308,13 @@ def cmd_parse(args) -> int:
 
 def cmd_reduce(args) -> int:
     try:
-        method, target = _parse_reduce_spec(args.reduce)
+        method, _ = preprocess.parse_spec(args.reduce)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if method == "none":
         raise _UsageError("--reduce must be nn2c or subsample:TARGET")
-    inst = _read_instance(args.instance)
-    if method == "nn2c":
-        reduced, record = preprocess.nn2c_reduce(inst)
-        stem = f"{reduced.name}_nn2c"
-    else:
-        seed = args.seed if args.seed is not None else 0
-        reduced, record = _subsample(inst, target, seed)
-        stem = reduced.name
+    reduced, record = preprocess.reduce(_read_instance(args.instance), args.reduce, args.seed)
+    stem = reduced.name if record.method == preprocess.METHOD_SUBSAMPLE else f"{reduced.name}_nn2c"
     out = Path(args.out)
     bench.atomic_write(out / f"{stem}.gtsp", serialize_gtsplib(reduced))
     bench.atomic_write(out / f"{stem}.json", record.to_json_dict())
@@ -380,8 +337,9 @@ def cmd_qubo(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _build_config(args)
-    inst = _read_instance(args.instance)
-    inst, _, _ = _apply_reduction(inst, cfg, 0)
+    inst, _ = preprocess.reduce(
+        _read_instance(args.instance), cfg.reduce, stage_seed(cfg.seed, 0, "subsample")
+    )
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     out = Path(cfg.out)
     failures = []
@@ -439,8 +397,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=None,
         help="comma list: exhaustive,sa,qaoa,external",
     )
-    p.add_argument("--reads", type=int, default=None, help="annealer-style reads (default 1500)")
-    p.add_argument("--shots", type=int, default=None, help="QAOA shots per grid cell (default 1500)")
+    p.add_argument(
+        "--reads", type=int, default=None, help=f"annealer-style reads (default {RunConfig.reads})"
+    )
+    p.add_argument(
+        "--shots", type=int, default=None, help=f"QAOA shots per grid cell (default {RunConfig.shots})"
+    )
     p.add_argument("--grid", type=str, default=None, help="QAOA grid, e.g. 10x10")
     p.add_argument("--timeout-s", dest="timeout_s", type=float, default=None)
     p.add_argument("--layers", type=int, default=None)
@@ -463,7 +425,7 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("reduce", help="write a reduced instance plus its record")
     p.add_argument("instance")
     p.add_argument("--reduce", type=str, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default="out")
     p.set_defaults(func=cmd_reduce)
 

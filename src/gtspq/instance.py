@@ -141,9 +141,15 @@ def tour_costs(inst: GtspInstance, orders) -> np.ndarray:
     exact solver. On a symmetric instance the cost is the smaller of the two
     directions' sums. Every rotation of a tour (and, if symmetric, of its
     reversal) thus gets one cost, and no tour costs less than
-    ``exact_solve``'s optimum, not even in the last bit.
+    ``exact_solve``'s optimum, not even in the last bit. ValueError if the
+    ids are not integers in 0..N-1.
     """
-    orders = np.asarray(orders, dtype=np.intp)
+    orders = np.asarray(orders)
+    if orders.dtype.kind not in "iu":
+        raise ValueError("expected integer node ids")
+    if not ((orders >= 0) & (orders < inst.n)).all():
+        raise ValueError(f"node id outside 0..{inst.n - 1}")
+    orders = orders.astype(np.intp, copy=False)
     k = inst.k
     first = np.argmax(inst.cluster_index[orders] == 0, axis=1)
     rot = np.take_along_axis(orders, (first[:, None] + np.arange(k)) % k, axis=1)

@@ -2,6 +2,8 @@
 
 Both return a reduced instance plus a record mapping new node ids back to the
 original ones. Reduced weights are pure submatrices of the original weights.
+``reduce`` is the one entry point that applies a ``--reduce`` spec
+(``none``, ``nn2c`` or ``subsample:TARGET``).
 """
 
 from __future__ import annotations
@@ -153,3 +155,35 @@ def cluster_subsample(
     selected.sort()
     kept_clusters = [list(inst.clusters[m]) for m in selected]
     return _submatrix_instance(inst, kept_clusters, METHOD_SUBSAMPLE, seed)
+
+
+def parse_spec(spec: str) -> tuple[str, int | None]:
+    """The method a ``--reduce`` spec names and its subsample target:
+    ``("none", None)``, ``("nn2c", None)`` or ``("subsample", TARGET)`` with
+    TARGET >= 1; ValueError for any other spec."""
+    if spec == "none" or spec == METHOD_NN2C:
+        return spec, None
+    if spec.startswith(f"{METHOD_SUBSAMPLE}:"):
+        try:
+            target = int(spec.removeprefix(f"{METHOD_SUBSAMPLE}:"))
+        except ValueError:
+            target = 0
+        if target >= 1:
+            return METHOD_SUBSAMPLE, target
+    raise ValueError(f"bad --reduce value {spec!r}, expected nn2c|subsample:TARGET, TARGET >= 1")
+
+
+def reduce(
+    inst: GtspInstance, spec: str, seed: int
+) -> tuple[GtspInstance, ReductionRecord | None]:
+    """``inst`` reduced as ``spec`` says, with its record; ``none`` returns
+    ``(inst, None)``. A subsample draws with ``seed`` and is renamed
+    ``<name>_nodes_<n>``; nn2c reads no seed."""
+    method, target = parse_spec(spec)
+    if method == "none":
+        return inst, None
+    if method == METHOD_NN2C:
+        return nn2c_reduce(inst)  # a global, looked up per call, so a wrapper sees it
+    reduced, record = cluster_subsample(inst, target, seed)
+    name = f"{reduced.name}_nodes_{reduced.n}"
+    return GtspInstance(name, reduced.clusters, reduced.weights, reduced.symmetric), record

@@ -14,6 +14,7 @@ cell and scores it by its shot-sampled mean energy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -61,21 +62,6 @@ class QaoaParams:
     gamma: float
     beta: float
     layers: int = 1
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    gamma_points: int = 10
-    beta_points: int = 10
-    shots: int = 1500
-    timeout_s: float = 300.0
-    layers: int = 1
-
-    def gammas(self) -> np.ndarray:
-        return np.linspace(*GAMMA_RANGE, self.gamma_points)
-
-    def betas(self) -> np.ndarray:
-        return np.linspace(*BETA_RANGE, self.beta_points)
 
 
 @dataclass(frozen=True)
@@ -200,18 +186,26 @@ def sample_shots(
 
 
 def grid_search(
-    model: QuboModel, grid: GridConfig, seed: int, inst: GtspInstance
+    model: QuboModel,
+    inst: GtspInstance,
+    seed: int,
+    *,
+    grid: tuple[int, int],
+    shots: int,
+    timeout_s: float,
+    layers: int,
 ) -> GridResult:
-    """Evaluate every (gamma, beta) cell, gamma-major.
+    """Evaluate every (gamma, beta) cell, gamma-major, on ``grid[0]`` gammas
+    and ``grid[1]`` betas spaced evenly over GAMMA_RANGE and BETA_RANGE.
 
-    Each cell is scored by its shot-estimated mean energy. The timeout
-    covers the whole call: on expiry the completed cells are returned, with
-    failure=timeout only if none completed. A model whose N^K amplitudes
-    exceed ``MAX_SUBSPACE_DIM`` runs no cell and fails as not_applicable.
-    Cell c derives its seed as seed + c, so the search is reproducible. One
-    decode of every cell's rows gives each cell's feasible shot fraction and
-    each row's node order; the search's shots are pooled by the order's flat
-    subspace tuple index.
+    Each cell runs ``layers`` layers and is scored by the mean energy of its
+    ``shots`` shots. ``timeout_s`` covers the whole call: on expiry the
+    completed cells are returned, with failure=timeout only if none
+    completed. A model whose N^K amplitudes exceed ``MAX_SUBSPACE_DIM`` runs
+    no cell and fails as not_applicable. Cell c derives its seed as seed + c,
+    so the search is reproducible. One decode of every cell's rows gives each
+    cell's feasible shot fraction and each row's node order; the search's
+    shots are pooled by the order's flat subspace tuple index.
     """
     try:
         layout = PartitionLayout(model.n, model.k)
@@ -220,21 +214,17 @@ def grid_search(
     diagonal = cost_diagonal(model)
     started = time.monotonic()
     runs: list[tuple[float, float, float, SampleSet]] = []  # gamma, beta, score, shots
-    for gamma in grid.gammas():
-        for beta in grid.betas():
-            if time.monotonic() - started > grid.timeout_s:
-                break
-            params = QaoaParams(
-                gamma=float(gamma), beta=float(beta), layers=grid.layers
-            )
-            cell_seed = seed + len(runs)
-            state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
-            samples = sample_shots(state, diagonal, grid.shots, cell_seed)
-            score = sum((samples.energies * samples.counts).tolist()) / grid.shots
-            runs.append((float(gamma), float(beta), score, samples))
-        else:
-            continue
-        break
+    for gamma, beta in itertools.product(
+        np.linspace(*GAMMA_RANGE, grid[0]).tolist(), np.linspace(*BETA_RANGE, grid[1]).tolist()
+    ):
+        if time.monotonic() - started > timeout_s:
+            break
+        params = QaoaParams(gamma=gamma, beta=beta, layers=layers)
+        cell_seed = seed + len(runs)
+        state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
+        samples = sample_shots(state, diagonal, shots, cell_seed)
+        score = sum((samples.energies * samples.counts).tolist()) / shots
+        runs.append((gamma, beta, score, samples))
 
     if not runs:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
@@ -244,7 +234,7 @@ def grid_search(
     feasible = np.array([v is None for v in violations], dtype=bool)
     counts = np.concatenate([s.counts for s in cell_sets])
     starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
-    fractions = (np.add.reduceat(counts * feasible, starts) / grid.shots).tolist()
+    fractions = (np.add.reduceat(counts * feasible, starts) / shots).tolist()
     cells = tuple(
         CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
         for (gamma, beta, score, samples), fraction in zip(runs, fractions)
@@ -256,7 +246,7 @@ def grid_search(
     )
     search_samples = SampleSet.from_rows(
         Backend.QAOA,
-        grid.shots * len(runs),
+        shots * len(runs),
         rows[first],
         np.bincount(inverse, weights=counts, minlength=len(flat)),
         diagonal.reshape(-1)[flat],

@@ -99,16 +99,32 @@ class SampleSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampleSet":
+        """The set ``to_json_dict`` wrote; ValueError if ``num_reads`` is not
+        a non-negative integer, a count is not a positive integer, a bit string
+        is listed twice, or the counts of a set without a failure do not sum to
+        ``num_reads``."""
         entries = data["entries"]
         bits = [str(e["bits"]) for e in entries]
+        counts = [e["count"] for e in entries]
+        num_reads = data["num_reads"]
+        failure = Failure(data["failure"]) if data.get("failure") else None
+        if type(num_reads) is not int or num_reads < 0:
+            raise ValueError(f"num_reads {num_reads!r} is not a non-negative integer")
+        for count in counts:
+            if type(count) is not int or count < 1:  # a bool is no count
+                raise ValueError(f"sample count {count!r} is not a positive integer")
+        if len(set(bits)) != len(bits):
+            raise ValueError("a bit string is listed more than once")
+        if failure is None and sum(counts) != num_reads:
+            raise ValueError(f"sample counts sum to {sum(counts)}, not num_reads {num_reads}")
         return cls.from_rows(
             Backend(data["backend"]),
-            int(data["num_reads"]),
+            num_reads,
             qubo.as_rows(bits, len(bits[0]) if bits else 0),
-            [int(e["count"]) for e in entries],
+            counts,
             [float(e["energy"]) for e in entries],
             wall_time_s=data.get("wall_time_s"),
-            failure=Failure(data["failure"]) if data.get("failure") else None,
+            failure=failure,
         )
 
 
@@ -260,20 +276,10 @@ class ExternalSamplerError(RuntimeError):
     """The remote sampler returned something outside the agreed schema."""
 
 
-@dataclass
-class ExternalSamplerConfig:
-    """Where to send the model: an HTTP endpoint or an in-process transport.
+def http_transport(url: str) -> Callable[[dict], dict]:
+    """A transport that POSTs the request dict to ``url`` as JSON and returns
+    the decoded JSON response."""
 
-    ``transport`` takes the JSON-able request dict and returns the response
-    dict; when absent, ``url`` is POSTed to with JSON over HTTP.
-    """
-
-    url: str | None = None
-    transport: Callable[[dict], dict] | None = None
-    num_reads: int = DEFAULT_NUM_READS
-
-
-def _http_transport(url: str) -> Callable[[dict], dict]:
     def send(payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
         req = urllib.request.Request(
@@ -301,32 +307,29 @@ def _map_remote_failure(reason: str) -> Failure:
 
 
 def external_sampler_submit(
-    model: QuboModel, config: ExternalSamplerConfig
+    model: QuboModel, num_reads: int, transport: Callable[[dict], dict]
 ) -> SampleSet:
     """Ship the exported model, ingest (bits, count) pairs, recompute energies.
 
-    A bit string listed more than once counts once, with the counts summed.
+    ``transport`` takes the JSON-able request dict and returns the response
+    dict (``http_transport`` sends it to an endpoint). A bit string listed
+    more than once counts once, with the counts summed.
 
     Remote failure strings map onto the failure taxonomy; transport errors
     count as a timeout; schema violations raise.
     """
-    transport = config.transport
-    if transport is None:
-        if config.url is None:
-            raise ValueError("external sampler needs a url or a transport")
-        transport = _http_transport(config.url)
-    payload = {"model": qubo.to_json_dict(model), "num_reads": config.num_reads}
+    payload = {"model": qubo.to_json_dict(model), "num_reads": num_reads}
     try:
         response = transport(payload)
     except (urllib.error.URLError, TimeoutError, ConnectionError, OSError):
-        return SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, config.num_reads)
+        return SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, num_reads)
 
     if not isinstance(response, dict):
         raise ExternalSamplerError("response is not a JSON object")
     reason = response.get("failure")
     if reason:
         failure = _map_remote_failure(str(reason))
-        return SampleSet.failed(Backend.EXTERNAL, failure, config.num_reads)
+        return SampleSet.failed(Backend.EXTERNAL, failure, num_reads)
     raw_entries = response.get("entries")
     if not isinstance(raw_entries, list):
         raise ExternalSamplerError("response lacks an entries list")

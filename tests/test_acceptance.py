@@ -21,7 +21,6 @@ from gtspq.cli import main
 from gtspq.instance import tour_cost
 from gtspq.preprocess import nn2c_reduce
 from gtspq.qaoa import (
-    GridConfig,
     PartitionLayout,
     QaoaParams,
     cost_diagonal,
@@ -217,7 +216,9 @@ def test_criterion_07_qaoa_end_to_end_small_instances():
         exact = exact_solve(inst)
         hits = 0
         for seed in range(10):
-            result = grid_search(model, GridConfig(shots=1500), seed, inst)
+            result = grid_search(
+                model, inst, seed, grid=(10, 10), shots=1500, timeout_s=300.0, layers=1
+            )
             _, random_costs = random_tours(inst, 100, seed=seed)
             report = build_report(
                 inst, model, {"qaoa": result.search_samples}, exact, random_costs.tolist()

@@ -207,11 +207,12 @@ def test_external_backend_requires_url(write_instance, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--grid", "0x10"), ("--shots", "0"), ("--reads", "0"), ("--layers", "0")]
+    "flag,value",
+    [("--grid", "0x10"), ("--shots", "0"), ("--reads", "0"), ("--layers", "0"), ("--jobs", "0")],
 )
 def test_bench_rejects_counts_below_one(write_instance, tmp_path, capsys, flag, value):
-    """A grid axis, shot, read or layer count below 1 is a usage error: no
-    cell runs and nothing is written."""
+    """A grid axis, shot, read, layer or job count below 1 is a usage error:
+    no cell runs and nothing is written."""
     path = write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))
     out = tmp_path / "run"
     args = ["bench", str(path), "--backend", "qaoa", "--reads", "20", "--shots", "20"]
@@ -447,6 +448,42 @@ def test_report_malformed_config_exit_2(bench_paths, tmp_path, capsys, edit):
     assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
     cfg = json.loads((out / "config.json").read_text())
     (out / "config.json").write_text(json.dumps(edit(cfg)))
+    capsys.readouterr()
+    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "again").exists()
+
+
+def _edit_first_entry(key, value):
+    def edit(data):
+        data["entries"][0][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["entries"].append(dict(d["entries"][0])),
+        _edit_first_entry("count", -1),
+        _edit_first_entry("count", 0),
+        _edit_first_entry("count", True),
+        _edit_first_entry("count", 1.5),
+        _edit_first_entry("count", "1"),
+        lambda d: d.update(num_reads=d["num_reads"] + 1),
+    ],
+    ids=["listed-twice", "count-negative", "count-0", "count-true", "count-1.5", "count-str", "sum"],
+)
+def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
+    """``report`` rejects a raw sample file whose counts could not have come
+    from a run: a bit string listed twice, a count that is not a positive
+    integer, or counts that do not add up to the reads."""
+    out = tmp_path / "run"
+    assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
+    samples = out / "raw" / "000_6fri26_nodes_3" / "samples_sa.json"
+    data = json.loads(samples.read_text())
+    edit(data)
+    samples.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -43,6 +43,26 @@ def test_tour_cost_rejects_wrong_length(toy_instance):
         tour_cost(toy_instance, (0,))
 
 
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ([[-1, 0]], "outside 0..2"),  # would wrap to node 2
+        ([[1, 5]], "outside 0..2"),
+        ([[0, 3]], "outside 0..2"),
+        ([[0.5, 2.7]], "integer"),  # would truncate to (0, 2)
+        (np.array([[0.0, 2.0]]), "integer"),
+    ],
+    ids=["minus-1", "5", "n", "fractional", "float-array"],
+)
+def test_tour_costs_rejects_bad_node_ids(orders, message):
+    inst = GtspInstance("f", [[0, 1], [2]], [[0, 1, 4], [1, 0, 6], [4, 6, 0]], symmetric=True)
+    assert tour_costs(inst, [[0, 2], [2, 1]]).tolist() == [8.0, 12.0]
+    with pytest.raises(ValueError, match=message):
+        tour_costs(inst, orders)
+    with pytest.raises(ValueError, match=message):
+        tour_cost(inst, orders[0])
+
+
 def test_tour_cost_matches_independent_resummation():
     inst = gen.make_random_instance(seed=11, n=4, k=4)
     import itertools

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtspq.instance import GtspInstance
-from gtspq.preprocess import ReductionRecord, cluster_subsample, nn2c_reduce
+from gtspq.preprocess import ReductionRecord, cluster_subsample, nn2c_reduce, parse_spec, reduce
 
 import gen
 
@@ -204,3 +204,54 @@ def test_reduction_record_validation():
         ReductionRecord("x", {0: 0}, "subsample", seed=None)
     rec = ReductionRecord("x", {0: 5, 1: 7}, "subsample", seed=9)
     assert ReductionRecord.from_json_dict(rec.to_json_dict()) == rec
+
+
+# --- the --reduce entry point ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, parsed",
+    [
+        ("none", ("none", None)),
+        ("nn2c", ("nn2c", None)),
+        ("subsample:1", ("subsample", 1)),
+        ("subsample:12", ("subsample", 12)),
+        ("subsample:+7", ("subsample", 7)),
+    ],
+)
+def test_parse_spec_accepts(spec, parsed):
+    assert parse_spec(spec) == parsed
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["", "bogus", "NN2C", "nn2c:3", "subsample", "subsample:", "subsample:0",
+     "subsample:-2", "subsample:2.5", "subsample:x", " none"],
+)
+def test_parse_spec_rejects(spec):
+    with pytest.raises(ValueError, match="bad --reduce value .*TARGET >= 1"):
+        parse_spec(spec)
+
+
+def test_reduce_none_returns_the_instance():
+    inst = gen.make_random_instance(seed=11, n=9, k=3)
+    reduced, record = reduce(inst, "none", 5)
+    assert reduced is inst and record is None
+
+
+def test_reduce_nn2c_is_nn2c_reduce():
+    inst = gen.preprocess_original("5ulysses22", 5, 22, 5)
+    expected = nn2c_reduce(inst)
+    assert reduce(inst, "nn2c", 0) == expected
+    assert reduce(inst, "nn2c", 99) == expected  # nn2c reads no seed
+
+
+def test_reduce_subsample_renames_by_size():
+    inst = gen.make_random_instance(seed=12, n=20, k=6)
+    sub, sub_record = cluster_subsample(inst, 9, seed=4)
+    reduced, record = reduce(inst, "subsample:9", 4)
+    assert record == sub_record
+    assert reduced.name == f"{inst.name}_nodes_{sub.n}" != sub.name
+    assert reduced == GtspInstance(reduced.name, sub.clusters, sub.weights, sub.symmetric)
+    with pytest.raises(ValueError):
+        reduce(inst, "subsample:0", 4)

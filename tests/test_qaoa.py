@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gtspq.cli import RunConfig
 from gtspq.qubo import build_qubo, encode_rows, energy, from_terms
 from gtspq.qaoa import (
-    GridConfig,
     QaoaParams,
     PartitionLayout,
     StateTooLargeError,
@@ -368,19 +368,25 @@ def test_sample_shots_energies_equal_qubo_energy():
 # --- grid search ------------------------------------------------------------------------
 
 
-def test_grid_endpoints_inclusive():
-    grid = GridConfig()
-    gammas = grid.gammas()
-    betas = grid.betas()
+def _grid(model, inst, seed, **overrides):
+    """``grid_search`` at ``RunConfig``'s default settings, ``overrides`` on top."""
+    settings = {key: getattr(RunConfig, key) for key in ("grid", "shots", "timeout_s", "layers")}
+    return grid_search(model, inst, seed, **{**settings, **overrides})
+
+
+def test_grid_endpoints_inclusive(toy_instance):
+    cells = _grid(build_qubo(toy_instance), toy_instance, 0, shots=10).cells
+    gammas = sorted({c.gamma for c in cells})
+    betas = sorted({c.beta for c in cells})
     assert gammas[0] == pytest.approx(0.05) and gammas[-1] == pytest.approx(math.pi)
     assert betas[0] == pytest.approx(0.05) and betas[-1] == pytest.approx(math.pi / 2)
     assert len(gammas) == len(betas) == 10
+    assert [(c.gamma, c.beta) for c in cells] == [(g, b) for g in gammas for b in betas]
 
 
 def test_grid_1x1_degenerates_to_single_run(toy_instance):
     model = build_qubo(toy_instance)
-    grid = GridConfig(gamma_points=1, beta_points=1, shots=200)
-    result = grid_search(model, grid, 5, toy_instance)
+    result = _grid(model, toy_instance, 5, grid=(1, 1), shots=200)
     assert len(result.cells) == 1
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
     state = run_qaoa(model, PartitionLayout(2, 2), params, seed=5)
@@ -391,7 +397,7 @@ def test_grid_1x1_degenerates_to_single_run(toy_instance):
 
 def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     model = build_qubo(toy_instance)
-    result = grid_search(model, GridConfig(shots=1500), 1, toy_instance)
+    result = _grid(model, toy_instance, 1)
     optimal_rows = encode_rows(2, [(0, 1), (1, 0)])
     # the first cell of least mean energy; only the optimal tours reach its energy
     best = min(result.cells, key=lambda c: c.mean_energy)
@@ -402,17 +408,15 @@ def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
 
 def test_grid_deterministic(toy_instance):
     model = build_qubo(toy_instance)
-    grid = GridConfig(gamma_points=3, beta_points=3, shots=100)
-    a = grid_search(model, grid, 2, toy_instance)
-    b = grid_search(model, grid, 2, toy_instance)
+    a = _grid(model, toy_instance, 2, grid=(3, 3), shots=100)
+    b = _grid(model, toy_instance, 2, grid=(3, 3), shots=100)
     assert a.cells == b.cells
     assert a.search_samples.to_json_dict() == b.search_samples.to_json_dict()
 
 
 def test_grid_search_samples_pool_every_cell(toy_instance):
     model = build_qubo(toy_instance)
-    grid = GridConfig(gamma_points=4, beta_points=4, shots=100)
-    result = grid_search(model, grid, 9, toy_instance)
+    result = _grid(model, toy_instance, 9, grid=(4, 4), shots=100)
     assert result.search_samples.num_reads == 16 * 100
     pool = result.search_samples
     assert pool.counts.sum() == 16 * 100
@@ -432,8 +436,7 @@ def test_grid_search_samples_pool_every_cell(toy_instance):
 
 def test_grid_timeout_zero_cells(toy_instance):
     model = build_qubo(toy_instance)
-    grid = GridConfig(shots=10, timeout_s=-1.0)
-    result = grid_search(model, grid, 0, toy_instance)
+    result = _grid(model, toy_instance, 0, shots=10, timeout_s=-1.0)
     assert result.search_samples.failure is Failure.TIMEOUT
     assert result.search_samples.num_reads == 0
     assert result.cells == ()
@@ -443,7 +446,7 @@ def test_grid_over_state_cap_not_applicable():
     """8^7 > MAX_SUBSPACE_DIM amplitudes: no cell runs, and the search
     fails as not_applicable with no reads."""
     inst = gen.make_random_instance(seed=3, n=8, k=7)
-    result = grid_search(build_qubo(inst), GridConfig(1, 1, shots=10), 0, inst)
+    result = _grid(build_qubo(inst), inst, 0, grid=(1, 1), shots=10)
     assert result.cells == ()
     assert result.search_samples.backend is Backend.QAOA
     assert result.search_samples.failure is Failure.NOT_APPLICABLE

@@ -18,13 +18,13 @@ from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, from_terms
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
-    ExternalSamplerConfig,
     ExternalSamplerError,
     Failure,
     SampleSet,
     default_schedule,
     exhaustive_ground_state,
     external_sampler_submit,
+    http_transport,
     sa_sample,
 )
 
@@ -283,7 +283,7 @@ def test_external_echo_ground_state(toy_instance):
         assert payload["model"]["n_vars"] == model.num_vars
         return {"entries": [{"bits": gs_bits, "count": 3}]}
 
-    result = external_sampler_submit(model, ExternalSamplerConfig(transport=transport))
+    result = external_sampler_submit(model, 1500, transport)
     assert result.backend is Backend.EXTERNAL
     assert result.num_reads == 3
     assert result.entries.tolist() == as_rows([gs_bits], model.num_vars).tolist()
@@ -297,16 +297,13 @@ def test_external_never_trusts_remote_energy(toy_instance):
     def transport(payload):
         return {"entries": [{"bits": "1001", "count": 1, "energy": -999.0}]}
 
-    result = external_sampler_submit(model, ExternalSamplerConfig(transport=transport))
+    result = external_sampler_submit(model, 1500, transport)
     assert result.energies[0] == pytest.approx(energy(model, "1001"))
 
 
 def test_external_embedding_failure(toy_instance):
     model = _toy_model(toy_instance)
-    result = external_sampler_submit(
-        model,
-        ExternalSamplerConfig(transport=lambda payload: {"failure": "embedding failed"}),
-    )
+    result = external_sampler_submit(model, 1500, lambda payload: {"failure": "embedding failed"})
     assert result.failure is Failure.COULD_NOT_EMBED
     assert len(result.entries) == len(result.counts) == 0
     assert result.num_reads == 1500
@@ -316,10 +313,7 @@ def test_external_wrong_length_is_schema_error(toy_instance):
     model = _toy_model(toy_instance)
     with pytest.raises(ExternalSamplerError):
         external_sampler_submit(
-            model,
-            ExternalSamplerConfig(
-                transport=lambda payload: {"entries": [{"bits": "101", "count": 1}]}
-            ),
+            model, 1500, lambda payload: {"entries": [{"bits": "101", "count": 1}]}
         )
 
 
@@ -339,17 +333,14 @@ def test_external_wrong_length_is_schema_error(toy_instance):
 )
 def test_external_malformed_entry_names_its_fault(toy_instance, item, message):
     model = _toy_model(toy_instance)
-    config = ExternalSamplerConfig(transport=lambda payload: {"entries": [item]})
     with pytest.raises(ExternalSamplerError, match=message):
-        external_sampler_submit(model, config)
+        external_sampler_submit(model, 1500, lambda payload: {"entries": [item]})
 
 
 def test_external_merges_repeated_bitstrings(toy_instance):
     model = _toy_model(toy_instance)
     entries = [{"bits": "1001", "count": 2}, {"bits": "0000", "count": 1}, {"bits": "1001", "count": 3}]
-    result = external_sampler_submit(
-        model, ExternalSamplerConfig(transport=lambda payload: {"entries": entries})
-    )
+    result = external_sampler_submit(model, 1500, lambda payload: {"entries": entries})
     assert result.num_reads == 6
     assert result.entries.tolist() == [[1, 0, 0, 1], [0, 0, 0, 0]]  # by energy
     assert result.counts.tolist() == [5, 1]
@@ -361,7 +352,7 @@ def test_external_transport_error_is_timeout(toy_instance):
     def broken(payload):
         raise urllib.error.URLError("down")
 
-    result = external_sampler_submit(model, ExternalSamplerConfig(transport=broken))
+    result = external_sampler_submit(model, 1500, broken)
     assert result.failure is Failure.TIMEOUT
 
 
@@ -388,7 +379,7 @@ def test_external_http_round_trip(toy_instance):
     thread.start()
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/"
-        result = external_sampler_submit(model, ExternalSamplerConfig(url=url))
+        result = external_sampler_submit(model, 1500, http_transport(url))
         assert result.num_reads == 2
         assert result.entries.tolist() == as_rows([gs_bits], model.num_vars).tolist()
     finally:
@@ -410,3 +401,31 @@ def test_sampleset_json_round_trip(toy_instance):
     failed = SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, 7)
     assert SampleSet.from_json_dict(failed.to_json_dict()).to_json_dict() == failed.to_json_dict()
     assert failed.num_reads == 7 and failed.entries.shape == (0, 0)
+
+
+_THREE_READS = [("1001", 1), ("0110", 2)]
+
+
+@pytest.mark.parametrize(
+    "entries, num_reads, message",
+    [
+        ([("1001", 2), ("1001", 1)], 3, "listed more than once"),
+        ([("1001", -1), ("0110", 4)], 3, "count -1 is not a positive integer"),
+        ([("1001", 0), ("0110", 3)], 3, "count 0 is not a positive integer"),
+        ([("1001", True), ("0110", 2)], 3, "count True is not a positive integer"),
+        ([("1001", 1.5), ("0110", 1.5)], 3, "count 1.5 is not a positive integer"),
+        (_THREE_READS, 4, "sum to 3, not num_reads 4"),
+        (_THREE_READS, 3.0, "num_reads 3.0 is not a non-negative integer"),
+        (_THREE_READS, "3", "num_reads '3' is not a non-negative integer"),
+    ],
+)
+def test_sampleset_from_json_rejects_malformed_counts(entries, num_reads, message):
+    data = {
+        "backend": "sa",
+        "num_reads": num_reads,
+        "wall_time_s": None,
+        "failure": None,
+        "entries": [{"bits": b, "count": c, "energy": 0.0} for b, c in entries],
+    }
+    with pytest.raises(ValueError, match=message):
+        SampleSet.from_json_dict(data)

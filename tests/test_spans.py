@@ -3,8 +3,9 @@
 ``pipebench/spans.py`` replaces gtspq functions by their module attribute and
 reads counters off their arguments, e.g. ``run_qaoa``'s layout and params at
 positions 1 and 2 and ``exhaustive_ground_state``'s model at position 0. A
-rename or a moved argument would break only traced benchmark runs, so one
-small traced ``bench`` run here checks the counters.
+rename, a moved argument or a call that bypasses the module attribute would
+break only traced benchmark runs, so small traced ``bench`` runs here check
+the counters and the spans.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from gtspq.cli import main
 
 import gen
 
-SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
+PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("pipebench_spans", SPANS)
+def _load(stem: str):
+    spec = importlib.util.spec_from_file_location(f"pipebench_{stem}", PIPEBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve the module by name
     try:
@@ -32,7 +33,7 @@ def _load_spans():
 
 
 def test_traced_bench_counts_qaoa_cells_and_amplitudes(write_instance, tmp_path):
-    spans = _load_spans()
+    spans = _load("spans")
     n, k = 4, 3
     path = write_instance(gen.subsample_instance("5ulysses22_nodes_4", n, k))
     tracer = spans.Tracer()
@@ -47,3 +48,22 @@ def test_traced_bench_counts_qaoa_cells_and_amplitudes(write_instance, tmp_path)
     assert counts["qaoa.cells"] == 4
     assert counts["qaoa.amplitudes"] == 4 * n**k
     assert counts["sampler.exhaustive_states"] == 2 ** (n * k)
+
+
+def test_traced_bench_sees_nn2c_and_external(write_instance, tmp_path):
+    """The nn2c reduction and the external sampler each record one span."""
+    spans, stub = _load("spans"), _load("stub")
+    path = write_instance(gen.preprocess_original("4br17", 4, 17, 4))
+    server = stub.StubServer(seed=1)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        args = ["bench", str(path), "--reduce", "nn2c", "--backend", "external"]
+        code = main(args + ["--reads", "20", "--external-url", server.url, "--out", str(tmp_path)])
+    finally:
+        tracer.unwrap_all()
+        server.close()
+    assert code == 0
+    names = [s.name for s in tracer.spans]
+    assert names.count("preprocess.nn2c_s") == 1
+    assert names.count("sampler.external_self_s") == 1
