@@ -2,9 +2,9 @@
 
 Feasibility ratio (``feasible_shot_rate``) counts the shots that decode to
 valid tours; approximation ratio is optimal cost over achieved cost (1.0 is
-optimal). AR distributions weight every shot by its multiplicity, so a
-bitstring sampled 30 times contributes 30 points. Emission is deterministic:
-fixed row order, repr float formatting, sorted JSON keys, schema tag "v1".
+optimal). An AR distribution holds each distinct AR once, with its shot count:
+a bitstring sampled 30 times is one value counted 30 times. Emission is
+deterministic: fixed row order, repr float formatting, sorted JSON keys, "v2".
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,11 @@ import numpy as np
 from . import qubo
 from .baseline import ExactResult
 from .instance import GtspInstance, tour_costs
+from .qaoa import CellSummary, GridResult
 from .qubo import QuboModel
 from .sampler import Failure, SampleSet
 
-SCHEMA_VERSION = "v1"
+SCHEMA_VERSION = "v2"
 
 
 def approximation_ratio(optimal: float, cost: float) -> float:
@@ -36,7 +37,8 @@ def approximation_ratio(optimal: float, cost: float) -> float:
 @dataclass(frozen=True)
 class BackendReport:
     feasible_shot_rate: float
-    ar_distribution: tuple[float, ...]
+    ar_values: tuple[float, ...]  # distinct feasible-shot ARs, ascending
+    ar_counts: tuple[int, ...]  # shots per value
     best_shot_ar: float | None
     mean_solver_cost: float | None
     mean_random_cost: float
@@ -68,10 +70,7 @@ class InstanceReport:
             },
             "optimal_cost": self.optimal_cost,
             "mean_random_cost": self.mean_random_cost,
-            "backends": {
-                # vars, not asdict: asdict copies ar_distribution float by float
-                key: vars(rep) for key, rep in sorted(self.backends.items())
-            },
+            "backends": {key: vars(rep) for key, rep in sorted(self.backends.items())},
         }
 
 
@@ -108,25 +107,27 @@ def build_report(
     backends: dict[str, BackendReport] = {}
     for key, samples in sample_sets.items():
         failure = samples.failure.value if samples.failure else None
-        ars: list[float] = []
-        costs: list[float] = []
+        weight, mean_cost, values, counts = 0, None, (), ()
         if samples.failure is None and len(samples.counts):
             violations, order = qubo.decode_rows(model, inst, samples.entries)
             feasible = np.array([v is None for v in violations], dtype=bool)
-            row_costs = tour_costs(inst, order[feasible]).tolist()
-            for cost, count in zip(row_costs, samples.counts[feasible].tolist()):
-                costs.extend([cost] * count)
-                if optimal > 0:
-                    ars.extend([approximation_ratio(optimal, cost)] * count)
-        weight = len(costs)
+            row_costs = tour_costs(inst, order[feasible])
+            row_counts = samples.counts[feasible]
+            weight = int(row_counts.sum())
+            mean_cost = float(row_costs @ row_counts) / weight if weight else None
+            if weight and optimal > 0:
+                ars, inverse = np.unique(optimal / row_costs, return_inverse=True)
+                values = tuple(ars.tolist())
+                counts = tuple(np.bincount(inverse, weights=row_counts).astype(int).tolist())
         if samples.failure is None and weight == 0:
             failure = Failure.INVALID_TOUR.value
         reads = samples.num_reads
         backends[key] = BackendReport(
             feasible_shot_rate=(weight / reads) if reads else 0.0,
-            ar_distribution=tuple(ars),
-            best_shot_ar=max(ars) if ars else None,
-            mean_solver_cost=(sum(costs) / weight) if weight else None,
+            ar_values=values,
+            ar_counts=counts,
+            best_shot_ar=values[-1] if values else None,
+            mean_solver_cost=mean_cost,
             mean_random_cost=mean_random,
             optimal_cost=optimal,
             wall_time_s=samples.wall_time_s,
@@ -155,7 +156,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -182,8 +183,8 @@ def ar_csv(group: ExperimentGroup) -> str:
     for rep in group.reports:
         for key, b in sorted(rep.backends.items()):
             mean_ar = (
-                sum(b.ar_distribution) / len(b.ar_distribution)
-                if b.ar_distribution
+                sum(v * c for v, c in zip(b.ar_values, b.ar_counts)) / sum(b.ar_counts)
+                if b.ar_values
                 else None
             )
             mean_random_ar = (
@@ -198,7 +199,12 @@ def ar_csv(group: ExperimentGroup) -> str:
 
 
 def violin_csv(report: BackendReport) -> str:
-    return "ar\n" + "".join(f"{ar!r}\n" for ar in report.ar_distribution)
+    return _csv_text(["ar", "count"], zip(report.ar_values, report.ar_counts))
+
+
+def grid_csv(result: GridResult) -> str:
+    """One row per QAOA grid cell in search order, one column per CellSummary field."""
+    return _csv_text([f.name for f in fields(CellSummary)], map(astuple, result.cells))
 
 
 def atomic_write(path: Path, content: str | dict) -> None:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import baseline, bench, preprocess, qaoa, qubo, sampler
 from .instance import GtsplibError, GtspInstance, parse_gtsplib, serialize_gtsplib
+from .instance import is_feasible_tour, tour_cost
 
 _STAGE = {"subsample": 1, "sa": 2, "qaoa": 3, "random": 4}
 
@@ -246,7 +247,7 @@ def _bench_instance(payload: tuple) -> dict:
         samples = dataclasses.replace(samples, wall_time_s=None)  # keep runs byte-identical
         bench.atomic_write(raw_dir / f"samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
-            bench.atomic_write(raw_dir / "qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
+            bench.atomic_write(raw_dir / "qaoa_grid.csv", bench.grid_csv(grid_result))
     return {"index": index, "raw_dir": str(raw_dir)}
 
 
@@ -260,9 +261,12 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
         inst = parse_gtsplib((raw_dir / "instance.gtsp").read_text(encoding="utf-8"))
         model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
         exact_data = json.loads((raw_dir / "exact.json").read_text(encoding="utf-8"))
+        tour, cost = exact_data["tour"], exact_data["cost"]
+        if not is_feasible_tour(inst, tour) or tour_cost(inst, tour) != cost:
+            raise ValueError(f"{raw_dir.name}/exact.json: not a one-node-per-cluster tour with its cost")
         exact = baseline.ExactResult(
-            tour=tuple(exact_data["tour"]),
-            cost=float(exact_data["cost"]),
+            tour=tuple(tour),
+            cost=float(cost),
             explored_orderings=int(exact_data["explored_orderings"]),
         )
         random_costs = json.loads((raw_dir / "random.json").read_text(encoding="utf-8"))[
@@ -347,7 +351,7 @@ def cmd_solve(args) -> int:
         samples, grid_result = _run_backend(key, inst, model, cfg, 0)
         bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
-            bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", qaoa.grid_summary_csv(grid_result))
+            bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", bench.grid_csv(grid_result))
         print(
             f"{inst.name} {key}: best_energy="
             f"{samples.energies[0] if len(samples.energies) else None} "

@@ -252,15 +252,3 @@ def grid_search(
         diagonal.reshape(-1)[flat],
     )
     return GridResult(cells, search_samples)
-
-
-def grid_summary_csv(result: GridResult) -> str:
-    """Per-cell CSV: gamma, beta, mean_energy, feasible_shot_fraction,
-    best_shot_energy."""
-    lines = ["gamma,beta,mean_energy,feasible_shot_fraction,best_shot_energy"]
-    for cell in result.cells:
-        lines.append(
-            f"{cell.gamma!r},{cell.beta!r},{cell.mean_energy!r},"
-            f"{cell.feasible_shot_fraction!r},{cell.best_shot_energy!r}"
-        )
-    return "\n".join(lines) + "\n"

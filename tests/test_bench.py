@@ -8,10 +8,12 @@ import pytest
 
 from gtspq.baseline import exact_solve, random_tours
 from gtspq.bench import (
+    BackendReport,
     ExperimentGroup,
     approximation_ratio,
     build_report,
     emit,
+    violin_csv,
 )
 from gtspq.instance import GtspInstance, tour_cost
 from gtspq.qubo import as_rows, build_qubo, decode, encode_rows, rows_to_strs
@@ -112,14 +114,15 @@ def test_build_report_every_shot_optimal(toy_instance):
     assert backend.best_shot_ar == 1.0
     assert backend.mean_solver_cost == report.optimal_cost == 10.0
     assert backend.failure is None
-    assert len(backend.ar_distribution) == 1500
+    assert backend.ar_values == (1.0,)
+    assert backend.ar_counts == (1500,)
 
 
 def test_build_report_zero_feasible_is_invalid_tour(toy_instance):
     _, report = _toy_pipeline(toy_instance, [("0000", 1500, 44.0)], 1500)
     backend = report.backends["sa"]
     assert backend.failure == "invalid_tour"
-    assert backend.ar_distribution == ()
+    assert backend.ar_values == backend.ar_counts == ()
     assert backend.best_shot_ar is None
     assert backend.mean_solver_cost is None
 
@@ -142,9 +145,9 @@ def test_build_report_count_weighted_distribution():
     random_costs = random_tours(inst, 50, seed=1)[1].tolist()
     report = build_report(inst, model, {"sa": _sample_set(entries, 100)}, exact, random_costs)
     backend = report.backends["sa"]
-    assert len(backend.ar_distribution) == 35  # one point per shot, not per bitstring
+    assert sum(backend.ar_counts) == 35  # one count per shot, not per bitstring
     assert backend.feasible_shot_rate == pytest.approx(0.35)
-    assert backend.best_shot_ar == max(backend.ar_distribution)
+    assert backend.best_shot_ar == max(backend.ar_values)
     expected_mean = (
         30 * tour_cost(inst, tours[0]) + 5 * tour_cost(inst, tours[1])
     ) / 35
@@ -176,7 +179,8 @@ def test_report_recomputation_oracle(toy_instance):
             ars.extend([exact.cost / cost] * item["count"])
     backend = report.backends["sa"]
     assert backend.feasible_shot_rate == feas / raw["num_reads"]
-    assert list(backend.ar_distribution) == ars
+    assert backend.ar_values == tuple(sorted(set(ars)))
+    assert backend.ar_counts == tuple(ars.count(v) for v in backend.ar_values)
     assert report.mean_random_cost == sum(random_costs) / len(random_costs)
 
 
@@ -188,9 +192,10 @@ def test_invariants_best_shot_and_random_mean(subsample_small_instances):
         samples = sa_sample(model, num_reads=200, seed=3)
         report = build_report(inst, model, {"sa": samples}, exact, random_costs)
         backend = report.backends["sa"]
-        if backend.ar_distribution:
-            assert backend.best_shot_ar == max(backend.ar_distribution)
-            assert all(0 < ar <= 1 + 1e-12 for ar in backend.ar_distribution)
+        if backend.ar_values:
+            assert backend.best_shot_ar == max(backend.ar_values)
+            assert all(0 < ar <= 1 + 1e-12 for ar in backend.ar_values)
+            assert all(c > 0 for c in backend.ar_counts)
         assert report.mean_random_cost >= report.optimal_cost - 1e-9
 
 
@@ -217,7 +222,7 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
             [(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
         )
         report = build_report(inst, model, {"x": samples}, exact, [exact.cost])
-        ars = report.backends["x"].ar_distribution
+        ars = report.backends["x"].ar_values
         assert max(ars) == 1.0 and all(ar <= 1.0 for ar in ars)
         if symmetric:
             tours += [t[::-1] for t in tours]
@@ -233,7 +238,7 @@ def test_emit_empty_group(tmp_path):
     assert (tmp_path / "instances.csv").read_text() == "name,n,k,qubits,original_n\n"
     assert (tmp_path / "feasibility.csv").read_text().startswith("instance,backend")
     data = json.loads((tmp_path / "group.json").read_text())
-    assert data == {"schema": "v1", "name": "empty", "instances": []}
+    assert data == {"schema": "v2", "name": "empty", "instances": []}
 
 
 def test_emit_row_order_and_headers(toy_instance, tmp_path):
@@ -247,26 +252,37 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
     ar_lines = (tmp_path / "ar.csv").read_text().splitlines()
     assert ar_lines[0] == "instance,backend,best_shot_ar,mean_ar,mean_random_ar"
     violin = tmp_path / "violin" / "toy_sa.csv"
-    assert violin.read_text().splitlines()[0] == "ar"
-    assert len(violin.read_text().splitlines()) == 11
+    assert violin.read_text().splitlines() == ["ar,count", "1.0,10"]
 
 
-def test_violin_csv_matches_csv_writer_output():
-    import csv
-    import io
+def test_violin_csv_rows_are_values_with_counts():
+    ars = (2e-7, 0.123456789012345, 1 / 3, 0.8, 1.0)
+    report = BackendReport(1.0, ars, (1, 2, 3, 40, 500), 1.0, 1.0, 1.0, 1.0, None, None)
+    assert violin_csv(report) == (
+        "ar,count\n2e-07,1\n0.123456789012345,2\n0.3333333333333333,3\n0.8,40\n1.0,500\n"
+    )
+    empty = BackendReport(0.0, (), (), None, None, 1.0, 1.0, None, "invalid_tour")
+    assert violin_csv(empty) == "ar,count\n"
 
-    from gtspq.bench import BackendReport, violin_csv
 
-    ars = (1.0, 0.8, 1 / 3, 0.123456789012345, 2e-7)
-    report = BackendReport(1.0, ars, 1.0, 1.0, 1.0, 1.0, None, None)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ar"])
-    for ar in ars:
-        writer.writerow([repr(ar)])
-    assert violin_csv(report) == buf.getvalue()
-    empty = BackendReport(0.0, (), None, None, 1.0, 1.0, None, "invalid_tour")
-    assert violin_csv(empty) == "ar\n"
+def test_report_size_does_not_grow_with_shot_count():
+    """The same rows with every count scaled by 1000 give the same AR values
+    and the same number of violin lines; only the counts scale."""
+    inst = gen.make_random_instance(seed=23, n=4, k=2)
+    model = build_qubo(inst)
+    exact = exact_solve(inst)
+    tours = list(itertools.islice(_feasible_tours(inst), 4))
+    backends = {}
+    for scale in (1, 1000):
+        entries = [(_bits(inst.n, t), (i + 1) * scale, 0.0) for i, t in enumerate(tours)]
+        entries.append(("0" * model.num_vars, 7 * scale, 0.0))
+        samples = _sample_set(entries, 17 * scale)
+        backends[scale] = build_report(inst, model, {"x": samples}, exact, [exact.cost]).backends["x"]
+    small, large = backends[1], backends[1000]
+    assert small.ar_values == large.ar_values
+    assert large.ar_counts == tuple(1000 * c for c in small.ar_counts)
+    assert sum(small.ar_counts) == 10
+    assert violin_csv(large).count("\n") == violin_csv(small).count("\n") <= 5
 
 
 def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):

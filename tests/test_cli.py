@@ -488,3 +488,30 @@ def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(cost=2 * d["cost"]),
+        lambda d: d["tour"].__setitem__(1, d["tour"][0]),
+        lambda d: d["tour"].pop(),
+        lambda d: d.update(tour=None),
+        lambda d: d.update(cost=None),
+    ],
+    ids=["cost-doubled", "wrong-cluster", "short-tour", "tour-null", "cost-null"],
+)
+def test_report_malformed_exact_exit_2(bench_paths, tmp_path, capsys, edit):
+    """``report`` rejects an exact.json whose tour is not one node per
+    cluster or whose cost is not that tour's cost, instead of reporting
+    ARs against it."""
+    out = tmp_path / "run"
+    assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
+    exact = out / "raw" / "000_6fri26_nodes_3" / "exact.json"
+    data = json.loads(exact.read_text())
+    edit(data)
+    exact.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "again").exists()

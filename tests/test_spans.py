@@ -5,7 +5,8 @@ reads counters off their arguments, e.g. ``run_qaoa``'s layout and params at
 positions 1 and 2 and ``exhaustive_ground_state``'s model at position 0. A
 rename, a moved argument or a call that bypasses the module attribute would
 break only traced benchmark runs, so small traced ``bench`` runs here check
-the counters and the spans.
+the counters and the spans. Likewise ``pipebench/outputs.py`` reads fields of
+the report and raw files by name, so a small run is read through it too.
 """
 
 from __future__ import annotations
@@ -67,3 +68,24 @@ def test_traced_bench_sees_nn2c_and_external(write_instance, tmp_path):
     names = [s.name for s in tracer.spans]
     assert names.count("preprocess.nn2c_s") == 1
     assert names.count("sampler.external_self_s") == 1
+
+
+def test_benchmark_reads_a_real_run(write_instance, tmp_path):
+    """The benchmark's output checks and quality tally accept a real run."""
+    outputs = _load("outputs")
+    path = write_instance(gen.subsample_instance("5ulysses22_nodes_4", 4, 3))
+    backends = ["exhaustive", "sa", "qaoa"]
+    args = ["bench", str(path), "--backend", ",".join(backends), "--grid", "2x2"]
+    code = main(args + ["--reads", "20", "--shots", "20", "--out", str(tmp_path)])
+    assert code == 0
+    assert outputs.output_errors(tmp_path) == []
+    tally = outputs.Tally()
+    outputs.tally_run(tally, tmp_path, backends, code, 1)
+    assert tally.cells == 3
+    assert {key: b.shots for key, b in tally.backends.items()} == {
+        "exhaustive": 1,
+        "sa": 20,
+        "qaoa": 4 * 20,
+    }
+    assert tally.backend("exhaustive").ar_sum == 1.0
+    assert tally.backend("sa").feasible_shots > 0
