@@ -14,9 +14,11 @@ uses. Rounding is monotone, so the table's minimum is the exact floating-point
 minimum of that sum over all tours (both directions of each), and
 ``tour_cost`` of the returned tour equals it bit for bit.
 
-Ties go to the lexicographically smallest cluster ordering (cluster 0 first),
-then to the smallest start node, then at each position to the first node of
-the cluster that keeps the optimum. The table holds
+The ordering search extends the prefix one cluster at a time and keeps each
+extension's fixed-order suffix costs; the tour is read off those of the last
+extension. Ties go to the lexicographically smallest cluster ordering
+(cluster 0 first), then to the smallest start node, then at each position to
+the first node of the cluster that keeps the optimum. The table holds
 |C0| * 2^(K-1) * (N - |C0|) float64 entries; an instance needing more than
 ``EXACT_STATE_CAP`` raises ``ValueError``.
 """
@@ -68,7 +70,9 @@ def exact_solve(inst: GtspInstance) -> ExactResult:
     # Smallest optimal ordering, one position at a time: a prefix extended by
     # cluster c is kept iff some tour through it attains the optimum. Its best
     # tour is the nested min from the table row back through the prefix, the
-    # same float operations as the full sum, so the test is exact.
+    # same float operations as the full sum, so the test is exact. After the
+    # last extension the table row is the closing leg, so the kept suffix
+    # costs are the fixed-order DP of the optimal ordering.
     ordering = [0]
     visited = 0
     for _ in range(inst.k - 1):
@@ -76,21 +80,16 @@ def exact_solve(inst: GtspInstance) -> ExactResult:
             bit = 1 << (c - 1)
             if visited & bit:
                 continue
-            nodes = rest[c - 1]
-            tail = g[:, visited | bit, bounds[c - 1] : bounds[c]]
-            for m in reversed(ordering[1:]):
-                prev = inst.clusters[m]
-                tail = (w[np.ix_(prev, nodes)][None] + tail[:, None, :]).min(axis=2)
-                nodes = prev
-            if ((w[np.ix_(starts, nodes)] + tail).min(axis=1) == optimum).any():
+            seq = [inst.clusters[m] for m in ordering + [c]]
+            suffix = _suffix_costs(w, seq, g[:, visited | bit, bounds[c - 1] : bounds[c]])
+            if (suffix[0] == optimum).any():
                 ordering.append(c)
                 visited |= bit
                 break
         else:  # the optimum always extends; guard anyway
             raise AssertionError("optimal ordering reconstruction failed")
 
-    seq = [inst.clusters[m] for m in ordering]
-    cost, tour = min(_best_tour_for_ordering(w, seq, s) for s in seq[0])
+    cost, tour = _read_off(w, seq, suffix)
     return ExactResult(tour=tour, cost=cost, explored_orderings=math.factorial(inst.k - 1))
 
 
@@ -120,38 +119,40 @@ def _suffix_table(w, starts, cols, col_bit) -> np.ndarray:
     return g
 
 
-def _best_tour_for_ordering(w, seq, s) -> tuple[float, tuple[int, ...]]:
-    """Min-cost tour through the cluster sequence starting (and closing) at s.
+def _suffix_costs(w, seq, closing) -> list[np.ndarray]:
+    """Fixed-order DP ("cluster optimisation", Fischetti, Salazar-Gonzalez &
+    Toth 1997) over the cluster sequence ``seq``, whose first cluster holds
+    the start nodes.
 
-    g[p][v] = cheapest cost from node v at position p through the rest of the
-    sequence back to s; the forward reconstruction picks the smallest node
-    achieving the optimum at each position, so the returned tour is the
-    lexicographically smallest optimal one for this (ordering, s).
+    Element p >= 1 is the (starts, len(seq[p])) array of cheapest costs from
+    each node at position p through the later positions and back to each
+    start; the last is ``closing``. Element 0 is each start's tour total.
+    Each is the right-to-left nested min, the float association of
+    ``tour_cost``.
     """
-    k = len(seq)
-    g: list[dict[int, float]] = [dict() for _ in range(k)]
-    for v in seq[k - 1]:
-        g[k - 1][v] = float(w[v, s])
-    for p in range(k - 2, 0, -1):
-        nxt = g[p + 1]
-        for u in seq[p]:
-            g[p][u] = min(float(w[u, v]) + nxt[v] for v in seq[p + 1])
-    total = min(float(w[s, v]) + g[1][v] for v in seq[1])
+    suffix = [closing]
+    for p in range(len(seq) - 2, 0, -1):
+        legs = w[np.ix_(seq[p], seq[p + 1])]
+        suffix.append((legs[None] + suffix[-1][:, None, :]).min(axis=2))
+    suffix.append((w[np.ix_(seq[0], seq[1])] + suffix[-1]).min(axis=1))
+    return suffix[::-1]
 
-    tour = [s]
-    cur = s
-    remaining = total
-    for p in range(1, k):
-        for v in seq[p]:
-            step = float(w[cur, v]) + g[p][v]
-            if step == remaining:
-                tour.append(v)
-                remaining = g[p][v]
-                cur = v
-                break
-        else:  # float asymmetry should be impossible; guard anyway
+
+def _read_off(w, seq, suffix) -> tuple[float, tuple[int, ...]]:
+    """The cheapest tour through ``seq`` and its cost, from ``_suffix_costs``:
+    the first start attaining the minimum total, then at each position the
+    first node whose leg plus suffix equals the remaining cost."""
+    cost = suffix[0].min()
+    i = int(np.flatnonzero(suffix[0] == cost)[0])
+    tour = [seq[0][i]]
+    remaining = cost
+    for nodes, tail in zip(seq[1:], suffix[1:]):
+        hit = np.flatnonzero(w[tour[-1], nodes] + tail[i] == remaining)
+        if not hit.size:  # float asymmetry should be impossible; guard anyway
             raise AssertionError("tour reconstruction failed")
-    return total, tuple(tour)
+        tour.append(nodes[hit[0]])
+        remaining = tail[i, hit[0]]
+    return float(cost), tuple(tour)
 
 
 def random_tours(

@@ -7,9 +7,9 @@ stage by stage regardless of --jobs scheduling.
 
 Exit codes: 0 success, 1 usage error (flags or a --config file), 2
 instance/model error, a malformed external-sampler response or a malformed
-``config.json`` read by ``report``, 3 when every requested backend reported
-a failure. Diagnostics go to stderr; all output files are written atomically
-(temp + rename).
+``config.json`` or raw file read by ``report``, 3 when every requested
+backend reported a failure. Diagnostics go to stderr; all output files are
+written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -49,21 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_instance(path: str) -> GtspInstance:
     return parse_gtsplib(Path(path).read_text(encoding="utf-8"))
-
-
-# the type of each field that holds one JSON scalar
-_SCALAR_FIELDS = {
-    "reduce": str,
-    "seed": int,
-    "reads": int,
-    "shots": int,
-    "timeout_s": float,
-    "layers": int,
-    "zero_is_edge": bool,
-    "jobs": int,
-    "out": str,
-    "group": str,
-}
 
 
 @dataclasses.dataclass
@@ -108,7 +94,11 @@ class RunConfig:
             ("backends", _is_list_of(self.backends, str)),
             ("grid", _is_list_of(self.grid, int, tuple) and len(self.grid) == 2),
             ("external_url", self.external_url is None or type(self.external_url) is str),
-            *((key, type(getattr(self, key)) is kind) for key, kind in _SCALAR_FIELDS.items()),
+            *(
+                (key, type(getattr(self, key)) is kind)
+                for key, kind in typing.get_type_hints(type(self)).items()
+                if kind in (str, int, float, bool)  # the fields that hold one JSON scalar
+            ),
         ):
             if not ok:
                 raise ValueError(f"bad {key} value {getattr(self, key)!r}")
@@ -228,11 +218,10 @@ def _bench_instance(payload: tuple) -> dict:
             "explored_orderings": exact.explored_orderings,
         },
     )
-    rnd_seed = stage_seed(cfg.seed, index, "random")
-    _, random_costs = baseline.random_tours(inst, cfg.reads, rnd_seed)
+    # the random baseline is drawn once, from these, when the report is built
     bench.atomic_write(
         raw_dir / "random.json",
-        {"seed": rnd_seed, "count": cfg.reads, "costs": random_costs.tolist()},
+        {"seed": stage_seed(cfg.seed, index, "random"), "count": cfg.reads},
     )
 
     for key in cfg.backends:
@@ -269,15 +258,18 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
             cost=float(cost),
             explored_orderings=int(exact_data["explored_orderings"]),
         )
-        random_costs = json.loads((raw_dir / "random.json").read_text(encoding="utf-8"))[
-            "costs"
-        ]
+        rnd = json.loads((raw_dir / "random.json").read_text(encoding="utf-8"))
+        seed, count = (rnd.get("seed"), rnd.get("count")) if isinstance(rnd, dict) else (None, None)
+        if type(seed) is not int or type(count) is not int or count < 1:
+            raise ValueError(f"{raw_dir.name}/random.json: needs an integer seed and a count >= 1")
+        _, random_costs = baseline.random_tours(inst, count, seed)
         original_n = None
         reduction_path = raw_dir / "reduction.json"
         if reduction_path.exists():
-            original_n = json.loads(reduction_path.read_text(encoding="utf-8")).get(
-                "original_n"
-            )
+            record = json.loads(reduction_path.read_text(encoding="utf-8"))
+            original_n = record.get("original_n") if isinstance(record, dict) else None
+            if type(original_n) is not int or original_n < inst.n:
+                raise ValueError(f"{raw_dir.name}/reduction.json: original_n is not an integer >= n")
         sample_sets = {}
         for key in cfg.backends:
             data = json.loads(
@@ -286,7 +278,7 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
             sample_sets[key] = sampler.SampleSet.from_json_dict(data)
         reports.append(
             bench.build_report(
-                inst, model, sample_sets, exact, random_costs, original_n=original_n
+                inst, model, sample_sets, exact, random_costs.tolist(), original_n=original_n
             )
         )
     return bench.ExperimentGroup(name=cfg.group, reports=tuple(reports))

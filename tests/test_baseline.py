@@ -10,7 +10,8 @@ import pytest
 from gtspq import baseline
 from gtspq.baseline import (
     EXACT_STATE_CAP,
-    _best_tour_for_ordering,
+    _read_off,
+    _suffix_costs,
     exact_solve,
     exact_state_count,
     random_tours,
@@ -30,6 +31,40 @@ def brute_force_optimum(inst):
             if best is None or cost < best:
                 best = cost
     return best
+
+
+def _best_tour_for_ordering(w, seq, s) -> tuple[float, tuple[int, ...]]:
+    """Min-cost tour through the cluster sequence starting (and closing) at s.
+
+    g[p][v] = cheapest cost from node v at position p through the rest of the
+    sequence back to s; the forward reconstruction picks the smallest node
+    achieving the optimum at each position, so the returned tour is the
+    lexicographically smallest optimal one for this (ordering, s).
+    """
+    k = len(seq)
+    g: list[dict[int, float]] = [dict() for _ in range(k)]
+    for v in seq[k - 1]:
+        g[k - 1][v] = float(w[v, s])
+    for p in range(k - 2, 0, -1):
+        nxt = g[p + 1]
+        for u in seq[p]:
+            g[p][u] = min(float(w[u, v]) + nxt[v] for v in seq[p + 1])
+    total = min(float(w[s, v]) + g[1][v] for v in seq[1])
+
+    tour = [s]
+    cur = s
+    remaining = total
+    for p in range(1, k):
+        for v in seq[p]:
+            step = float(w[cur, v]) + g[p][v]
+            if step == remaining:
+                tour.append(v)
+                remaining = g[p][v]
+                cur = v
+                break
+        else:  # float asymmetry should be impossible; guard anyway
+            raise AssertionError("tour reconstruction failed")
+    return total, tuple(tour)
 
 
 def enumerate_exact(inst):
@@ -81,6 +116,24 @@ def test_matches_enumeration_oracle(weights, symmetric):
             got = (result.tour, result.cost, result.explored_orderings)
             assert got == enumerate_exact(inst), (k, inst.clusters, inst.weights.tolist())
             assert tour_cost(inst, result.tour) == result.cost
+
+
+@pytest.mark.parametrize("weights", ["integer", "ties", "decimal"])
+def test_fixed_order_step_matches_per_start_reference(weights):
+    """The solver's fixed-order step, closed by the leg back to each start,
+    gives the per-start reference's best cost and tour for every ordering,
+    bit for bit."""
+    rng = np.random.default_rng([gen.name_seed(weights), 2])
+    for k in range(2, 7):
+        for _ in range(4):
+            inst = _battery_instance(rng, k, weights, symmetric=bool(rng.integers(2)))
+            w = inst.weights
+            for perm in itertools.permutations(range(1, k)):
+                seq = [inst.clusters[m] for m in (0,) + perm]
+                closing = w[np.ix_(seq[-1], seq[0])].T
+                got = _read_off(w, seq, _suffix_costs(w, seq, closing))
+                assert got == min(_best_tour_for_ordering(w, seq, s) for s in seq[0])
+                assert type(got[0]) is float and all(type(v) is int for v in got[1])
 
 
 def test_tie_hidden_by_rounding_goes_to_smallest_ordering():

@@ -333,6 +333,7 @@ def test_bench_raw_artifacts_present(bench_paths, tmp_path):
         "qaoa_grid.csv",
     ):
         assert (raw / name).exists(), name
+    assert sorted(json.loads((raw / "random.json").read_text())) == ["count", "seed"]
     sa = json.loads((raw / "samples_sa.json").read_text())
     assert sa["wall_time_s"] is None  # timing is stripped for reproducibility
     grid_lines = (raw / "qaoa_grid.csv").read_text().splitlines()
@@ -515,3 +516,67 @@ def test_report_malformed_exact_exit_2(bench_paths, tmp_path, capsys, edit):
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "again").exists()
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("random.json", lambda d: {**d, "count": 0}),
+        ("random.json", lambda d: {**d, "count": "20"}),
+        ("random.json", lambda d: {**d, "seed": str(d["seed"])}),
+        ("random.json", _without("seed")),
+        ("random.json", _without("count")),
+        ("random.json", lambda d: [d]),
+        ("reduction.json", lambda d: {**d, "original_n": "foo"}),
+        ("reduction.json", lambda d: {**d, "original_n": 3}),
+        ("reduction.json", lambda d: [d]),
+    ],
+    ids=[
+        "count-0",
+        "count-str",
+        "seed-str",
+        "no-seed",
+        "no-count",
+        "random-list",
+        "original-n-str",
+        "original-n-below-n",
+        "reduction-list",
+    ],
+)
+def test_report_malformed_raw_exit_2(write_instance, tmp_path, capsys, name, edit):
+    """``report`` rejects a random.json that is not an object with an
+    integer seed and a count of at least 1, and a reduction.json that is not
+    an object whose original_n is an integer at least the reduced instance's
+    n (4 here)."""
+    path = write_instance(gen.preprocess_original("4br17", 4, 17, 4))
+    out = tmp_path / "run"
+    args = ["bench", str(path), "--reduce", "nn2c", "--backend", "sa", "--reads", "20"]
+    assert main(args + ["--out", str(out)]) == 0
+    raw = out / "raw" / "000_4br17" / name
+    raw.write_text(json.dumps(edit(json.loads(raw.read_text()))))
+    capsys.readouterr()
+    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "again").exists()
+
+
+def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):
+    """A run directory that still stores the random tours' costs, as bench
+    once wrote them, re-reports to the same bytes: the costs are redrawn
+    from the seed and count."""
+    from gtspq.baseline import random_tours
+
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    for raw in sorted((out / "raw").iterdir()):
+        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
+        data = json.loads((raw / "random.json").read_text())
+        data["costs"] = random_tours(inst, data["count"], data["seed"])[1].tolist()
+        (raw / "random.json").write_text(json.dumps(data))
+    target = tmp_path / "again"
+    assert main(["report", str(out), "--out", str(target)]) == 0
+    assert _dir_snapshot(target) == _dir_snapshot(out / "report")

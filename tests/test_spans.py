@@ -12,6 +12,7 @@ the report and raw files by name, so a small run is read through it too.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +50,10 @@ def test_traced_bench_counts_qaoa_cells_and_amplitudes(write_instance, tmp_path)
     assert counts["qaoa.cells"] == 4
     assert counts["qaoa.amplitudes"] == 4 * n**k
     assert counts["sampler.exhaustive_states"] == 2 ** (n * k)
+    assert counts["baseline.exact_orderings"] == math.factorial(k - 1)
+    names = [s.name for s in tracer.spans]
+    assert names.count("baseline.exact_s") == 1
+    assert names.count("baseline.random_s") == 1  # one draw per instance, at report time
 
 
 def test_traced_bench_sees_nn2c_and_external(write_instance, tmp_path):
