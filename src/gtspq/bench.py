@@ -4,7 +4,7 @@ Feasibility ratio (``feasible_shot_rate``) counts the shots that decode to
 valid tours; approximation ratio is optimal cost over achieved cost (1.0 is
 optimal). An AR distribution holds each distinct AR once, with its shot count:
 a bitstring sampled 30 times is one value counted 30 times. Emission is
-deterministic: fixed row order, repr float formatting, sorted JSON keys, "v2".
+deterministic: fixed row order, repr float formatting, sorted JSON keys, "v3".
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import qubo
-from .baseline import ExactResult
 from .instance import GtspInstance, tour_costs
 from .qaoa import CellSummary, GridResult
 from .qubo import QuboModel
 from .sampler import Failure, SampleSet
 
-SCHEMA_VERSION = "v2"
+SCHEMA_VERSION = "v3"
 
 
 def approximation_ratio(optimal: float, cost: float) -> float:
@@ -41,9 +40,6 @@ class BackendReport:
     ar_counts: tuple[int, ...]  # shots per value
     best_shot_ar: float | None
     mean_solver_cost: float | None
-    mean_random_cost: float
-    optimal_cost: float
-    wall_time_s: float | None
     failure: str | None
 
 
@@ -93,17 +89,15 @@ def build_report(
     inst: GtspInstance,
     model: QuboModel,
     sample_sets: dict[str, SampleSet],
-    exact: ExactResult,
+    optimal_cost: float,
     random_costs: list[float],
     original_n: int | None = None,
 ) -> InstanceReport:
-    """Aggregate one instance's sample sets against the exact baseline.
+    """Aggregate one instance's sample sets against the exact optimum's cost.
 
     A backend with shots but no feasible one is reported as an invalid-tour
     failure with an empty AR distribution instead of fabricated metrics.
     """
-    mean_random = sum(random_costs) / len(random_costs)
-    optimal = exact.cost
     backends: dict[str, BackendReport] = {}
     for key, samples in sample_sets.items():
         failure = samples.failure.value if samples.failure else None
@@ -115,8 +109,8 @@ def build_report(
             row_counts = samples.counts[feasible]
             weight = int(row_counts.sum())
             mean_cost = float(row_costs @ row_counts) / weight if weight else None
-            if weight and optimal > 0:
-                ars, inverse = np.unique(optimal / row_costs, return_inverse=True)
+            if weight and optimal_cost > 0:
+                ars, inverse = np.unique(optimal_cost / row_costs, return_inverse=True)
                 values = tuple(ars.tolist())
                 counts = tuple(np.bincount(inverse, weights=row_counts).astype(int).tolist())
         if samples.failure is None and weight == 0:
@@ -128,9 +122,6 @@ def build_report(
             ar_counts=counts,
             best_shot_ar=values[-1] if values else None,
             mean_solver_cost=mean_cost,
-            mean_random_cost=mean_random,
-            optimal_cost=optimal,
-            wall_time_s=samples.wall_time_s,
             failure=failure,
         )
     return InstanceReport(
@@ -139,8 +130,8 @@ def build_report(
         k=inst.k,
         qubits=model.num_vars,
         original_n=original_n,
-        optimal_cost=optimal,
-        mean_random_cost=mean_random,
+        optimal_cost=optimal_cost,
+        mean_random_cost=sum(random_costs) / len(random_costs),
         backends=backends,
     )
 
@@ -181,15 +172,15 @@ def feasibility_csv(group: ExperimentGroup) -> str:
 def ar_csv(group: ExperimentGroup) -> str:
     rows = []
     for rep in group.reports:
+        mean_random_ar = (
+            approximation_ratio(rep.optimal_cost, rep.mean_random_cost)
+            if rep.optimal_cost > 0
+            else None
+        )
         for key, b in sorted(rep.backends.items()):
             mean_ar = (
                 sum(v * c for v, c in zip(b.ar_values, b.ar_counts)) / sum(b.ar_counts)
                 if b.ar_values
-                else None
-            )
-            mean_random_ar = (
-                approximation_ratio(b.optimal_cost, b.mean_random_cost)
-                if b.optimal_cost > 0
                 else None
             )
             rows.append([rep.name, key, b.best_shot_ar, mean_ar, mean_random_ar])

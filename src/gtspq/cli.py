@@ -164,7 +164,6 @@ def _build_config(args) -> RunConfig:
 def _run_backend(
     key: str, inst: GtspInstance, model: qubo.QuboModel, cfg: RunConfig, index: int
 ) -> tuple[sampler.SampleSet, qaoa.GridResult | None]:
-    started = time.monotonic()
     grid_result = None
     backend = sampler.Backend(key)
     if backend is sampler.Backend.EXHAUSTIVE:
@@ -187,7 +186,6 @@ def _run_backend(
     else:
         transport = sampler.http_transport(cfg.external_url)
         samples = sampler.external_sampler_submit(model, cfg.reads, transport)
-    samples = dataclasses.replace(samples, wall_time_s=time.monotonic() - started)
     return samples, grid_result
 
 
@@ -206,18 +204,10 @@ def _bench_instance(payload: tuple) -> dict:
         bench.atomic_write(
             raw_dir / "reduction.json", {**record.to_json_dict(), "original_n": original.n}
         )
-    bench.atomic_write(raw_dir / "model.json", qubo.to_json_dict(model))
     bench.atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
 
     exact = baseline.exact_solve(inst)
-    bench.atomic_write(
-        raw_dir / "exact.json",
-        {
-            "tour": list(exact.tour),
-            "cost": exact.cost,
-            "explored_orderings": exact.explored_orderings,
-        },
-    )
+    bench.atomic_write(raw_dir / "exact.json", {"tour": list(exact.tour), "cost": exact.cost})
     # the random baseline is drawn once, from these, when the report is built
     bench.atomic_write(
         raw_dir / "random.json",
@@ -225,15 +215,9 @@ def _bench_instance(payload: tuple) -> dict:
     )
 
     for key in cfg.backends:
+        started = time.monotonic()
         samples, grid_result = _run_backend(key, inst, model, cfg, index)
-        print(
-            f"[{inst.name}] backend={key} best="
-            f"{samples.energies[0] if len(samples.energies) else None} "
-            f"failure={samples.failure.value if samples.failure else None} "
-            f"wall={samples.wall_time_s:.2f}s",
-            file=sys.stderr,
-        )
-        samples = dataclasses.replace(samples, wall_time_s=None)  # keep runs byte-identical
+        print(f"[{inst.name}] {_outcome(key, samples, started)}", file=sys.stderr)
         bench.atomic_write(raw_dir / f"samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(raw_dir / "qaoa_grid.csv", bench.grid_csv(grid_result))
@@ -249,39 +233,46 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
             continue
         inst = parse_gtsplib((raw_dir / "instance.gtsp").read_text(encoding="utf-8"))
         model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
-        exact_data = json.loads((raw_dir / "exact.json").read_text(encoding="utf-8"))
-        tour, cost = exact_data["tour"], exact_data["cost"]
+        exact = _read_object(raw_dir / "exact.json")
+        tour, cost = exact["tour"], exact["cost"]
         if not is_feasible_tour(inst, tour) or tour_cost(inst, tour) != cost:
             raise ValueError(f"{raw_dir.name}/exact.json: not a one-node-per-cluster tour with its cost")
-        exact = baseline.ExactResult(
-            tour=tuple(tour),
-            cost=float(cost),
-            explored_orderings=int(exact_data["explored_orderings"]),
-        )
-        rnd = json.loads((raw_dir / "random.json").read_text(encoding="utf-8"))
-        seed, count = (rnd.get("seed"), rnd.get("count")) if isinstance(rnd, dict) else (None, None)
+        rnd = _read_object(raw_dir / "random.json")
+        seed, count = rnd.get("seed"), rnd.get("count")
         if type(seed) is not int or type(count) is not int or count < 1:
             raise ValueError(f"{raw_dir.name}/random.json: needs an integer seed and a count >= 1")
         _, random_costs = baseline.random_tours(inst, count, seed)
         original_n = None
         reduction_path = raw_dir / "reduction.json"
         if reduction_path.exists():
-            record = json.loads(reduction_path.read_text(encoding="utf-8"))
-            original_n = record.get("original_n") if isinstance(record, dict) else None
+            original_n = _read_object(reduction_path).get("original_n")
             if type(original_n) is not int or original_n < inst.n:
                 raise ValueError(f"{raw_dir.name}/reduction.json: original_n is not an integer >= n")
-        sample_sets = {}
-        for key in cfg.backends:
-            data = json.loads(
-                (raw_dir / f"samples_{key}.json").read_text(encoding="utf-8")
-            )
-            sample_sets[key] = sampler.SampleSet.from_json_dict(data)
+        sample_sets = {
+            key: sampler.SampleSet.from_json_dict(_read_object(raw_dir / f"samples_{key}.json"))
+            for key in cfg.backends
+        }
         reports.append(
             bench.build_report(
-                inst, model, sample_sets, exact, random_costs.tolist(), original_n=original_n
+                inst, model, sample_sets, float(cost), random_costs.tolist(), original_n=original_n
             )
         )
     return bench.ExperimentGroup(name=cfg.group, reports=tuple(reports))
+
+
+def _read_object(path: Path) -> dict:
+    """The JSON object a raw file holds; ValueError if it holds anything else."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path.parent.name}/{path.name}: not a JSON object")
+    return data
+
+
+def _outcome(key: str, samples: sampler.SampleSet, started: float) -> str:
+    """One backend's best energy, failure and the seconds since ``started``."""
+    best = samples.energies[0] if len(samples.energies) else None
+    failure = samples.failure.value if samples.failure else None
+    return f"{key}: best_energy={best} failure={failure} wall={time.monotonic() - started:.2f}s"
 
 
 def _all_failed(group: bench.ExperimentGroup) -> bool:
@@ -340,15 +331,12 @@ def cmd_solve(args) -> int:
     out = Path(cfg.out)
     failures = []
     for key in cfg.backends:
+        started = time.monotonic()
         samples, grid_result = _run_backend(key, inst, model, cfg, 0)
+        print(f"{inst.name} {_outcome(key, samples, started)}")
         bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", bench.grid_csv(grid_result))
-        print(
-            f"{inst.name} {key}: best_energy="
-            f"{samples.energies[0] if len(samples.energies) else None} "
-            f"failure={samples.failure.value if samples.failure else None}"
-        )
         failures.append(samples.failure is not None)
     return EXIT_ALL_FAILED if all(failures) else EXIT_OK
 

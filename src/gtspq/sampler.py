@@ -57,7 +57,6 @@ class SampleSet:
     entries: np.ndarray
     counts: np.ndarray
     energies: np.ndarray
-    wall_time_s: float | None = None
     failure: Failure | None = None
 
     def __post_init__(self):
@@ -66,15 +65,16 @@ class SampleSet:
 
     @classmethod
     def from_rows(
-        cls, backend: Backend, num_reads: int, rows, counts, energies, **fields
+        cls, backend: Backend, num_reads: int, rows, counts, energies,
+        failure: Failure | None = None,
     ) -> "SampleSet":
         """A set from distinct ``rows`` and their aligned counts and energies,
-        sorted by (energy, bits); ``fields`` sets ``wall_time_s`` / ``failure``."""
+        sorted by (energy, bits)."""
         rows = np.asarray(rows, dtype=np.uint8)
         energies = np.asarray(energies, dtype=np.float64)
         order = np.lexsort((*rows.T[::-1], energies))  # last key is the primary one
         counts = np.asarray(counts, dtype=np.int64)[order]
-        return cls(backend, num_reads, rows[order], counts, energies[order], **fields)
+        return cls(backend, num_reads, rows[order], counts, energies[order], failure)
 
     @classmethod
     def failed(cls, backend: Backend, failure: Failure, num_reads: int) -> "SampleSet":
@@ -85,7 +85,6 @@ class SampleSet:
         return {
             "backend": self.backend.value,
             "num_reads": self.num_reads,
-            "wall_time_s": self.wall_time_s,
             "failure": self.failure.value if self.failure else None,
             "entries": [
                 {"bits": bits, "count": count, "energy": e}
@@ -99,11 +98,13 @@ class SampleSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampleSet":
-        """The set ``to_json_dict`` wrote; ValueError if ``num_reads`` is not
-        a non-negative integer, a count is not a positive integer, a bit string
-        is listed twice, or the counts of a set without a failure do not sum to
-        ``num_reads``."""
+        """The set ``to_json_dict`` wrote; ValueError if ``entries`` is not a
+        list of objects, ``num_reads`` is not a non-negative integer, a count is
+        not a positive integer, a bit string is listed twice, or the counts of a
+        set without a failure do not sum to ``num_reads``."""
         entries = data["entries"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("sample entries are not a list of objects")
         bits = [str(e["bits"]) for e in entries]
         counts = [e["count"] for e in entries]
         num_reads = data["num_reads"]
@@ -123,8 +124,7 @@ class SampleSet:
             qubo.as_rows(bits, len(bits[0]) if bits else 0),
             counts,
             [float(e["energy"]) for e in entries],
-            wall_time_s=data.get("wall_time_s"),
-            failure=failure,
+            failure,
         )
 
 

@@ -221,7 +221,7 @@ def test_criterion_07_qaoa_end_to_end_small_instances():
             )
             _, random_costs = random_tours(inst, 100, seed=seed)
             report = build_report(
-                inst, model, {"qaoa": result.search_samples}, exact, random_costs.tolist()
+                inst, model, {"qaoa": result.search_samples}, exact.cost, random_costs.tolist()
             )
             if report.backends["qaoa"].best_shot_ar == 1.0:
                 hits += 1
@@ -267,7 +267,7 @@ def test_criterion_09_metric_identities():
         exact = exact_solve(inst)
         random_costs = random_tours(inst, 500, seed=11)[1].tolist()
         samples = sa_sample(model, num_reads=100, seed=1)
-        report = build_report(inst, model, {"sa": samples}, exact, random_costs)
+        report = build_report(inst, model, {"sa": samples}, exact.cost, random_costs)
         backend = report.backends["sa"]
         if backend.ar_values:
             assert backend.best_shot_ar == backend.ar_values[-1] == max(backend.ar_values)

@@ -50,7 +50,7 @@ def _bits(n, order) -> str:
 
 def _feasible_shot_rate(samples, model, inst):
     exact = exact_solve(inst)
-    report = build_report(inst, model, {"sa": samples}, exact, [exact.cost])
+    report = build_report(inst, model, {"sa": samples}, exact.cost, [exact.cost])
     return report.backends["sa"].feasible_shot_rate
 
 
@@ -101,7 +101,7 @@ def _toy_pipeline(toy_instance, entries, num_reads, failure=None):
     random_costs = random_tours(toy_instance, 100, seed=0)[1].tolist()
     samples = _sample_set(entries, num_reads, failure=failure)
     report = build_report(
-        toy_instance, model, {"sa": samples}, exact, random_costs
+        toy_instance, model, {"sa": samples}, exact.cost, random_costs
     )
     return model, report
 
@@ -143,7 +143,7 @@ def test_build_report_count_weighted_distribution():
         ("0" * model.num_vars, 65, 4 * model.lam),
     ]
     random_costs = random_tours(inst, 50, seed=1)[1].tolist()
-    report = build_report(inst, model, {"sa": _sample_set(entries, 100)}, exact, random_costs)
+    report = build_report(inst, model, {"sa": _sample_set(entries, 100)}, exact.cost, random_costs)
     backend = report.backends["sa"]
     assert sum(backend.ar_counts) == 35  # one count per shot, not per bitstring
     assert backend.feasible_shot_rate == pytest.approx(0.35)
@@ -166,7 +166,7 @@ def test_report_recomputation_oracle(toy_instance):
     samples = sa_sample(model, num_reads=400, seed=5)
     exact = exact_solve(toy_instance)
     random_costs = random_tours(toy_instance, 200, seed=2)[1].tolist()
-    report = build_report(toy_instance, model, {"sa": samples}, exact, random_costs)
+    report = build_report(toy_instance, model, {"sa": samples}, exact.cost, random_costs)
 
     raw = samples.to_json_dict()
     feas = 0
@@ -190,7 +190,7 @@ def test_invariants_best_shot_and_random_mean(subsample_small_instances):
         exact = exact_solve(inst)
         random_costs = random_tours(inst, 300, seed=7)[1].tolist()
         samples = sa_sample(model, num_reads=200, seed=3)
-        report = build_report(inst, model, {"sa": samples}, exact, random_costs)
+        report = build_report(inst, model, {"sa": samples}, exact.cost, random_costs)
         backend = report.backends["sa"]
         if backend.ar_values:
             assert backend.best_shot_ar == max(backend.ar_values)
@@ -221,7 +221,7 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
         samples = _sample_set(
             [(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
         )
-        report = build_report(inst, model, {"x": samples}, exact, [exact.cost])
+        report = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost])
         ars = report.backends["x"].ar_values
         assert max(ars) == 1.0 and all(ar <= 1.0 for ar in ars)
         if symmetric:
@@ -238,7 +238,7 @@ def test_emit_empty_group(tmp_path):
     assert (tmp_path / "instances.csv").read_text() == "name,n,k,qubits,original_n\n"
     assert (tmp_path / "feasibility.csv").read_text().startswith("instance,backend")
     data = json.loads((tmp_path / "group.json").read_text())
-    assert data == {"schema": "v2", "name": "empty", "instances": []}
+    assert data == {"schema": "v3", "name": "empty", "instances": []}
 
 
 def test_emit_row_order_and_headers(toy_instance, tmp_path):
@@ -257,11 +257,11 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
 
 def test_violin_csv_rows_are_values_with_counts():
     ars = (2e-7, 0.123456789012345, 1 / 3, 0.8, 1.0)
-    report = BackendReport(1.0, ars, (1, 2, 3, 40, 500), 1.0, 1.0, 1.0, 1.0, None, None)
+    report = BackendReport(1.0, ars, (1, 2, 3, 40, 500), 1.0, 1.0, None)
     assert violin_csv(report) == (
         "ar,count\n2e-07,1\n0.123456789012345,2\n0.3333333333333333,3\n0.8,40\n1.0,500\n"
     )
-    empty = BackendReport(0.0, (), (), None, None, 1.0, 1.0, None, "invalid_tour")
+    empty = BackendReport(0.0, (), (), None, None, "invalid_tour")
     assert violin_csv(empty) == "ar,count\n"
 
 
@@ -277,7 +277,7 @@ def test_report_size_does_not_grow_with_shot_count():
         entries = [(_bits(inst.n, t), (i + 1) * scale, 0.0) for i, t in enumerate(tours)]
         entries.append(("0" * model.num_vars, 7 * scale, 0.0))
         samples = _sample_set(entries, 17 * scale)
-        backends[scale] = build_report(inst, model, {"x": samples}, exact, [exact.cost]).backends["x"]
+        backends[scale] = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost]).backends["x"]
     small, large = backends[1], backends[1000]
     assert small.ar_values == large.ar_values
     assert large.ar_counts == tuple(1000 * c for c in small.ar_counts)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -134,6 +135,12 @@ def test_solve_writes_samples(write_instance, tmp_path, capsys):
     assert sum(e["count"] for e in sa["entries"]) == 50
     ex = json.loads((out / "6fri26_nodes_3_samples_exhaustive.json").read_text())
     assert ex["entries"][0]["energy"] <= sa["entries"][0]["energy"] + 1e-9
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": best_energy=")[0] for line in lines] == [
+        "6fri26_nodes_3 exhaustive",
+        "6fri26_nodes_3 sa",
+    ]
+    assert all(" failure=None wall=" in line and line.endswith("s") for line in lines)
 
 
 def test_solve_all_backends_failed_exit_3(write_instance, tmp_path):
@@ -321,21 +328,33 @@ def test_bench_raw_artifacts_present(bench_paths, tmp_path):
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
     raw = out / "raw" / "000_6fri26_nodes_3"
-    for name in (
-        "instance.gtsp",
-        "model.json",
-        "model.coo",
+    assert sorted(p.name for p in raw.iterdir()) == [
         "exact.json",
+        "instance.gtsp",
+        "model.coo",
+        "qaoa_grid.csv",
         "random.json",
-        "samples_sa.json",
         "samples_exhaustive.json",
         "samples_qaoa.json",
-        "qaoa_grid.csv",
-    ):
-        assert (raw / name).exists(), name
+        "samples_sa.json",
+    ]
+    assert sorted(json.loads((raw / "exact.json").read_text())) == ["cost", "tour"]
     assert sorted(json.loads((raw / "random.json").read_text())) == ["count", "seed"]
-    sa = json.loads((raw / "samples_sa.json").read_text())
-    assert sa["wall_time_s"] is None  # timing is stripped for reproducibility
+    for key in ("exhaustive", "sa", "qaoa"):
+        samples = json.loads((raw / f"samples_{key}.json").read_text())
+        assert sorted(samples) == ["backend", "entries", "failure", "num_reads"]
+    group = json.loads((out / "report" / "group.json").read_text())
+    assert group["schema"] == "v3"
+    for rep in group["instances"]:
+        for cell in rep["backends"].values():
+            assert sorted(cell) == [
+                "ar_counts",
+                "ar_values",
+                "best_shot_ar",
+                "failure",
+                "feasible_shot_rate",
+                "mean_solver_cost",
+            ]
     grid_lines = (raw / "qaoa_grid.csv").read_text().splitlines()
     assert grid_lines[0] == "gamma,beta,mean_energy,feasible_shot_fraction,best_shot_energy"
     assert len(grid_lines) == 1 + 9
@@ -472,8 +491,22 @@ def _edit_first_entry(key, value):
         _edit_first_entry("count", 1.5),
         _edit_first_entry("count", "1"),
         lambda d: d.update(num_reads=d["num_reads"] + 1),
+        lambda d: d["entries"].__setitem__(0, 1),
+        lambda d: d["entries"].__setitem__(0, d["entries"][0]["bits"]),
+        lambda d: d.update(entries={}),
     ],
-    ids=["listed-twice", "count-negative", "count-0", "count-true", "count-1.5", "count-str", "sum"],
+    ids=[
+        "listed-twice",
+        "count-negative",
+        "count-0",
+        "count-true",
+        "count-1.5",
+        "count-str",
+        "sum",
+        "entry-int",
+        "entry-str",
+        "entries-object",
+    ],
 )
 def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     """``report`` rejects a raw sample file whose counts could not have come
@@ -534,6 +567,10 @@ def _without(key):
         ("reduction.json", lambda d: {**d, "original_n": "foo"}),
         ("reduction.json", lambda d: {**d, "original_n": 3}),
         ("reduction.json", lambda d: [d]),
+        ("exact.json", lambda d: []),
+        ("exact.json", lambda d: 7.0),
+        ("samples_sa.json", lambda d: [d]),
+        ("samples_sa.json", lambda d: "entries"),
     ],
     ids=[
         "count-0",
@@ -545,13 +582,18 @@ def _without(key):
         "original-n-str",
         "original-n-below-n",
         "reduction-list",
+        "exact-list",
+        "exact-number",
+        "samples-list",
+        "samples-str",
     ],
 )
 def test_report_malformed_raw_exit_2(write_instance, tmp_path, capsys, name, edit):
     """``report`` rejects a random.json that is not an object with an
-    integer seed and a count of at least 1, and a reduction.json that is not
+    integer seed and a count of at least 1, a reduction.json that is not
     an object whose original_n is an integer at least the reduced instance's
-    n (4 here)."""
+    n (4 here), and an exact or sample file that is not an object, with an
+    error message, not a traceback."""
     path = write_instance(gen.preprocess_original("4br17", 4, 17, 4))
     out = tmp_path / "run"
     args = ["bench", str(path), "--reduce", "nn2c", "--backend", "sa", "--reads", "20"]
@@ -577,6 +619,28 @@ def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):
         data = json.loads((raw / "random.json").read_text())
         data["costs"] = random_tours(inst, data["count"], data["seed"])[1].tolist()
         (raw / "random.json").write_text(json.dumps(data))
+    target = tmp_path / "again"
+    assert main(["report", str(out), "--out", str(target)]) == 0
+    assert _dir_snapshot(target) == _dir_snapshot(out / "report")
+
+
+def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
+    """A run directory as bench once wrote it, with a model.json export,
+    explored_orderings in exact.json and a null wall_time_s in each sample
+    file, re-reports to the same bytes as the run without them."""
+    from gtspq.qubo import build_qubo, to_json_dict
+
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    for raw in sorted((out / "raw").iterdir()):
+        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
+        (raw / "model.json").write_text(json.dumps(to_json_dict(build_qubo(inst))))
+        exact = json.loads((raw / "exact.json").read_text())
+        exact["explored_orderings"] = math.factorial(inst.k - 1)
+        (raw / "exact.json").write_text(json.dumps(exact))
+        for path in raw.glob("samples_*.json"):
+            samples = json.loads(path.read_text())
+            path.write_text(json.dumps({**samples, "wall_time_s": None}))
     target = tmp_path / "again"
     assert main(["report", str(out), "--out", str(target)]) == 0
     assert _dir_snapshot(target) == _dir_snapshot(out / "report")
