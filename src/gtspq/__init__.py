@@ -27,9 +27,9 @@ from .preprocess import ReductionRecord, cluster_subsample, nn2c_reduce
 from .qaoa import (
     PartitionLayout,
     QaoaParams,
-    apply_cost_phase,
-    apply_xy_ring_mixer,
+    apply_ring,
     cost_diagonal,
+    cost_phase,
     grid_search,
     initial_state,
     run_qaoa,

@@ -248,10 +248,7 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
             original_n = _read_object(reduction_path).get("original_n")
             if type(original_n) is not int or original_n < inst.n:
                 raise ValueError(f"{raw_dir.name}/reduction.json: original_n is not an integer >= n")
-        sample_sets = {
-            key: sampler.SampleSet.from_json_dict(_read_object(raw_dir / f"samples_{key}.json"))
-            for key in cfg.backends
-        }
+        sample_sets = {key: _read_samples(raw_dir / f"samples_{key}.json") for key in cfg.backends}
         reports.append(
             bench.build_report(
                 inst, model, sample_sets, float(cost), random_costs.tolist(), original_n=original_n
@@ -266,6 +263,18 @@ def _read_object(path: Path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path.parent.name}/{path.name}: not a JSON object")
     return data
+
+
+def _read_samples(path: Path) -> sampler.SampleSet:
+    """The sample set a raw file holds; ValueError naming the file if it is
+    malformed."""
+    data = _read_object(path)
+    try:
+        return sampler.SampleSet.from_json_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path.parent.name}/{path.name}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path.parent.name}/{path.name}: {exc}") from None
 
 
 def _outcome(key: str, samples: sampler.SampleSet, started: float) -> str:

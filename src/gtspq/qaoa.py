@@ -9,7 +9,11 @@ the 2x2 block [[cos 2b, -i sin 2b], [-i sin 2b, cos 2b]] on the two nodes it
 couples, so one step's ring product is one N x N matrix, applied along every
 step axis. The phase layer multiplies by exp(-i*g*E) with E the full model
 energy of the tuple's bitstring. The grid search runs every (gamma, beta)
-cell and scores it by its shot-sampled mean energy.
+cell and scores it by its shot-sampled mean energy. Walking the grid
+gamma-major, it computes one phase vector per gamma (holding only the
+current one) and one ring matrix per beta, keeps each cell's shots as flat
+subspace tuple indices, pools them by index, and checks feasibility once on
+the pooled distinct tuples.
 """
 
 from __future__ import annotations
@@ -118,8 +122,9 @@ def cost_diagonal(model: QuboModel) -> np.ndarray:
     return diag
 
 
-def apply_cost_phase(state: np.ndarray, diagonal: np.ndarray, gamma: float) -> np.ndarray:
-    return state * np.exp(-1j * gamma * diagonal)
+def cost_phase(diagonal: np.ndarray, gamma: float) -> np.ndarray:
+    """One phase layer as a diagonal: exp(-i*gamma*E) per tuple."""
+    return np.exp(-1j * gamma * diagonal)
 
 
 def xy_ring_matrix(n: int, beta: float) -> np.ndarray:
@@ -135,17 +140,17 @@ def xy_ring_matrix(n: int, beta: float) -> np.ndarray:
     return m
 
 
-def apply_xy_ring_mixer(state: np.ndarray, beta: float) -> np.ndarray:
-    """The ring matrix applied along every step axis.
+def apply_ring(state: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """One step's N x N mixer ``ring`` applied along every step axis.
 
     Each pass mixes the leading axis and moves it to the back, so after K
     passes every step is mixed once and the axes are back in order.
     """
     n = state.shape[0]
-    mixer_t = xy_ring_matrix(n, beta).T
+    ring_t = ring.T
     out = state
     for _ in range(state.ndim):
-        out = out.reshape(n, -1).T @ mixer_t
+        out = out.reshape(n, -1).T @ ring_t
     return out.reshape(state.shape)
 
 
@@ -155,14 +160,23 @@ def run_qaoa(
     params: QaoaParams,
     seed: int,
     diagonal: np.ndarray | None = None,
+    phase: np.ndarray | None = None,
+    ring: np.ndarray | None = None,
 ) -> np.ndarray:
-    """initial basis state, then (phase, mixer) x layers."""
-    if diagonal is None:
-        diagonal = cost_diagonal(model)
+    """initial basis state, then (phase, mixer) x layers.
+
+    ``phase`` (``cost_phase`` of the diagonal at ``params.gamma``) and
+    ``ring`` (``xy_ring_matrix`` at ``params.beta``) are computed here when
+    not given; a caller running many cells passes the ones it shares.
+    """
+    if phase is None:
+        phase = cost_phase(cost_diagonal(model) if diagonal is None else diagonal, params.gamma)
+    if ring is None:
+        ring = xy_ring_matrix(layout.n, params.beta)
     state = initial_state(layout, seed)
     for _ in range(params.layers):
-        state = apply_cost_phase(state, diagonal, params.gamma)
-        state = apply_xy_ring_mixer(state, params.beta)
+        state = state * phase  # rebound first, so the old state is freed before mixing
+        state = apply_ring(state, ring)
     return state
 
 
@@ -203,52 +217,66 @@ def grid_search(
     completed cells are returned, with failure=timeout only if none
     completed. A model whose N^K amplitudes exceed ``MAX_SUBSPACE_DIM`` runs
     no cell and fails as not_applicable. Cell c derives its seed as seed + c,
-    so the search is reproducible. One decode of every cell's rows gives each
-    cell's feasible shot fraction and each row's node order; the search's
-    shots are pooled by the order's flat subspace tuple index.
+    so the search is reproducible.
+
+    Each piece of work is done once: the ring matrix once per beta for the
+    whole search, and the phase vector once per gamma, after the timeout
+    check and holding only the current gamma's. A cell keeps only its shots'
+    flat subspace tuple indices and counts. The search's shots are pooled by
+    one ``np.unique`` over those indices; the pooled distinct tuples are
+    encoded to rows once and checked once by ``qubo.order_checks`` (every
+    tuple is step-one-hot by construction), and the inverse index maps that
+    verdict back to each cell's feasible shot fraction.
     """
     try:
         layout = PartitionLayout(model.n, model.k)
     except StateTooLargeError:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.NOT_APPLICABLE, 0))
     diagonal = cost_diagonal(model)
+    gammas = np.linspace(*GAMMA_RANGE, grid[0]).tolist()
+    betas = np.linspace(*BETA_RANGE, grid[1]).tolist()
+    rings = [xy_ring_matrix(layout.n, beta) for beta in betas]
     started = time.monotonic()
-    runs: list[tuple[float, float, float, SampleSet]] = []  # gamma, beta, score, shots
-    for gamma, beta in itertools.product(
-        np.linspace(*GAMMA_RANGE, grid[0]).tolist(), np.linspace(*BETA_RANGE, grid[1]).tolist()
-    ):
+    runs: list[tuple[float, float, float, float]] = []  # gamma, beta, score, best energy
+    flats: list[np.ndarray] = []  # per cell, its distinct tuples' flat indices
+    counts: list[np.ndarray] = []  # and their shot counts
+    phase_gamma, phase = None, None
+    for gamma, (beta, ring) in itertools.product(gammas, zip(betas, rings)):
         if time.monotonic() - started > timeout_s:
             break
+        if gamma != phase_gamma:
+            phase = None  # one phase vector alive at a time
+            phase_gamma, phase = gamma, cost_phase(diagonal, gamma)
         params = QaoaParams(gamma=gamma, beta=beta, layers=layers)
         cell_seed = seed + len(runs)
-        state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
-        samples = sample_shots(state, diagonal, shots, cell_seed)
+        # the state is not bound, so it is freed before the next cell's is made
+        samples = sample_shots(
+            run_qaoa(model, layout, params, cell_seed, phase=phase, ring=ring),
+            diagonal, shots, cell_seed,
+        )
         score = sum((samples.energies * samples.counts).tolist()) / shots
-        runs.append((gamma, beta, score, samples))
+        runs.append((gamma, beta, score, float(samples.energies[0])))
+        order = samples.entries.reshape(-1, layout.k, layout.n).argmax(axis=2)
+        flats.append(np.ravel_multi_index(tuple(order.T), layout.shape))
+        counts.append(samples.counts)
 
     if not runs:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
-    cell_sets = [samples for *_, samples in runs]
-    rows = np.concatenate([s.entries for s in cell_sets])
-    violations, order = qubo.decode_rows(model, inst, rows)
-    feasible = np.array([v is None for v in violations], dtype=bool)
-    counts = np.concatenate([s.counts for s in cell_sets])
-    starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
-    fractions = (np.add.reduceat(counts * feasible, starts) / shots).tolist()
+    flat, inverse = np.unique(np.concatenate(flats), return_inverse=True)
+    orders = np.stack(np.unravel_index(flat, layout.shape), axis=1)
+    _, feasible = qubo.order_checks(model, inst, orders)
+    shot_counts = np.concatenate(counts)
+    starts = np.cumsum([0] + [len(f) for f in flats[:-1]])
+    fractions = (np.add.reduceat(shot_counts * feasible[inverse], starts) / shots).tolist()
     cells = tuple(
-        CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
-        for (gamma, beta, score, samples), fraction in zip(runs, fractions)
-    )
-    flat, first, inverse = np.unique(
-        np.ravel_multi_index(tuple(order.T), layout.shape),
-        return_index=True,
-        return_inverse=True,
+        CellSummary(gamma, beta, score, fraction, best)
+        for (gamma, beta, score, best), fraction in zip(runs, fractions)
     )
     search_samples = SampleSet.from_rows(
         Backend.QAOA,
         shots * len(runs),
-        rows[first],
-        np.bincount(inverse, weights=counts, minlength=len(flat)),
+        qubo.encode_rows(layout.n, orders),
+        np.bincount(inverse, weights=shot_counts, minlength=len(flat)),
         diagonal.reshape(-1)[flat],
     )
     return GridResult(cells, search_samples)

@@ -84,7 +84,9 @@ def as_rows(rows, num_vars: int) -> np.ndarray:
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != num_vars:
             raise ValueError(f"expected an (m, {num_vars}) array of bits")
-    if np.any((arr != 0) & (arr != 1)):
+    # for an unsigned dtype, > 1 is the whole test and makes one temporary, not three
+    bad = arr > 1 if arr.dtype.kind == "u" else (arr != 0) & (arr != 1)
+    if np.any(bad):
         raise ValueError("expected 0/1 entries")
     return arr.astype(np.uint8, copy=False)
 
@@ -203,6 +205,20 @@ def encode_rows(n: int, orders) -> np.ndarray:
     return rows
 
 
+def order_checks(
+    model: QuboModel, inst: GtspInstance, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (m, K) node-order array: whether it visits every
+    cluster once, and whether it is also a tour (every leg of the cycle is
+    an edge, as far as the model's ``zero_is_edge`` says)."""
+    k = order.shape[1]
+    cluster_ok = (np.sort(inst.cluster_index[order], axis=1) == np.arange(k)).all(axis=1)
+    if model.zero_is_edge:
+        return cluster_ok, cluster_ok
+    legs = inst.weights[order, np.roll(order, -1, axis=1)]
+    return cluster_ok, cluster_ok & (legs != 0.0).all(axis=1)
+
+
 def decode_rows(
     model: QuboModel, inst: GtspInstance, rows
 ) -> tuple[list[str | None], np.ndarray]:
@@ -217,12 +233,7 @@ def decode_rows(
     steps = bits.reshape(len(bits), k, n)
     step_ok = (steps.sum(axis=2) == 1).all(axis=1)
     order = np.where(step_ok[:, None], steps.argmax(axis=2), -1)
-    clusters_hit = np.sort(inst.cluster_index[order], axis=1)
-    cluster_ok = step_ok & (clusters_hit == np.arange(k)).all(axis=1)
-    edge_ok = cluster_ok
-    if not model.zero_is_edge:
-        legs = inst.weights[order, np.roll(order, -1, axis=1)]
-        edge_ok = cluster_ok & (legs != 0.0).all(axis=1)
+    cluster_ok, edge_ok = order_checks(model, inst, order)  # a step violation overrides both
     violations = np.full(len(bits), None, dtype=object)
     violations[~edge_ok] = VIOLATION_EDGE
     violations[~cluster_ok] = VIOLATION_CLUSTER

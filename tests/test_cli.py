@@ -494,6 +494,11 @@ def _edit_first_entry(key, value):
         lambda d: d["entries"].__setitem__(0, 1),
         lambda d: d["entries"].__setitem__(0, d["entries"][0]["bits"]),
         lambda d: d.update(entries={}),
+        lambda d: d["entries"][0].pop("energy"),
+        lambda d: d["entries"][0].pop("bits"),
+        lambda d: d["entries"][0].pop("count"),
+        lambda d: d.pop("num_reads"),
+        _edit_first_entry("energy", [1.0]),
     ],
     ids=[
         "listed-twice",
@@ -506,12 +511,19 @@ def _edit_first_entry(key, value):
         "entry-int",
         "entry-str",
         "entries-object",
+        "no-energy",
+        "no-bits",
+        "no-count",
+        "no-num-reads",
+        "energy-list",
     ],
 )
 def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     """``report`` rejects a raw sample file whose counts could not have come
-    from a run: a bit string listed twice, a count that is not a positive
-    integer, or counts that do not add up to the reads."""
+    from a run (a bit string listed twice, a count that is not a positive
+    integer, or counts that do not add up to the reads), an entry that is
+    not an object, and an entry or file without one of its keys, with an
+    error that names the file."""
     out = tmp_path / "run"
     assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
     samples = out / "raw" / "000_6fri26_nodes_3" / "samples_sa.json"
@@ -520,7 +532,7 @@ def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     samples.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: 000_6fri26_nodes_3/samples_sa.json: ")
     assert not (tmp_path / "again").exists()
 
 

@@ -1,26 +1,32 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from gtspq import qaoa, qubo
 from gtspq.cli import RunConfig
 from gtspq.qubo import build_qubo, encode_rows, energy, from_terms
 from gtspq.qaoa import (
+    BETA_RANGE,
+    GAMMA_RANGE,
+    CellSummary,
+    GridResult,
     QaoaParams,
     PartitionLayout,
     StateTooLargeError,
-    apply_cost_phase,
-    apply_xy_ring_mixer,
+    apply_ring,
     cost_diagonal,
+    cost_phase,
     grid_search,
     initial_state,
     run_qaoa,
     sample_shots,
     xy_ring_matrix,
 )
-from gtspq.sampler import Backend, Failure
+from gtspq.sampler import Backend, Failure, SampleSet
 from gtspq.instance import GtspInstance
 
 import gen
@@ -224,7 +230,7 @@ def test_cost_phase_gamma_zero_is_identity():
     layout = PartitionLayout(3, 2)
     state = _random_state(layout, 0)
     diag = np.arange(layout.dim, dtype=float).reshape(layout.shape)
-    out = apply_cost_phase(state, diag, 0.0)
+    out = state * cost_phase(diag, 0.0)
     assert np.allclose(out, state)
 
 
@@ -233,7 +239,7 @@ def test_cost_phase_preserves_probabilities_and_expectation():
     diag = np.linspace(0, 5, layout.dim).reshape(layout.shape)
     for seed in range(5):
         state = _random_state(layout, seed)
-        out = apply_cost_phase(state, diag, 0.817)
+        out = state * cost_phase(diag, 0.817)
         assert np.allclose(np.abs(out) ** 2, np.abs(state) ** 2, atol=1e-12)
         before = float(np.sum(np.abs(state) ** 2 * diag))
         after = float(np.sum(np.abs(out) ** 2 * diag))
@@ -242,20 +248,20 @@ def test_cost_phase_preserves_probabilities_and_expectation():
 
 def test_mixer_beta_zero_is_identity():
     state = _random_state(PartitionLayout(4, 2), 1)
-    out = apply_xy_ring_mixer(state, 0.0)
+    out = apply_ring(state, xy_ring_matrix(4, 0.0))
     assert np.allclose(out, state)
 
 
 def test_mixer_two_node_partition_swaps_with_phase():
     state = np.array([1.0 + 0j, 0.0 + 0j])
-    out = apply_xy_ring_mixer(state, math.pi / 4)
+    out = apply_ring(state, xy_ring_matrix(2, math.pi / 4))
     assert np.allclose(out, [0.0, -1j])
 
 
 def test_mixer_unitary_over_many_applications():
     state = _random_state(PartitionLayout(4, 3), 2)
     for i in range(100):
-        state = apply_xy_ring_mixer(state, 0.05 + 0.01 * i)
+        state = apply_ring(state, xy_ring_matrix(4, 0.05 + 0.01 * i))
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -263,7 +269,7 @@ def test_mixer_preserves_subspace_support():
     # a basis state spreads only across tuples; any support pattern is valid,
     # but the vector length never changes and no mass leaks out
     state = initial_state(PartitionLayout(3, 3), seed=3)
-    out = apply_xy_ring_mixer(state, 0.3)
+    out = apply_ring(state, xy_ring_matrix(3, 0.3))
     assert out.shape == (3, 3, 3)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -301,6 +307,23 @@ def test_subspace_matches_dense_full_space(n, k, seed):
     # all mass stays on the subspace images
     sub_mass = sum(abs(dense[subspace_index_in_dense(layout, f)]) ** 2 for f in range(layout.dim))
     assert sub_mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_run_qaoa_given_phase_and_ring_is_the_same_state():
+    """The shared phase vector and ring matrix a grid passes in give the
+    bit-identical state of the call that computes its own."""
+    inst = gen.make_random_instance(seed=21, n=4, k=3)
+    model = build_qubo(inst)
+    layout = PartitionLayout(4, 3)
+    diagonal = cost_diagonal(model)
+    for layers in (1, 2, 3):
+        params = QaoaParams(0.83, 0.41, layers)
+        own = run_qaoa(model, layout, params, seed=4)
+        shared = run_qaoa(
+            model, layout, params, 4,
+            phase=cost_phase(diagonal, params.gamma), ring=xy_ring_matrix(4, params.beta),
+        )
+        assert np.array_equal(own, shared)
 
 
 # --- sampling -------------------------------------------------------------------------
@@ -451,6 +474,145 @@ def test_grid_over_state_cap_not_applicable():
     assert result.search_samples.backend is Backend.QAOA
     assert result.search_samples.failure is Failure.NOT_APPLICABLE
     assert result.search_samples.num_reads == 0
+
+
+def _reference_grid_search(model, inst, seed, *, grid, shots, timeout_s, layers):
+    """The grid search before it shared work between cells: every cell
+    computes its own phase and ring, keeps its ``SampleSet``, and one
+    ``decode_rows`` over every cell's rows gives the feasible fractions and
+    the orders the shots are pooled by."""
+    try:
+        layout = PartitionLayout(model.n, model.k)
+    except StateTooLargeError:
+        return GridResult((), SampleSet.failed(Backend.QAOA, Failure.NOT_APPLICABLE, 0))
+    diagonal = cost_diagonal(model)
+    started = qaoa.time.monotonic()
+    runs = []
+    for gamma, beta in itertools.product(
+        np.linspace(*GAMMA_RANGE, grid[0]).tolist(), np.linspace(*BETA_RANGE, grid[1]).tolist()
+    ):
+        if qaoa.time.monotonic() - started > timeout_s:
+            break
+        params = QaoaParams(gamma=gamma, beta=beta, layers=layers)
+        cell_seed = seed + len(runs)
+        state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
+        samples = sample_shots(state, diagonal, shots, cell_seed)
+        score = sum((samples.energies * samples.counts).tolist()) / shots
+        runs.append((gamma, beta, score, samples))
+
+    if not runs:
+        return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
+    cell_sets = [samples for *_, samples in runs]
+    rows = np.concatenate([s.entries for s in cell_sets])
+    violations, order = qubo.decode_rows(model, inst, rows)
+    feasible = np.array([v is None for v in violations], dtype=bool)
+    counts = np.concatenate([s.counts for s in cell_sets])
+    starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
+    fractions = (np.add.reduceat(counts * feasible, starts) / shots).tolist()
+    cells = tuple(
+        CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
+        for (gamma, beta, score, samples), fraction in zip(runs, fractions)
+    )
+    flat, first, inverse = np.unique(
+        np.ravel_multi_index(tuple(order.T), layout.shape),
+        return_index=True,
+        return_inverse=True,
+    )
+    search_samples = SampleSet.from_rows(
+        Backend.QAOA,
+        shots * len(runs),
+        rows[first],
+        np.bincount(inverse, weights=counts, minlength=len(flat)),
+        diagonal.reshape(-1)[flat],
+    )
+    return GridResult(cells, search_samples)
+
+
+def _assert_same_search(got, want):
+    assert got.cells == want.cells
+    a, b = got.search_samples, want.search_samples
+    assert (a.backend, a.num_reads, a.failure) == (b.backend, b.num_reads, b.failure)
+    assert a.entries.dtype == b.entries.dtype
+    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
+    assert np.array_equal(a.energies, b.energies)
+    assert a.to_json_dict() == b.to_json_dict()
+
+
+def _oracle_instances():
+    """The toy two-node tour, one subsample-small and one subsample-medium
+    fixture, and a small instance with absent (zero) edges."""
+    small = next(s for s in gen.SUBSAMPLE_SMALL if s[0] == "20gr96_nodes_5")
+    medium = next(s for s in gen.SUBSAMPLE_MEDIUM if s[0] == "10hk48_nodes_10")
+    return {
+        "small": gen.subsample_instance(*small),
+        "medium": gen.subsample_instance(*medium),
+        "absent-edges": gen.make_random_instance(seed=23, n=4, k=3, low=0, high=3),
+    }
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("which", ["toy", "small", "medium", "absent-edges"])
+def test_grid_search_equals_reference(which, layers, toy_instance):
+    inst = toy_instance if which == "toy" else _oracle_instances()[which]
+    settings = dict(grid=(10, 10), shots=500, timeout_s=300.0, layers=layers)
+    for zero_is_edge in (False, True) if which == "absent-edges" else (False,):
+        model = build_qubo(inst, zero_is_edge=zero_is_edge)
+        got = grid_search(model, inst, 3, **settings)
+        want = _reference_grid_search(model, inst, 3, **settings)
+        assert len(got.cells) == 100
+        _assert_same_search(got, want)
+    if which == "absent-edges":  # the edge check is exercised, not vacuous
+        assert any(c.feasible_shot_fraction < 1.0 for c in got.cells)
+
+
+def _clock_cut_after(monkeypatch, cells):
+    """``time.monotonic`` as seen by the grid: 0 for the start and the
+    first ``cells`` timeout checks, then far past any timeout."""
+    calls = itertools.count()
+    monkeypatch.setattr(
+        qaoa.time, "monotonic", lambda: 0.0 if next(calls) <= cells else 1e9
+    )
+
+
+@pytest.mark.parametrize("cut", [1, 15, 20])  # the first cell, mid-gamma, a gamma boundary
+@pytest.mark.parametrize("layers", [1, 2])
+def test_grid_search_equals_reference_under_a_timeout_cut(cut, layers, monkeypatch):
+    inst = _oracle_instances()["small"]
+    model = build_qubo(inst)
+    settings = dict(grid=(10, 10), shots=500, timeout_s=1.0, layers=layers)
+    _clock_cut_after(monkeypatch, cut)
+    got = grid_search(model, inst, 8, **settings)
+    _clock_cut_after(monkeypatch, cut)
+    want = _reference_grid_search(model, inst, 8, **settings)
+    assert len(got.cells) == cut
+    _assert_same_search(got, want)
+
+
+@pytest.mark.parametrize("cut,gammas_run", [(None, 3), (6, 2), (4, 1), (0, 0)])
+def test_grid_builds_each_ring_once_and_each_phase_once_per_gamma(
+    cut, gammas_run, monkeypatch, toy_instance
+):
+    """Four betas give four ring matrices for the whole search, and the
+    phase exponential runs once per gamma that runs: a gamma cut at its
+    first cell costs none."""
+    built = {"ring": 0, "phase": 0}
+
+    def counting(key, original):
+        def wrapped(*args):
+            built[key] += 1
+            return original(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(qaoa, "xy_ring_matrix", counting("ring", qaoa.xy_ring_matrix))
+    monkeypatch.setattr(qaoa, "cost_phase", counting("phase", qaoa.cost_phase))
+    if cut is not None:
+        _clock_cut_after(monkeypatch, cut)
+    model = build_qubo(toy_instance)
+    result = grid_search(model, toy_instance, 0, grid=(3, 4), shots=20, timeout_s=1.0, layers=2)
+    assert len(result.cells) == (12 if cut is None else cut)
+    assert built == {"ring": 4, "phase": gammas_run}
 
 
 # --- invariants over random draws ----------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from gtspq.instance import GtspInstance, tour_cost
 from gtspq.qubo import (
+    as_rows,
     build_qubo,
     VIOLATION_CLUSTER,
     VIOLATION_EDGE,
@@ -18,6 +19,7 @@ from gtspq.qubo import (
     energy,
     from_json_dict,
     from_terms,
+    order_checks,
     penalty_weight,
     rows_to_strs,
     to_coo_text,
@@ -201,6 +203,52 @@ def test_energies_accepts_bitstrings_and_validates():
         energies(model, [[0, 2]])
     with pytest.raises(ValueError):
         energies(model, ["011"])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0, 2]], dtype=np.uint8),
+        np.array([[255, 1]], dtype=np.uint8),
+        np.array([[1, 2]], dtype=np.uint16),
+        np.array([[-1, 0]], dtype=np.int64),
+        np.array([[0, 2]], dtype=np.int8),
+        np.array([[0.5, 1.0]]),
+        np.array([[1.0, -1.0]]),
+    ],
+    ids=["uint8-2", "uint8-255", "uint16-2", "int-minus-1", "int8-2", "float-half", "float-minus-1"],
+)
+def test_as_rows_rejects_entries_other_than_0_and_1(bad):
+    with pytest.raises(ValueError, match="0/1"):
+        as_rows(bad, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64, np.float64, bool])
+def test_as_rows_accepts_0_and_1_of_any_dtype(dtype):
+    rows = as_rows(np.array([[0, 1], [1, 1]], dtype=dtype), 2)
+    assert rows.dtype == np.uint8 and rows.tolist() == [[0, 1], [1, 1]]
+
+
+def test_order_checks_are_decode_rows_on_one_hot_rows():
+    """On step-one-hot rows, ``decode_rows``' verdicts are exactly the
+    order-level checks of the rows' node orders."""
+    rng = np.random.default_rng(104)
+    seen = set()
+    for _ in range(30):
+        n, k = gen.random_small_shape(rng)
+        inst = gen.make_random_instance(int(rng.integers(1 << 31)), n, k, low=0, high=2)
+        orders = rng.integers(0, n, size=(50, k))
+        for zero_is_edge in (False, True):
+            model = build_qubo(inst, zero_is_edge=zero_is_edge)
+            cluster_ok, tour_ok = order_checks(model, inst, orders)
+            violations, _ = decode_rows(model, inst, encode_rows(n, orders))
+            expected = [
+                None if t else VIOLATION_EDGE if c else VIOLATION_CLUSTER
+                for c, t in zip(cluster_ok.tolist(), tour_ok.tolist())
+            ]
+            assert violations == expected
+            seen.update(violations)
+    assert seen == {None, VIOLATION_CLUSTER, VIOLATION_EDGE}
 
 
 def _reference_decode(model, inst, row):
