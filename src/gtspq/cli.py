@@ -15,6 +15,7 @@ written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -189,7 +190,7 @@ def _run_backend(
     return samples, grid_result
 
 
-def _bench_instance(payload: tuple) -> dict:
+def _bench_instance(payload: tuple) -> None:
     """Solve one instance end to end and persist its raw artifacts."""
     cfg, index, path = payload
     original = _read_instance(path)
@@ -221,60 +222,90 @@ def _bench_instance(payload: tuple) -> dict:
         bench.atomic_write(raw_dir / f"samples_{key}.json", samples.to_json_dict())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(raw_dir / "qaoa_grid.csv", bench.grid_csv(grid_result))
-    return {"index": index, "raw_dir": str(raw_dir)}
 
 
 def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
-    """Rebuild all reports from persisted raw artifacts only."""
-    reports = []
+    """Rebuild all reports from persisted raw artifacts only: the one
+    ``raw/<i:03d>_*`` directory of each configured instance i, and no other."""
     raw_root = out_dir / "raw"
-    for raw_dir in sorted(raw_root.iterdir()):
-        if not raw_dir.is_dir():
-            continue
-        inst = parse_gtsplib((raw_dir / "instance.gtsp").read_text(encoding="utf-8"))
-        model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
-        exact = _read_object(raw_dir / "exact.json")
-        tour, cost = exact["tour"], exact["cost"]
+    raw_dirs = []
+    for index in range(len(cfg.instances)):
+        pattern = f"raw/{index:03d}_*"
+        found = sorted(out_dir.glob(pattern))
+        if len(found) != 1:
+            raise ValueError(f"{pattern}: {len(found)} matches, expected one raw directory")
+        raw_dirs.append(found[0])
+    for path in sorted(raw_root.iterdir()):
+        if path.is_dir() and path not in raw_dirs:
+            raise ValueError(f"raw/{path.name}: not one of config.json's {len(raw_dirs)} instances")
+    reports = tuple(_read_raw_dir(raw_dir, cfg) for raw_dir in raw_dirs)
+    return bench.ExperimentGroup(name=cfg.group, reports=reports)
+
+
+def _read_raw_dir(raw_dir: Path, cfg: RunConfig) -> bench.InstanceReport:
+    """One instance's report, from the files of its raw directory that
+    ``cfg`` implies: instance.gtsp, exact.json, random.json, reduction.json
+    exactly when the run reduced, and samples_<key>.json per backend. Any
+    fault in one of them is a ValueError that starts with
+    ``<raw dir>/<file>: ``."""
+
+    def read(name: str, check=lambda value: value):
+        with _fault_names(f"{raw_dir.name}/{name}"):
+            text = (raw_dir / name).read_text(encoding="utf-8")
+            if name.endswith(".gtsp"):
+                return check(parse_gtsplib(text))
+            data = json.loads(text)
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            return check(data)
+
+    def check_exact(data: dict) -> float:
+        tour, cost = data["tour"], data["cost"]
         if not is_feasible_tour(inst, tour) or tour_cost(inst, tour) != cost:
-            raise ValueError(f"{raw_dir.name}/exact.json: not a one-node-per-cluster tour with its cost")
-        rnd = _read_object(raw_dir / "random.json")
-        seed, count = rnd.get("seed"), rnd.get("count")
-        if type(seed) is not int or type(count) is not int or count < 1:
-            raise ValueError(f"{raw_dir.name}/random.json: needs an integer seed and a count >= 1")
-        _, random_costs = baseline.random_tours(inst, count, seed)
-        original_n = None
-        reduction_path = raw_dir / "reduction.json"
-        if reduction_path.exists():
-            original_n = _read_object(reduction_path).get("original_n")
-            if type(original_n) is not int or original_n < inst.n:
-                raise ValueError(f"{raw_dir.name}/reduction.json: original_n is not an integer >= n")
-        sample_sets = {key: _read_samples(raw_dir / f"samples_{key}.json") for key in cfg.backends}
-        reports.append(
-            bench.build_report(
-                inst, model, sample_sets, float(cost), random_costs.tolist(), original_n=original_n
-            )
-        )
-    return bench.ExperimentGroup(name=cfg.group, reports=tuple(reports))
+            raise ValueError("not a one-node-per-cluster tour with its cost")
+        return float(cost)
+
+    def check_random(data: dict) -> list[float]:
+        seed, count = data["seed"], data["count"]
+        if type(seed) is not int or type(count) is not int:
+            raise ValueError("seed and count must be JSON integers")
+        if count != cfg.reads:  # bench draws the run's reads
+            raise ValueError(f"count {count} is not the run's reads, {cfg.reads}")
+        return baseline.random_tours(inst, count, seed)[1].tolist()
+
+    def check_reduction(data: dict) -> int:
+        if type(data["original_n"]) is not int or data["original_n"] < inst.n:
+            raise ValueError("original_n is not an integer >= n")
+        return data["original_n"]
+
+    def check_samples(key: str, data: dict) -> sampler.SampleSet:
+        samples = sampler.SampleSet.from_json_dict(data)
+        if samples.backend.value != key:
+            raise ValueError(f"backend {samples.backend.value!r} is not {key!r}")
+        return samples
+
+    inst = read("instance.gtsp")
+    model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
+    cost = read("exact.json", check_exact)
+    random_costs = read("random.json", check_random)
+    original_n = read("reduction.json", check_reduction) if cfg.reduce != "none" else None
+    sample_sets = {
+        key: read(f"samples_{key}.json", lambda data: check_samples(key, data))
+        for key in cfg.backends
+    }
+    return bench.build_report(inst, model, sample_sets, cost, random_costs, original_n=original_n)
 
 
-def _read_object(path: Path) -> dict:
-    """The JSON object a raw file holds; ValueError if it holds anything else."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path.parent.name}/{path.name}: not a JSON object")
-    return data
-
-
-def _read_samples(path: Path) -> sampler.SampleSet:
-    """The sample set a raw file holds; ValueError naming the file if it is
-    malformed."""
-    data = _read_object(path)
+@contextlib.contextmanager
+def _fault_names(file: str):
+    """Re-raise a fault met in reading, parsing or checking ``file`` as a
+    ValueError that starts with ``file: ``."""
     try:
-        return sampler.SampleSet.from_json_dict(data)
+        yield
     except KeyError as exc:
-        raise ValueError(f"{path.parent.name}/{path.name}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path.parent.name}/{path.name}: {exc}") from None
+        raise ValueError(f"{file}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValueError(f"{file}: {exc}") from None
 
 
 def _outcome(key: str, samples: sampler.SampleSet, started: float) -> str:
@@ -372,7 +403,9 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.run_dir)
-    cfg = RunConfig.from_dict(json.loads((out / "config.json").read_text(encoding="utf-8")))
+    config = out / "config.json"
+    with _fault_names(str(config)):
+        cfg = RunConfig.from_dict(json.loads(config.read_text(encoding="utf-8")))
     group = _aggregate_raw(out, cfg)
     target = Path(args.out) if args.out else out / "report"
     bench.emit(group, target)

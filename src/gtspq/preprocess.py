@@ -44,15 +44,6 @@ class ReductionRecord:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ReductionRecord":
-        return cls(
-            original_instance_name=data["original_instance_name"],
-            kept_nodes={int(k): int(v) for k, v in data["kept_nodes"].items()},
-            method=data["method"],
-            seed=data.get("seed"),
-        )
-
 
 def _submatrix_instance(
     inst: GtspInstance, kept_clusters: list[list[int]], method: str, seed: int | None

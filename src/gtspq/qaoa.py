@@ -159,7 +159,6 @@ def run_qaoa(
     layout: PartitionLayout,
     params: QaoaParams,
     seed: int,
-    diagonal: np.ndarray | None = None,
     phase: np.ndarray | None = None,
     ring: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -170,7 +169,7 @@ def run_qaoa(
     not given; a caller running many cells passes the ones it shares.
     """
     if phase is None:
-        phase = cost_phase(cost_diagonal(model) if diagonal is None else diagonal, params.gamma)
+        phase = cost_phase(cost_diagonal(model), params.gamma)
     if ring is None:
         ring = xy_ring_matrix(layout.n, params.beta)
     state = initial_state(layout, seed)

@@ -152,33 +152,6 @@ def build_qubo(inst: GtspInstance, zero_is_edge: bool = False) -> QuboModel:
     return QuboModel(n=n, k=k, q=q, offset=offset, lam=lam, zero_is_edge=zero_is_edge)
 
 
-def from_terms(
-    n: int,
-    k: int,
-    linear,
-    quadratic,
-    offset: float,
-    lam: float,
-    zero_is_edge: bool = False,
-) -> QuboModel:
-    """Model from term lists: (v, coeff) linear and (u, v, coeff) quadratic
-    terms. A pair is stored at (min, max); repeated terms add up."""
-    num_vars = n * k
-    lin = np.array(linear, dtype=np.float64).reshape(-1, 2)
-    quad = np.array(quadratic, dtype=np.float64).reshape(-1, 3)
-    idx = np.concatenate([lin[:, 0], quad[:, 0], quad[:, 1]])
-    if np.any((idx < 0) | (idx >= num_vars) | (idx != np.round(idx))):
-        raise ValueError(f"term index outside 0..{num_vars - 1}")
-    q = np.zeros((num_vars, num_vars), dtype=np.float64)
-    v = lin[:, 0].astype(np.intp)
-    np.add.at(q, (v, v), lin[:, 1])
-    pairs = np.sort(quad[:, :2].astype(np.intp), axis=1)
-    np.add.at(q, (pairs[:, 0], pairs[:, 1]), quad[:, 2])
-    return QuboModel(
-        n=n, k=k, q=q, offset=float(offset), lam=float(lam), zero_is_edge=zero_is_edge
-    )
-
-
 def energies(model: QuboModel, rows) -> np.ndarray:
     """Energy of every row of an (m, num_vars) 0/1 array (or list of m
     bitstrings): offset + x^T Q x, one dense product over all rows."""
@@ -262,16 +235,6 @@ def to_json_dict(model: QuboModel) -> dict:
         "quadratic": [[u, v, c] for (u, v), c in model.quadratic.items()],
         "layout": {"n": model.n, "k": model.k},
     }
-
-
-def from_json_dict(data: dict, zero_is_edge: bool = False) -> QuboModel:
-    layout = data["layout"]
-    n, k = int(layout["n"]), int(layout["k"])
-    if n * k != int(data["n_vars"]):
-        raise ValueError("n_vars inconsistent with layout")
-    return from_terms(
-        n, k, data["linear"], data["quadratic"], data["offset"], data["lambda"], zero_is_edge
-    )
 
 
 def to_coo_text(model: QuboModel) -> str:

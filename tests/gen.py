@@ -4,6 +4,7 @@ Benchmark-shaped fixtures replicate the standard experiment groups by
 (name, N, K) only; weights are seeded synthetics. For asymmetric originals
 that get reduced, a ring of strictly dominant entry/exit edges is planted so
 the nearest-nodes reduction hits a chosen reduced size exactly.
+``from_terms`` builds the small hand-written models the tests use.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import zlib
 import numpy as np
 
 from gtspq.instance import GtspInstance
+from gtspq.qubo import QuboModel
 
 # (name, n, k) per instance; qubits = n * k
 SUBSAMPLE_SMALL = [
@@ -175,3 +177,33 @@ def all_table_instances() -> list[tuple[GtspInstance, int]]:
     for name, n, k in SUBSAMPLE_SMALL + SUBSAMPLE_MEDIUM:
         out.append((subsample_instance(name, n, k), n * k))
     return out
+
+
+# --- models from term lists ----------------------------------------------------
+
+
+def from_terms(
+    n: int,
+    k: int,
+    linear,
+    quadratic,
+    offset: float,
+    lam: float,
+    zero_is_edge: bool = False,
+) -> QuboModel:
+    """Model from term lists: (v, coeff) linear and (u, v, coeff) quadratic
+    terms. A pair is stored at (min, max); repeated terms add up."""
+    num_vars = n * k
+    lin = np.array(linear, dtype=np.float64).reshape(-1, 2)
+    quad = np.array(quadratic, dtype=np.float64).reshape(-1, 3)
+    idx = np.concatenate([lin[:, 0], quad[:, 0], quad[:, 1]])
+    if np.any((idx < 0) | (idx >= num_vars) | (idx != np.round(idx))):
+        raise ValueError(f"term index outside 0..{num_vars - 1}")
+    q = np.zeros((num_vars, num_vars), dtype=np.float64)
+    v = lin[:, 0].astype(np.intp)
+    np.add.at(q, (v, v), lin[:, 1])
+    pairs = np.sort(quad[:, :2].astype(np.intp), axis=1)
+    np.add.at(q, (pairs[:, 0], pairs[:, 1]), quad[:, 2])
+    return QuboModel(
+        n=n, k=k, q=q, offset=float(offset), lam=float(lam), zero_is_edge=zero_is_edge
+    )

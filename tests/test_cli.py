@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import subprocess
 import sys
 import threading
@@ -453,24 +454,32 @@ def test_config_file_precedence(bench_paths, tmp_path, capsys):
     assert written["backends"] == ["sa"]
 
 
+def _json(edit):
+    """A text edit that applies ``edit`` to the JSON value the text holds."""
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda c: [c],
-        lambda c: {**c, "grid": 5},
-        lambda c: {**c, "reads": None},
-        lambda c: {**c, "extra": 1},
+        _json(lambda c: [c]),
+        _json(lambda c: {**c, "grid": 5}),
+        _json(lambda c: {**c, "reads": None}),
+        _json(lambda c: {**c, "extra": 1}),
+        lambda text: text[:-3],
     ],
-    ids=["list", "grid-int", "reads-null", "unknown-key"],
+    ids=["list", "grid-int", "reads-null", "unknown-key", "not-json"],
 )
 def test_report_malformed_config_exit_2(bench_paths, tmp_path, capsys, edit):
+    """``report`` rejects a config.json it cannot read as a run's settings,
+    with an error that names the file."""
     out = tmp_path / "run"
     assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
-    cfg = json.loads((out / "config.json").read_text())
-    (out / "config.json").write_text(json.dumps(edit(cfg)))
+    cfg = out / "config.json"
+    cfg.write_text(edit(cfg.read_text()))
     capsys.readouterr()
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
     assert not (tmp_path / "again").exists()
 
 
@@ -536,86 +545,132 @@ def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     assert not (tmp_path / "again").exists()
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: d.update(cost=2 * d["cost"]),
-        lambda d: d["tour"].__setitem__(1, d["tour"][0]),
-        lambda d: d["tour"].pop(),
-        lambda d: d.update(tour=None),
-        lambda d: d.update(cost=None),
-    ],
-    ids=["cost-doubled", "wrong-cluster", "short-tour", "tour-null", "cost-null"],
-)
-def test_report_malformed_exact_exit_2(bench_paths, tmp_path, capsys, edit):
-    """``report`` rejects an exact.json whose tour is not one node per
-    cluster or whose cost is not that tour's cost, instead of reporting
-    ARs against it."""
-    out = tmp_path / "run"
-    assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
-    exact = out / "raw" / "000_6fri26_nodes_3" / "exact.json"
-    data = json.loads(exact.read_text())
-    edit(data)
-    exact.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "again").exists()
-
-
 def _without(key):
-    return lambda d: {k: v for k, v in d.items() if k != key}
+    return _json(lambda d: {k: v for k, v in d.items() if k != key})
+
+
+def _ragged(d):
+    d["tour"][0] = [d["tour"][0], d["tour"][0]]
+    return d
 
 
 @pytest.mark.parametrize(
     "name, edit",
     [
-        ("random.json", lambda d: {**d, "count": 0}),
-        ("random.json", lambda d: {**d, "count": "20"}),
-        ("random.json", lambda d: {**d, "seed": str(d["seed"])}),
+        ("instance.gtsp", None),
+        ("instance.gtsp", lambda text: text.replace("DIMENSION", "DIMENSIONX")),
+        ("exact.json", _json(lambda d: {**d, "cost": 2 * d["cost"]})),
+        ("exact.json", _json(lambda d: {**d, "tour": [d["tour"][0]] * len(d["tour"])})),
+        ("exact.json", _json(lambda d: {**d, "tour": d["tour"][:-1]})),
+        ("exact.json", _json(lambda d: {**d, "tour": None})),
+        ("exact.json", _json(lambda d: {**d, "cost": None})),
+        ("exact.json", _without("tour")),
+        ("exact.json", _without("cost")),
+        ("exact.json", _json(_ragged)),
+        ("exact.json", _json(lambda d: [])),
+        ("exact.json", _json(lambda d: 7.0)),
+        ("exact.json", lambda text: text[:-3]),
+        ("random.json", _json(lambda d: {**d, "count": 0})),
+        ("random.json", _json(lambda d: {**d, "count": "20"})),
+        ("random.json", _json(lambda d: {**d, "count": 21})),
+        ("random.json", _json(lambda d: {**d, "seed": str(d["seed"])})),
         ("random.json", _without("seed")),
         ("random.json", _without("count")),
-        ("random.json", lambda d: [d]),
-        ("reduction.json", lambda d: {**d, "original_n": "foo"}),
-        ("reduction.json", lambda d: {**d, "original_n": 3}),
-        ("reduction.json", lambda d: [d]),
-        ("exact.json", lambda d: []),
-        ("exact.json", lambda d: 7.0),
-        ("samples_sa.json", lambda d: [d]),
-        ("samples_sa.json", lambda d: "entries"),
+        ("random.json", _json(lambda d: [d])),
+        ("random.json", lambda text: text[:-3]),
+        ("reduction.json", None),
+        ("reduction.json", _json(lambda d: {**d, "original_n": "foo"})),
+        ("reduction.json", _json(lambda d: {**d, "original_n": 3})),
+        ("reduction.json", _json(lambda d: [d])),
+        ("reduction.json", lambda text: text[:-3]),
+        ("samples_sa.json", None),
+        ("samples_sa.json", _json(lambda d: {**d, "backend": "qaoa"})),
+        ("samples_sa.json", _json(lambda d: [d])),
+        ("samples_sa.json", _json(lambda d: "entries")),
+        ("samples_sa.json", lambda text: text[:-3]),
     ],
     ids=[
+        "no-instance",
+        "instance-header",
+        "cost-doubled",
+        "wrong-cluster",
+        "short-tour",
+        "tour-null",
+        "cost-null",
+        "no-tour",
+        "no-cost",
+        "ragged-tour",
+        "exact-list",
+        "exact-number",
+        "exact-not-json",
         "count-0",
         "count-str",
+        "count-not-reads",
         "seed-str",
         "no-seed",
         "no-count",
         "random-list",
+        "random-not-json",
+        "no-reduction",
         "original-n-str",
         "original-n-below-n",
         "reduction-list",
-        "exact-list",
-        "exact-number",
+        "reduction-not-json",
+        "no-samples",
+        "samples-backend",
         "samples-list",
         "samples-str",
+        "samples-not-json",
     ],
 )
 def test_report_malformed_raw_exit_2(write_instance, tmp_path, capsys, name, edit):
-    """``report`` rejects a random.json that is not an object with an
-    integer seed and a count of at least 1, a reduction.json that is not
-    an object whose original_n is an integer at least the reduced instance's
-    n (4 here), and an exact or sample file that is not an object, with an
-    error message, not a traceback."""
+    """``report`` rejects a raw file that is missing (``edit`` None), does
+    not parse, or fails its check, with an error that names the file. The
+    checks: exact.json holds one node per cluster and that tour's cost;
+    random.json an integer seed and the run's 20 reads as its count;
+    reduction.json, which an nn2c run needs, an integer original_n at least
+    the reduced n (4 here); samples_sa.json a sample set of backend sa; and
+    every JSON file an object."""
     path = write_instance(gen.preprocess_original("4br17", 4, 17, 4))
     out = tmp_path / "run"
     args = ["bench", str(path), "--reduce", "nn2c", "--backend", "sa", "--reads", "20"]
     assert main(args + ["--out", str(out)]) == 0
     raw = out / "raw" / "000_4br17" / name
-    raw.write_text(json.dumps(edit(json.loads(raw.read_text()))))
+    if edit is None:
+        raw.unlink()
+    else:
+        raw.write_text(edit(raw.read_text()))
     capsys.readouterr()
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: 000_4br17/{name}: ")
     assert not (tmp_path / "again").exists()
+
+
+def test_report_needs_each_configured_instance_raw_dir(bench_paths, tmp_path, capsys):
+    """A run whose raw directory of a configured instance is gone does not
+    report the instances left."""
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    shutil.rmtree(out / "raw" / "001_5ulysses22_nodes_4")
+    capsys.readouterr()
+    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err.startswith("error: raw/001_*: 0 matches")
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("later", [0, 1], ids=["fewer-instances", "other-instance"])
+def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path, capsys, later):
+    """bench into an --out a run of both instances left behind reports
+    neither the stale instance nor a second directory of the same index."""
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    capsys.readouterr()
+    assert main(_bench_args(bench_paths[later : later + 1], out)) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    if later == 0:
+        assert err.startswith("error: raw/001_5ulysses22_nodes_4: not one of")
+    else:
+        assert err.startswith("error: raw/000_*: 2 matches")
 
 
 def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):

@@ -202,8 +202,14 @@ def test_reduction_record_validation():
         ReductionRecord("x", {0: 0}, "nn2c", seed=3)
     with pytest.raises(ValueError):
         ReductionRecord("x", {0: 0}, "subsample", seed=None)
-    rec = ReductionRecord("x", {0: 5, 1: 7}, "subsample", seed=9)
-    assert ReductionRecord.from_json_dict(rec.to_json_dict()) == rec
+    rec = ReductionRecord("x", {1: 7, 0: 5}, "subsample", seed=9)
+    assert rec.to_json_dict() == {
+        "original_instance_name": "x",
+        "kept_nodes": {"0": 5, "1": 7},
+        "method": "subsample",
+        "seed": 9,
+    }
+    assert list(rec.to_json_dict()["kept_nodes"]) == ["0", "1"]
 
 
 # --- the --reduce entry point ---------------------------------------------------

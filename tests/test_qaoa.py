@@ -8,7 +8,7 @@ import pytest
 
 from gtspq import qaoa, qubo
 from gtspq.cli import RunConfig
-from gtspq.qubo import build_qubo, encode_rows, energy, from_terms
+from gtspq.qubo import build_qubo, encode_rows, energy
 from gtspq.qaoa import (
     BETA_RANGE,
     GAMMA_RANGE,
@@ -330,7 +330,7 @@ def test_run_qaoa_given_phase_and_ring_is_the_same_state():
 
 
 def test_sample_shots_basis_state():
-    model = from_terms(3, 2, [], [], offset=0.0, lam=1.0)
+    model = gen.from_terms(3, 2, [], [], offset=0.0, lam=1.0)
     state = np.zeros((3, 3), dtype=complex)
     state[1, 1] = 1.0
     result = sample_shots(state, cost_diagonal(model), shots=50, seed=0)
@@ -340,7 +340,7 @@ def test_sample_shots_basis_state():
 
 
 def test_sample_shots_binomial_split():
-    model = from_terms(2, 1, [], [], offset=0.0, lam=1.0)
+    model = gen.from_terms(2, 1, [], [], offset=0.0, lam=1.0)
     state = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     result = sample_shots(state, cost_diagonal(model), shots=1500, seed=3)
     assert result.counts.sum() == 1500
@@ -448,7 +448,9 @@ def test_grid_search_samples_pool_every_cell(toy_instance):
     diagonal = cost_diagonal(model)
     for c, cell in enumerate(result.cells):
         params = QaoaParams(cell.gamma, cell.beta)
-        state = run_qaoa(model, PartitionLayout(2, 2), params, 9 + c, diagonal=diagonal)
+        state = run_qaoa(
+            model, PartitionLayout(2, 2), params, 9 + c, phase=cost_phase(diagonal, cell.gamma)
+        )
         shots = sample_shots(state, diagonal, 100, 9 + c)
         for row, count in zip(shots.entries.tolist(), shots.counts.tolist()):
             assert pooled[tuple(row)] >= count
@@ -495,7 +497,7 @@ def _reference_grid_search(model, inst, seed, *, grid, shots, timeout_s, layers)
             break
         params = QaoaParams(gamma=gamma, beta=beta, layers=layers)
         cell_seed = seed + len(runs)
-        state = run_qaoa(model, layout, params, cell_seed, diagonal=diagonal)
+        state = run_qaoa(model, layout, params, cell_seed, phase=cost_phase(diagonal, gamma))
         samples = sample_shots(state, diagonal, shots, cell_seed)
         score = sum((samples.energies * samples.counts).tolist()) / shots
         runs.append((gamma, beta, score, samples))

@@ -13,7 +13,7 @@ import pytest
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
 from gtspq.instance import GtspInstance
-from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, from_terms, rows_to_strs
+from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, rows_to_strs
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
@@ -45,7 +45,7 @@ def test_exhaustive_toy_ground_state(toy_instance):
 
 
 def test_exhaustive_tie_breaks_lexicographically():
-    model = from_terms(3, 1, [], [], offset=2.0, lam=1.0)
+    model = gen.from_terms(3, 1, [], [], offset=2.0, lam=1.0)
     bits, e = _ground(model)
     assert bits == "000"
     assert e == 2.0
@@ -70,7 +70,7 @@ def test_exhaustive_split_half_matches_brute_force(num_vars):
     rng = np.random.default_rng(num_vars)
     for _ in range(5):
         # small integer coefficients: many ties, all sums exact
-        model = from_terms(
+        model = gen.from_terms(
             num_vars,
             1,
             [(v, float(rng.integers(-3, 4))) for v in range(num_vars)],
@@ -87,25 +87,25 @@ def test_exhaustive_split_half_matches_brute_force(num_vars):
 
 
 def test_exhaustive_all_tie_and_cross_block_tie():
-    model = from_terms(7, 3, [], [], offset=-1.5, lam=1.0)
+    model = gen.from_terms(7, 3, [], [], offset=-1.5, lam=1.0)
     assert _ground(model) == ("0" * 21, -1.5)
     # 18 variables make four blocks of 2^16 states; the minimum -1 is reached
     # in several of them, and the smallest index wins
-    tied = from_terms(18, 1, [(0, -1.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
+    tied = gen.from_terms(18, 1, [(0, -1.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
     assert _ground(tied) == ("0" * 17 + "1", -1.0)
-    later = from_terms(18, 1, [(0, -2.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
+    later = gen.from_terms(18, 1, [(0, -2.0), (17, -1.0)], [(0, 17, 1.0)], offset=0.0, lam=1.0)
     assert _ground(later) == ("1" + "0" * 17, -2.0)
 
 
 def test_exhaustive_cap():
     """At 24 variables the scan returns one read of its one row; at 25 it
     returns a not_applicable failure with no reads."""
-    at_cap = exhaustive_ground_state(from_terms(8, 3, [(5, -1.0)], [], offset=0.0, lam=1.0))
+    at_cap = exhaustive_ground_state(gen.from_terms(8, 3, [(5, -1.0)], [], offset=0.0, lam=1.0))
     assert at_cap.backend is Backend.EXHAUSTIVE and at_cap.failure is None
     assert at_cap.num_reads == 1 and at_cap.counts.tolist() == [1]
     assert at_cap.entries.tolist() == [[int(v == 5) for v in range(24)]]
     assert at_cap.energies.tolist() == [-1.0]
-    over = exhaustive_ground_state(from_terms(5, 5, [], [], offset=0.0, lam=1.0))
+    over = exhaustive_ground_state(gen.from_terms(5, 5, [], [], offset=0.0, lam=1.0))
     assert over.backend is Backend.EXHAUSTIVE
     assert over.failure is Failure.NOT_APPLICABLE
     assert over.num_reads == 0 and len(over.counts) == 0
@@ -202,7 +202,7 @@ def test_sa_matches_reference_sweep(num_reads, sweeps):
 
 
 def test_sa_downhill_only_single_variable():
-    model = from_terms(1, 1, [(0, 5.0)], [], offset=0.0, lam=1.0)
+    model = gen.from_terms(1, 1, [(0, 5.0)], [], offset=0.0, lam=1.0)
     result = sa_sample(model, num_reads=64, seed=0)
     assert result.entries.tolist() == [[0]]
     assert result.counts.tolist() == [64]
