@@ -224,10 +224,22 @@ def _bench_instance(payload: tuple) -> None:
             bench.atomic_write(raw_dir / "qaoa_grid.csv", bench.grid_csv(grid_result))
 
 
+def _check_no_stale_raw_dirs(out_dir: Path, count: int) -> None:
+    """ValueError if ``raw/`` holds a directory whose name does not start
+    with ``<i:03d>_`` for one of the run's ``count`` instance indices."""
+    raw_root = out_dir / "raw"
+    if not raw_root.is_dir():
+        return
+    indices = {f"{index:03d}" for index in range(count)}
+    for path in sorted(raw_root.iterdir()):
+        head, sep, _ = path.name.partition("_")
+        if path.is_dir() and not (sep and head in indices):
+            raise ValueError(f"raw/{path.name}: not one of the run's {count} instances")
+
+
 def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
     """Rebuild all reports from persisted raw artifacts only: the one
     ``raw/<i:03d>_*`` directory of each configured instance i, and no other."""
-    raw_root = out_dir / "raw"
     raw_dirs = []
     for index in range(len(cfg.instances)):
         pattern = f"raw/{index:03d}_*"
@@ -235,9 +247,7 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
         if len(found) != 1:
             raise ValueError(f"{pattern}: {len(found)} matches, expected one raw directory")
         raw_dirs.append(found[0])
-    for path in sorted(raw_root.iterdir()):
-        if path.is_dir() and path not in raw_dirs:
-            raise ValueError(f"raw/{path.name}: not one of config.json's {len(raw_dirs)} instances")
+    _check_no_stale_raw_dirs(out_dir, len(raw_dirs))
     reports = tuple(_read_raw_dir(raw_dir, cfg) for raw_dir in raw_dirs)
     return bench.ExperimentGroup(name=cfg.group, reports=reports)
 
@@ -386,6 +396,7 @@ def cmd_bench(args) -> int:
     if not cfg.instances:
         raise _UsageError("bench needs at least one instance file")
     out = Path(cfg.out)
+    _check_no_stale_raw_dirs(out, len(cfg.instances))  # before anything is overwritten
     out.mkdir(parents=True, exist_ok=True)
     bench.atomic_write(out / "config.json", dataclasses.asdict(cfg))
     payloads = [(cfg, index, path) for index, path in enumerate(cfg.instances)]

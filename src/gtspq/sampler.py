@@ -5,6 +5,11 @@ single-bit-flip simulated annealing (the stand-in for annealer sampling, 1500
 reads by default), and an adapter that ships the exported model to an external
 sampler endpoint. All sample energies are recomputed locally against the
 model, never trusted from elsewhere.
+
+Each annealing sweep visits the variables class by class, in greedy colour
+order: a class holds variables with no coupling between them, and flips in
+one array step, so the sweep is a sequential single-flip Metropolis sweep in
+that order.
 """
 
 from __future__ import annotations
@@ -220,6 +225,28 @@ def exhaustive_ground_state(model: QuboModel) -> SampleSet:
 # --- simulated annealing -----------------------------------------------------
 
 
+def _colour_classes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy colouring of the coupling graph, in which u != v are coupled
+    when ``q[u, v]`` or ``q[v, u]`` is nonzero (for the model's upper
+    triangular ``q``: when ``(q + q.T)[u, v]`` is): variables in index
+    order, each taking the smallest colour none of its neighbours has.
+
+    Returns ``order``, the variables sorted stably by colour, and ``bounds``:
+    colour class c is ``order[bounds[c]:bounds[c + 1]]``, and no two of its
+    variables are coupled.
+    """
+    n = len(q)
+    coupled = (q != 0.0) | (q.T != 0.0)
+    colour = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        taken = np.zeros(v + 1, dtype=bool)  # v earlier variables use colours <= v - 1
+        taken[colour[:v][coupled[v, :v]]] = True
+        colour[v] = int(np.argmin(taken))
+    order = np.argsort(colour, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(colour))))
+    return order, bounds
+
+
 def sa_sample(
     model: QuboModel,
     num_reads: int = DEFAULT_NUM_READS,
@@ -231,6 +258,14 @@ def sa_sample(
     All restarts are evolved as one array program; the result is fully
     determined by (model, num_reads, schedule, seed). Each read reports its
     final state after the last sweep.
+
+    Each sweep visits the variables class by class, in the greedy colour
+    order of ``_colour_classes``. The variables of one class are uncoupled,
+    so flipping one leaves the others' local fields as they were, and the
+    whole class takes its accept test and its flips in one array step. A
+    sweep is thus a sequential single-flip Metropolis sweep in colour order
+    (Gonzalez, Low, Gretton & Guestrin, AISTATS 2011). The initial bits and
+    each sweep's uniform draws are indexed by the original variable.
     """
     if num_reads < 1:
         raise ValueError("num_reads must be >= 1")
@@ -238,32 +273,44 @@ def sa_sample(
         schedule = default_schedule(model)
     n = model.num_vars
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    linear = np.diagonal(model.q)
-    qsym = model.q + model.q.T
+    order, bounds = _colour_classes(model.q)
+    # q + q.T with a zero diagonal, in colour order, so that each class is a
+    # contiguous row block
+    qsym = np.take(np.take(model.q, order, axis=0), order, axis=1)
+    qsym += qsym.T
     np.fill_diagonal(qsym, 0.0)
+    linear = np.diagonal(model.q)[order, None]
 
-    bits = rng.integers(0, 2, size=(num_reads, n)).astype(np.float64)
-    # (num_vars, reads) layout, so each variable's row over the reads is contiguous
-    fields = np.ascontiguousarray((bits @ qsym).T)  # fields[v, r] = sum_u q_{uv} * b_{r,u}
+    bits = rng.integers(0, 2, size=(num_reads, n)).astype(np.float64)[:, order]
+    # (num_vars, reads) layout; fields[v, r] = sum_u q_{uv} * b_{r,u}
+    fields = np.ascontiguousarray((bits @ qsym).T)
     spins = np.ascontiguousarray((1.0 - 2.0 * bits).T)  # 1 - 2 b: a flip's sign
+    thresholds = np.empty_like(fields)
+    # per class, views of its rows: state, thresholds, and the couplings a flip adds to fields
+    classes = [
+        (spins[a:b], linear[a:b], fields[a:b], thresholds[a:b], qsym[a:b].T)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
     for beta in schedule.betas():
         # accept iff u < exp(-beta * delta), i.e. delta < -log(u) / beta
-        thresholds = np.ascontiguousarray(
-            (-np.log(rng.random((num_reads, n)) + 1e-300) / beta).T
-        )
+        draws = -np.log(rng.random((num_reads, n)) + 1e-300) / beta
+        np.take(draws.T, order, axis=0, out=thresholds)  # in place: the class views read it
         # Until the first flip the state is the sweep's start state, so a
         # variable no read accepts now is rejected in the sweep too.
-        live = (spins * (linear[:, None] + fields) < thresholds).any(axis=1)
+        live = (spins * (linear + fields) < thresholds).any(axis=1)
         if not live.any():
             continue
-        for v in range(int(np.argmax(live)), n):
-            accept = spins[v] * (linear[v] + fields[v]) < thresholds[v]
+        first = int(np.searchsorted(bounds, np.argmax(live), side="right")) - 1
+        for s, lin, f, thr, coupling in classes[first:]:
+            accept = s * (lin + f) < thr
             if not accept.any():
                 continue
-            fields += np.multiply.outer(qsym[v], np.where(accept, spins[v], 0.0))
-            np.negative(spins[v], out=spins[v], where=accept)
+            fields += coupling @ (s * accept)
+            np.negative(s, out=s, where=accept)
 
-    rows, counts = np.unique((spins.T < 0).astype(np.uint8), axis=0, return_counts=True)
+    bits = np.empty((num_reads, n), dtype=np.uint8)
+    bits[:, order] = (spins.T < 0)
+    rows, counts = np.unique(bits, axis=0, return_counts=True)
     return SampleSet.from_rows(
         Backend.SIMULATED_ANNEALING, num_reads, rows, counts, qubo.energies(model, rows)
     )

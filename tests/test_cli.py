@@ -658,19 +658,24 @@ def test_report_needs_each_configured_instance_raw_dir(bench_paths, tmp_path, ca
     assert not (tmp_path / "again").exists()
 
 
-@pytest.mark.parametrize("later", [0, 1], ids=["fewer-instances", "other-instance"])
-def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path, capsys, later):
+@pytest.mark.parametrize("swapped", [False, True], ids=["fewer-instances", "other-instance"])
+def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path, capsys, swapped):
     """bench into an --out a run of both instances left behind reports
-    neither the stale instance nor a second directory of the same index."""
+    neither the stale instance nor a second directory of the same index.
+    A stale index is found before anything is written, so the first run's
+    config.json and raw files stay as they were; a second directory of a
+    run's own index is found when the raw files are read."""
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
+    first = _dir_snapshot(out)
     capsys.readouterr()
-    assert main(_bench_args(bench_paths[later : later + 1], out)) == 2
+    assert main(_bench_args(bench_paths[::-1] if swapped else bench_paths[:1], out)) == 2
     err = capsys.readouterr().err.splitlines()[-1]
-    if later == 0:
-        assert err.startswith("error: raw/001_5ulysses22_nodes_4: not one of")
-    else:
+    if swapped:
         assert err.startswith("error: raw/000_*: 2 matches")
+    else:
+        assert err.startswith("error: raw/001_5ulysses22_nodes_4: not one of")
+        assert _dir_snapshot(out) == first
 
 
 def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):

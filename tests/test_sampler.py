@@ -17,6 +17,7 @@ from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, rows_to_st
 from gtspq.sampler import (
     AnnealSchedule,
     Backend,
+    _colour_classes,
     ExternalSamplerError,
     Failure,
     SampleSet,
@@ -149,9 +150,9 @@ def test_default_schedule_feasible_on_medium_fixtures():
         assert backend.best_shot_ar >= 0.95, name
 
 
-def _sa_reference_entries(model, num_reads, schedule, seed):
-    """Reference sweep: reads as rows, every variable tested in every sweep,
-    accepted flips applied with per-read masks."""
+def _sa_reference_entries(model, num_reads, schedule, seed, order):
+    """Reference sweep: reads as rows, every variable tested in every sweep
+    in the visiting ``order``, accepted flips applied with per-read masks."""
     n = model.num_vars
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     q = model.q.copy()
@@ -162,7 +163,7 @@ def _sa_reference_entries(model, num_reads, schedule, seed):
     fields = bits @ qsym
     for beta in schedule.betas():
         thresholds = -np.log(rng.random((num_reads, n)) + 1e-300) / beta
-        for v in range(n):
+        for v in order:
             sign = 1.0 - 2.0 * bits[:, v]
             delta = sign * (linear[v] + fields[:, v])
             accept = delta < thresholds[:, v]
@@ -189,16 +190,47 @@ def _decimal_model(seed, n, k):
 @pytest.mark.parametrize("num_reads", [1, 7, 64])
 @pytest.mark.parametrize("sweeps", [1, 13, 200])
 def test_sa_matches_reference_sweep(num_reads, sweeps):
-    """Bit-identical to the reference sweep on non-integer weights."""
-    for seed, (n, k) in enumerate([(2, 2), (3, 3), (4, 3), (5, 2), (6, 4)]):
-        model = _decimal_model(seed, n, k)
+    """Bit-identical to the reference sweep taken in colour order, on
+    non-integer weights and on integer-weight shapes with K >= 4, whose
+    colour classes have several members."""
+    models = [_decimal_model(seed, n, k) for seed, (n, k) in
+              enumerate([(2, 2), (3, 3), (4, 3), (5, 2), (6, 4)])]
+    models += [build_qubo(gen.make_random_instance(seed=20 + k, n=n, k=k))
+               for n, k in [(8, 5), (12, 7)]]
+    for seed, model in enumerate(models):
+        order, _ = _colour_classes(model.q)
         for schedule in (
             default_schedule(model, sweeps=sweeps),
             AnnealSchedule(sweeps, 0.01, 5.0),
         ):
             got = sa_sample(model, num_reads, schedule, seed=seed + 10)
-            want = _sa_reference_entries(model, num_reads, schedule, seed + 10)
+            want = _sa_reference_entries(model, num_reads, schedule, seed + 10, order)
             assert got.to_json_dict() == want.to_json_dict()
+
+
+def _classes(model):
+    order, bounds = _colour_classes(model.q)
+    return [order[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (5, 3), (8, 4), (12, 7), (9, 9)])
+def test_colour_classes_partition_uncoupled_variables(n, k):
+    """The classes partition the variables, no class holds two coupled
+    variables, and the colouring depends on q alone. With K >= 4 some
+    variables share a class; with K <= 3 the step and cluster one-hot
+    cliques and the tour's edges couple every pair, so each class is one
+    variable."""
+    model = build_qubo(gen.make_random_instance(seed=n * k, n=n, k=k))
+    classes = _classes(model)
+    assert sorted(v for c in classes for v in c) == list(range(model.num_vars))
+    for c in classes:
+        assert c == sorted(c)
+        assert not np.any(model.q[np.ix_(c, c)][~np.eye(len(c), dtype=bool)])
+    assert _classes(build_qubo(gen.make_random_instance(seed=n * k, n=n, k=k))) == classes
+    if k >= 4:
+        assert len(classes) < model.num_vars
+    else:
+        assert classes == [[v] for v in range(model.num_vars)]
 
 
 def test_sa_downhill_only_single_variable():
