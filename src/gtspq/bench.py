@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -195,14 +196,17 @@ def violin_csv(report: BackendReport) -> str:
 
 def grid_csv(result: GridResult) -> str:
     """One row per QAOA grid cell in search order, one column per CellSummary field."""
-    return _csv_text([f.name for f in fields(CellSummary)], map(astuple, result.cells))
+    names = [f.name for f in fields(CellSummary)]
+    return _csv_text(names, ([getattr(cell, name) for name in names] for cell in result.cells))
 
 
-def atomic_write(path: Path, content: str | dict) -> None:
+def atomic_write(path: Path, content: str | dict | Iterable[str]) -> None:
     """Write via a temp file and rename, so readers never see a partial file.
 
-    A dict is streamed as JSON (indent 2, sorted keys, final newline), so no
-    copy of the whole text is held in memory.
+    ``content`` is a str, written as it is; a dict, streamed as JSON (indent
+    2, sorted keys, final newline); or an iterable of text chunks, written
+    one after the other. A dict or chunks hold no copy of the whole text in
+    memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -210,8 +214,10 @@ def atomic_write(path: Path, content: str | dict) -> None:
         if isinstance(content, dict):
             json.dump(content, f, indent=2, sort_keys=True)
             f.write("\n")
-        else:
+        elif isinstance(content, str):
             f.write(content)
+        else:
+            f.writelines(content)
     tmp.replace(path)
 
 

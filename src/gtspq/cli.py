@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -219,7 +220,7 @@ def _bench_instance(payload: tuple) -> None:
         started = time.monotonic()
         samples, grid_result = _run_backend(key, inst, model, cfg, index)
         print(f"[{inst.name}] {_outcome(key, samples, started)}", file=sys.stderr)
-        bench.atomic_write(raw_dir / f"samples_{key}.json", samples.to_json_dict())
+        bench.atomic_write(raw_dir / f"samples_{key}.json", samples.json_chunks())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(raw_dir / "qaoa_grid.csv", bench.grid_csv(grid_result))
 
@@ -384,7 +385,7 @@ def cmd_solve(args) -> int:
         started = time.monotonic()
         samples, grid_result = _run_backend(key, inst, model, cfg, 0)
         print(f"{inst.name} {_outcome(key, samples, started)}")
-        bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.to_json_dict())
+        bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.json_chunks())
         if grid_result is not None and grid_result.cells:
             bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", bench.grid_csv(grid_result))
         failures.append(samples.failure is not None)
@@ -451,7 +452,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", type=str, default=None, help="experiment group name")
 
 
+@functools.cache
 def _make_parser() -> _Parser:
+    """The one parser of the process: argparse gives each parse_args call
+    its own namespace, so a parser holds nothing of an earlier call."""
     parser = _Parser(prog="gtspq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -183,13 +183,22 @@ def sample_shots(
     state: np.ndarray, diagonal: np.ndarray, shots: int, seed: int
 ) -> SampleSet:
     """i.i.d. measurement draws; tuples rendered as full N*K bit rows, each
-    scored by its entry of the cost diagonal."""
+    scored by its entry of the cost diagonal.
+
+    The draws are the ones ``rng.choice(len(probs), size=shots, p=probs)``
+    makes, by the inverse CDF that it computes, without its other passes
+    over ``probs``. A state whose norm is zero or not finite is a ValueError.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = np.abs(state.reshape(-1)) ** 2
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if not 0 < total < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"state norm squared is {total}, not finite and positive")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(probs), size=shots, p=probs)
+    draws = cdf.searchsorted(rng.random(shots), side="right")
     uniq, counts = np.unique(draws, return_counts=True)
     orders = np.stack(np.unravel_index(uniq, state.shape), axis=1)
     rows = qubo.encode_rows(state.shape[0], orders)
@@ -216,7 +225,7 @@ def grid_search(
     completed cells are returned, with failure=timeout only if none
     completed. A model whose N^K amplitudes exceed ``MAX_SUBSPACE_DIM`` runs
     no cell and fails as not_applicable. Cell c derives its seed as seed + c,
-    so the search is reproducible.
+    so the search is reproducible. A grid dimension below 1 is a ValueError.
 
     Each piece of work is done once: the ring matrix once per beta for the
     whole search, and the phase vector once per gamma, after the timeout
@@ -227,6 +236,8 @@ def grid_search(
     tuple is step-one-hot by construction), and the inverse index maps that
     verdict back to each cell's feasible shot fraction.
     """
+    if min(grid) < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {grid[0]}x{grid[1]}")
     try:
         layout = PartitionLayout(model.n, model.k)
     except StateTooLargeError:

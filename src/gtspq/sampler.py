@@ -31,6 +31,8 @@ EXHAUSTIVE_CAP = 24
 DEFAULT_NUM_READS = 1500
 DEFAULT_SWEEPS = 1000
 EXTERNAL_TIMEOUT_S = 30.0  # per HTTP request to the external sampler
+JSON_CHUNK_ENTRIES = 4096  # sample entries per chunk of a set's JSON text
+_JSON_ENTRY = '    {\n      "bits": "%s",\n      "count": %d,\n      "energy": %s\n    }'
 
 
 class Backend(enum.Enum):
@@ -77,7 +79,9 @@ class SampleSet:
         sorted by (energy, bits)."""
         rows = np.asarray(rows, dtype=np.uint8)
         energies = np.asarray(energies, dtype=np.float64)
-        order = np.lexsort((*rows.T[::-1], energies))  # last key is the primary one
+        # bit 0 is the top bit of byte 0, so byte order is bit order; the
+        # last key is the primary one
+        order = np.lexsort((*np.packbits(rows, axis=1).T[::-1], energies))
         counts = np.asarray(counts, dtype=np.int64)[order]
         return cls(backend, num_reads, rows[order], counts, energies[order], failure)
 
@@ -86,27 +90,34 @@ class SampleSet:
         """An empty set that records the backend's failure."""
         return cls.from_rows(backend, num_reads, np.zeros((0, 0)), [], [], failure=failure)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend.value,
-            "num_reads": self.num_reads,
-            "failure": self.failure.value if self.failure else None,
-            "entries": [
-                {"bits": bits, "count": count, "energy": e}
-                for bits, count, e in zip(
-                    qubo.rows_to_strs(self.entries),
-                    self.counts.tolist(),
-                    self.energies.tolist(),
-                )
-            ],
-        }
+    def json_chunks(self):
+        """The set's JSON text, in chunks of at most JSON_CHUNK_ENTRIES
+        entries: ``{backend, entries: [{bits, count, energy}], failure,
+        num_reads}`` byte for byte as ``json.dump`` writes it with indent 2
+        and sorted keys, plus a final newline. Each entry is written from
+        one template, so no per-entry object is built."""
+        yield '{\n  "backend": %s,\n  "entries": [' % json.dumps(self.backend.value)
+        for start in range(0, len(self.counts), JSON_CHUNK_ENTRIES):
+            part = slice(start, start + JSON_CHUNK_ENTRIES)
+            # json's own float text (repr, NaN, Infinity), from its C encoder
+            energies = json.dumps(self.energies[part].tolist())[1:-1].split(", ")
+            entries = zip(
+                qubo.rows_to_strs(self.entries[part]), self.counts[part].tolist(), energies
+            )
+            yield ",\n" if start else "\n"
+            yield ",\n".join(_JSON_ENTRY % entry for entry in entries)
+        failure = self.failure.value if self.failure else None
+        yield '%s,\n  "failure": %s,\n  "num_reads": %s\n}\n' % (
+            "\n  ]" if len(self.counts) else "]", json.dumps(failure), json.dumps(self.num_reads)
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampleSet":
-        """The set ``to_json_dict`` wrote; ValueError if ``entries`` is not a
-        list of objects, ``num_reads`` is not a non-negative integer, a count is
-        not a positive integer, a bit string is listed twice, or the counts of a
-        set without a failure do not sum to ``num_reads``."""
+        """The set whose ``json_chunks`` text parses to ``data``; ValueError if
+        ``entries`` is not a list of objects, ``num_reads`` is not a
+        non-negative integer, a count is not a positive integer, a bit string
+        is listed twice, or the counts of a set without a failure do not sum
+        to ``num_reads``."""
         entries = data["entries"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("sample entries are not a list of objects")

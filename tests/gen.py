@@ -4,7 +4,8 @@ Benchmark-shaped fixtures replicate the standard experiment groups by
 (name, N, K) only; weights are seeded synthetics. For asymmetric originals
 that get reduced, a ring of strictly dominant entry/exit edges is planted so
 the nearest-nodes reduction hits a chosen reduced size exactly.
-``from_terms`` builds the small hand-written models the tests use.
+``from_terms`` builds the small hand-written models the tests use, and
+``sample_text`` a sample set's file text.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from gtspq.instance import GtspInstance
 from gtspq.qubo import QuboModel
+from gtspq.sampler import SampleSet
 
 # (name, n, k) per instance; qubits = n * k
 SUBSAMPLE_SMALL = [
@@ -207,3 +209,8 @@ def from_terms(
     return QuboModel(
         n=n, k=k, q=q, offset=float(offset), lam=float(lam), zero_is_edge=zero_is_edge
     )
+
+
+def sample_text(samples: SampleSet) -> str:
+    """The text a sample set's ``samples_*.json`` file holds."""
+    return "".join(samples.json_chunks())

@@ -168,7 +168,7 @@ def test_report_recomputation_oracle(toy_instance):
     random_costs = random_tours(toy_instance, 200, seed=2)[1].tolist()
     report = build_report(toy_instance, model, {"sa": samples}, exact.cost, random_costs)
 
-    raw = samples.to_json_dict()
+    raw = json.loads(gen.sample_text(samples))
     feas = 0
     ars = []
     for item in raw["entries"]:

@@ -325,6 +325,32 @@ def test_bench_report_roundtrip(bench_paths, tmp_path):
     assert _dir_snapshot(target) == original
 
 
+def test_main_builds_one_parser_that_keeps_nothing_between_calls(bench_paths, tmp_path, capsys):
+    """In one process: bench, report, a usage error, then a bench without
+    the first one's flags. Each call parses as a fresh parser would, and
+    the last run's config holds the defaults, not the first run's values."""
+    from gtspq import cli
+
+    out, plain = tmp_path / "run", tmp_path / "plain"
+    calls = [
+        (_bench_args(bench_paths, out), 0),
+        (["report", str(out), "--out", str(tmp_path / "again")], 0),
+        (["bench", "--grid", "2x2"], 1),
+        (["bench", str(bench_paths[0]), "--reads", "5", "--out", str(plain)], 0),
+    ]
+    for argv, code in calls:
+        if code == 0:
+            fresh = cli._make_parser.__wrapped__().parse_args(argv)
+            assert vars(cli._make_parser().parse_args(argv)) == vars(fresh)
+        assert main(argv) == code
+    assert cli._make_parser() is cli._make_parser()
+    assert "usage error: bench needs at least one instance file" in capsys.readouterr().err
+    assert _dir_snapshot(tmp_path / "again") == _dir_snapshot(out / "report")
+    written = json.loads((plain / "config.json").read_text())
+    assert (written["seed"], written["backends"], written["grid"]) == (0, ["sa"], [10, 10])
+    assert (written["shots"], written["reads"]) == (1500, 5)
+
+
 def test_bench_raw_artifacts_present(bench_paths, tmp_path):
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0

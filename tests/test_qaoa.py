@@ -371,6 +371,15 @@ def test_sample_shots_rows_encode_the_drawn_tuples():
     assert len(want) > 20
 
 
+@pytest.mark.parametrize("fill", [0.0, complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_sample_shots_rejects_a_state_without_a_finite_norm(fill):
+    model = gen.from_terms(3, 2, [], [], offset=0.0, lam=1.0)
+    state = np.zeros((3, 3), dtype=complex)
+    state[1] = fill
+    with pytest.raises(ValueError, match="norm"):
+        sample_shots(state, cost_diagonal(model), shots=10, seed=0)
+
+
 def test_sample_shots_energies_equal_qubo_energy():
     for seed, integer in ((17, True), (18, False)):
         inst = gen.make_random_instance(seed=seed, n=4, k=3)
@@ -414,7 +423,7 @@ def test_grid_1x1_degenerates_to_single_run(toy_instance):
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
     state = run_qaoa(model, PartitionLayout(2, 2), params, seed=5)
     direct = sample_shots(state, cost_diagonal(model), shots=200, seed=5)
-    assert result.search_samples.to_json_dict() == direct.to_json_dict()
+    assert gen.sample_text(result.search_samples) == gen.sample_text(direct)
     assert (result.cells[0].gamma, result.cells[0].beta) == (params.gamma, params.beta)
 
 
@@ -434,7 +443,7 @@ def test_grid_deterministic(toy_instance):
     a = _grid(model, toy_instance, 2, grid=(3, 3), shots=100)
     b = _grid(model, toy_instance, 2, grid=(3, 3), shots=100)
     assert a.cells == b.cells
-    assert a.search_samples.to_json_dict() == b.search_samples.to_json_dict()
+    assert gen.sample_text(a.search_samples) == gen.sample_text(b.search_samples)
 
 
 def test_grid_search_samples_pool_every_cell(toy_instance):
@@ -465,6 +474,13 @@ def test_grid_timeout_zero_cells(toy_instance):
     assert result.search_samples.failure is Failure.TIMEOUT
     assert result.search_samples.num_reads == 0
     assert result.cells == ()
+
+
+@pytest.mark.parametrize("grid", [(0, 3), (3, 0), (0, 0)])
+def test_grid_search_rejects_an_empty_grid(toy_instance, grid):
+    """An empty grid is a caller's error, not a timeout: no time expired."""
+    with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+        _grid(build_qubo(toy_instance), toy_instance, 0, grid=grid, shots=10)
 
 
 def test_grid_over_state_cap_not_applicable():
@@ -538,7 +554,7 @@ def _assert_same_search(got, want):
     assert np.array_equal(a.entries, b.entries)
     assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
     assert np.array_equal(a.energies, b.energies)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert gen.sample_text(a) == gen.sample_text(b)
 
 
 def _oracle_instances():

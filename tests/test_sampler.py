@@ -15,6 +15,7 @@ from gtspq.bench import build_report
 from gtspq.instance import GtspInstance
 from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, rows_to_strs
 from gtspq.sampler import (
+    JSON_CHUNK_ENTRIES,
     AnnealSchedule,
     Backend,
     _colour_classes,
@@ -205,7 +206,7 @@ def test_sa_matches_reference_sweep(num_reads, sweeps):
         ):
             got = sa_sample(model, num_reads, schedule, seed=seed + 10)
             want = _sa_reference_entries(model, num_reads, schedule, seed + 10, order)
-            assert got.to_json_dict() == want.to_json_dict()
+            assert gen.sample_text(got) == gen.sample_text(want)
 
 
 def _classes(model):
@@ -246,9 +247,9 @@ def test_sa_deterministic_for_fixed_seed():
     model = build_qubo(inst)
     a = sa_sample(model, num_reads=50, seed=123)
     b = sa_sample(model, num_reads=50, seed=123)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert gen.sample_text(a) == gen.sample_text(b)
     c = sa_sample(model, num_reads=50, seed=124)
-    assert a.to_json_dict() != c.to_json_dict()
+    assert gen.sample_text(a) != gen.sample_text(c)
 
 
 def test_sa_counts_sum_to_num_reads():
@@ -420,16 +421,94 @@ def test_external_http_round_trip(toy_instance):
 def test_sampleset_json_round_trip(toy_instance):
     model = _toy_model(toy_instance)
     result = sa_sample(model, num_reads=20, seed=1)
-    data = result.to_json_dict()
-    again = SampleSet.from_json_dict(json.loads(json.dumps(data)))
-    assert again.to_json_dict() == data
+    text = gen.sample_text(result)
+    data = json.loads(text)
+    again = SampleSet.from_json_dict(data)
+    assert gen.sample_text(again) == text
     for name in ("entries", "counts", "energies"):
         assert getattr(again, name).dtype == getattr(result, name).dtype
         assert np.array_equal(getattr(again, name), getattr(result, name))
     assert sorted(data) == ["backend", "entries", "failure", "num_reads"]
     failed = SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, 7)
-    assert SampleSet.from_json_dict(failed.to_json_dict()).to_json_dict() == failed.to_json_dict()
+    text = gen.sample_text(failed)
+    assert gen.sample_text(SampleSet.from_json_dict(json.loads(text))) == text
     assert failed.num_reads == 7 and failed.entries.shape == (0, 0)
+
+
+def _by_hand(samples):
+    """The dict a sample set's JSON text holds, built here field by field."""
+    return {
+        "backend": samples.backend.value,
+        "num_reads": samples.num_reads,
+        "failure": samples.failure.value if samples.failure else None,
+        "entries": [
+            {"bits": "".join(str(b) for b in row), "count": int(count), "energy": float(e)}
+            for row, count, e in zip(samples.entries.tolist(), samples.counts, samples.energies)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "energies",
+    [[1e-05, -0.0, 1e16, 0.1 + 0.2], [0.0, math.inf, -math.inf, 2.5]],
+    ids=["finite", "infinite"],
+)
+@pytest.mark.parametrize("size", [0, 1, 4, JSON_CHUNK_ENTRIES + 3])
+def test_sampleset_json_text_is_json_dump_indent_2(size, energies):
+    """The streamed text is ``json.dumps`` of the hand-built dict with
+    indent 2 and sorted keys, plus a newline: for no entry, one entry, and
+    more entries than one chunk holds, with float energies whose text is
+    easy to get wrong."""
+    width = max(size - 1, 0).bit_length() + 2
+    rows = (np.arange(size)[:, None] >> np.arange(width)[::-1] & 1).astype(np.uint8)
+    samples = SampleSet.from_rows(
+        Backend.QAOA, 3 * size, rows, np.arange(size) % 3 + 1, np.resize(energies, size)
+    )
+    want = json.dumps(_by_hand(samples), indent=2, sort_keys=True) + "\n"
+    assert gen.sample_text(samples) == want
+    assert len(list(samples.json_chunks())) == 2 + 2 * -(-size // JSON_CHUNK_ENTRIES)
+
+
+@pytest.mark.parametrize("failure", list(Failure))
+def test_failed_sampleset_json_text_is_json_dump_indent_2(failure):
+    samples = SampleSet.failed(Backend.EXTERNAL, failure, 0)
+    want = json.dumps(_by_hand(samples), indent=2, sort_keys=True) + "\n"
+    assert gen.sample_text(samples) == want
+    assert '"entries": [],' in want
+
+
+def _bit_column_order(rows, energies):
+    """``from_rows``' order as one lexsort key per bit column."""
+    return np.lexsort((*rows.T[::-1], energies))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 60, 64, 65, 140])
+def test_from_rows_orders_as_one_key_per_bit(width):
+    """Rows packed to bytes sort as they do bit by bit: by energy, then
+    by bits with bit 0 first. Few distinct energies force the bit keys."""
+    rng = np.random.default_rng(width)
+    rows = np.unique(rng.integers(0, 2, size=(300, width), dtype=np.uint8), axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    energies = rng.integers(0, 3, size=len(rows)).astype(np.float64)
+    counts = np.arange(len(rows)) + 1
+    got = SampleSet.from_rows(Backend.SIMULATED_ANNEALING, int(counts.sum()), rows, counts, energies)
+    order = _bit_column_order(rows, energies)
+    assert np.array_equal(got.entries, rows[order])
+    assert np.array_equal(got.counts, counts[order])
+    assert np.array_equal(got.energies, energies[order])
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_from_rows_orders_zero_width_rows(size):
+    """The failed set's (0, 0) rows, and the one empty row of a model
+    without variables, come out as the bit-column order has them."""
+    rows, energies = np.zeros((size, 0), dtype=np.uint8), np.zeros(size)
+    got = SampleSet.from_rows(Backend.EXHAUSTIVE, size, rows, [1] * size, energies)
+    assert got.entries.shape == (size, 0) and got.entries.dtype == np.uint8
+    assert _bit_column_order(rows, energies).tolist() == list(range(size))
+    failed = SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0)
+    assert failed.entries.shape == (0, 0) and failed.entries.dtype == np.uint8
+    assert failed.counts.shape == (0,) and failed.energies.shape == (0,)
 
 
 _THREE_READS = [("1001", 1), ("0110", 2)]
