@@ -223,13 +223,14 @@ def atomic_write(path: Path, content: str | dict | Iterable[str]) -> None:
 
 def emit(group: ExperimentGroup, out_dir) -> None:
     """Write the report files: group.json, the three CSVs and one violin CSV
-    per instance and backend."""
+    per instance and backend, ``violin/<i:03d>_<name>_<backend>.csv`` after
+    the instance's raw directory, so two instances of one name keep two."""
     out = Path(out_dir)
     (out / "violin").mkdir(parents=True, exist_ok=True)
     atomic_write(out / "group.json", group.to_json_dict())
     atomic_write(out / "instances.csv", instances_csv(group))
     atomic_write(out / "feasibility.csv", feasibility_csv(group))
     atomic_write(out / "ar.csv", ar_csv(group))
-    for rep in group.reports:
+    for index, rep in enumerate(group.reports):
         for key, b in sorted(rep.backends.items()):
-            atomic_write(out / "violin" / f"{rep.name}_{key}.csv", violin_csv(b))
+            atomic_write(out / "violin" / f"{index:03d}_{rep.name}_{key}.csv", violin_csv(b))

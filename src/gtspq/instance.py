@@ -11,7 +11,6 @@ internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -22,7 +21,6 @@ class GtsplibError(ValueError):
 
 
 _WEIGHT_TYPES = ("EXPLICIT", "EUC_2D", "CEIL_2D", "GEO", "ATT")
-_WEIGHT_FORMATS = ("FULL_MATRIX", "UPPER_ROW", "LOWER_DIAG_ROW", "UPPER_DIAG_ROW")
 _HEADER_KEYS = (
     "NAME",
     "TYPE",
@@ -38,17 +36,10 @@ _SECTION_KEYS = ("NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION", "GTSP_SET_SECTION"
 _EXACT_INT_LIMIT = 2**53
 
 
-@dataclass(frozen=True)
-class NodeCoord:
-    """Planar or geographic coordinate attached to a node."""
-
-    x: float
-    y: float
-
-
 class GtspInstance:
     """A clustered routing instance: nodes, a cluster partition, and weights.
 
+    ``name`` holds no '/' and no NUL: the CLI writes files named after it.
     ``clusters`` is a tuple of K disjoint, non-empty, sorted node-id tuples
     covering 0..N-1. ``weights`` is an N x N non-negative float64 matrix with a
     zero diagonal; it is frozen (non-writeable) after construction so instances
@@ -63,6 +54,8 @@ class GtspInstance:
         symmetric: bool,
     ):
         self.name = str(name)
+        if "/" in self.name or "\0" in self.name:  # the name is a file name part
+            raise GtsplibError(f"instance name {self.name!r} holds '/' or NUL")
         self.clusters = tuple(tuple(sorted(int(v) for v in c)) for c in clusters)
         w = np.array(weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -179,6 +172,7 @@ def is_feasible_tour(inst: GtspInstance, order) -> bool:
 
 
 # --- TSPLIB distance conventions -------------------------------------------
+# between two (x, y) coordinate pairs; GEO reads a pair as (latitude, longitude)
 
 _GEO_PI = 3.141592
 _GEO_RADIUS = 6378.388
@@ -188,16 +182,16 @@ def _nint(x: float) -> int:
     return int(x + 0.5)
 
 
-def _euc_2d(a: NodeCoord, b: NodeCoord) -> float:
-    return float(_nint(math.hypot(a.x - b.x, a.y - b.y)))
+def _euc_2d(a, b) -> float:
+    return float(_nint(math.hypot(a[0] - b[0], a[1] - b[1])))
 
 
-def _ceil_2d(a: NodeCoord, b: NodeCoord) -> float:
-    return float(math.ceil(math.hypot(a.x - b.x, a.y - b.y)))
+def _ceil_2d(a, b) -> float:
+    return float(math.ceil(math.hypot(a[0] - b[0], a[1] - b[1])))
 
 
-def _att(a: NodeCoord, b: NodeCoord) -> float:
-    rij = math.sqrt(((a.x - b.x) ** 2 + (a.y - b.y) ** 2) / 10.0)
+def _att(a, b) -> float:
+    rij = math.sqrt(((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) / 10.0)
     tij = _nint(rij)
     return float(tij + 1 if tij < rij else tij)
 
@@ -208,9 +202,9 @@ def _geo_radians(value: float) -> float:
     return _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
-def _geo(a: NodeCoord, b: NodeCoord) -> float:
-    lat_i, lon_i = _geo_radians(a.x), _geo_radians(a.y)
-    lat_j, lon_j = _geo_radians(b.x), _geo_radians(b.y)
+def _geo(a, b) -> float:
+    lat_i, lon_i = map(_geo_radians, a)
+    lat_j, lon_j = map(_geo_radians, b)
     q1 = math.cos(lon_i - lon_j)
     q2 = math.cos(lat_i - lat_j)
     q3 = math.cos(lat_i + lat_j)
@@ -241,24 +235,14 @@ class _TokenFeed:
             self.pos += 1
         return self._buf.pop(0)
 
-    def take_number(self) -> float:
+    def take_as(self, kind: type[float] | type[int]) -> float | int:
+        """The next token as a float or an int."""
         tok = self.take()
         try:
-            return float(tok)
+            return kind(tok)
         except ValueError:
-            raise GtsplibError(
-                f"expected a number inside a section, got {tok!r} "
-                "(section contents inconsistent with the header?)"
-            ) from None
-
-    def take_int(self) -> int:
-        tok = self.take()
-        try:
-            return int(tok)
-        except ValueError:
-            raise GtsplibError(
-                f"expected an integer inside a section, got {tok!r}"
-            ) from None
+            what = "an integer" if kind is int else "a number"
+            raise GtsplibError(f"expected {what} inside a section, got {tok!r}") from None
 
     def end_section(self) -> int:
         """Position of the next unread line; leftover tokens are an error."""
@@ -288,7 +272,7 @@ def parse_gtsplib(text: str) -> GtspInstance:
     """
     lines = text.splitlines()
     header: dict = {}
-    coords: list[NodeCoord] | None = None
+    coords: list[tuple[float, float]] | None = None
     matrix: np.ndarray | None = None
     set_records: list[tuple[int, list[int]]] | None = None
 
@@ -315,21 +299,20 @@ def parse_gtsplib(text: str) -> GtspInstance:
             raise GtsplibError(f"DIMENSION must precede {keyword}")
         feed = _TokenFeed(lines, i)
         if keyword == "NODE_COORD_SECTION":
-            coords = [NodeCoord(0.0, 0.0)] * n
+            coords = [(0.0, 0.0)] * n
             seen_ids: set[int] = set()
             for _ in range(n):
-                node_id = feed.take_int()
-                x = feed.take_number()
-                y = feed.take_number()
+                node_id = feed.take_as(int)
+                x, y = feed.take_as(float), feed.take_as(float)
                 if not (1 <= node_id <= n) or node_id in seen_ids:
                     raise GtsplibError(f"bad node id {node_id} in NODE_COORD_SECTION")
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise GtsplibError("non-finite coordinate")
                 seen_ids.add(node_id)
-                coords[node_id - 1] = NodeCoord(x, y)
+                coords[node_id - 1] = (x, y)
         elif keyword == "EDGE_WEIGHT_SECTION":
             fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
-            if fmt not in _WEIGHT_FORMATS:
+            if fmt not in _MATRIX_LAYOUT:
                 raise GtsplibError(f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
             matrix = _read_matrix(feed, n, fmt)
         else:  # GTSP_SET_SECTION
@@ -338,12 +321,9 @@ def parse_gtsplib(text: str) -> GtspInstance:
                 raise GtsplibError("GTSP_SETS must precede GTSP_SET_SECTION")
             set_records = []
             for _ in range(k):
-                set_id = feed.take_int()
+                set_id = feed.take_as(int)
                 members: list[int] = []
-                while True:
-                    tok = feed.take()
-                    if tok == "-1":
-                        break
+                while (tok := feed.take()) != "-1":
                     try:
                         members.append(int(tok))
                     except ValueError:
@@ -356,34 +336,24 @@ def parse_gtsplib(text: str) -> GtspInstance:
     return _assemble(header, coords, matrix, set_records)
 
 
-def _read_matrix(feed: _TokenFeed, n: int, fmt: str) -> np.ndarray:
-    def val() -> float:
-        v = feed.take_number()
-        if v < 0:
-            raise GtsplibError("negative weight")
-        return v
+# (row, column) of each EDGE_WEIGHT_SECTION value, in file order
+_MATRIX_LAYOUT = {
+    "FULL_MATRIX": lambda n: divmod(np.arange(n * n), n),
+    "UPPER_ROW": lambda n: np.triu_indices(n, 1),
+    "UPPER_DIAG_ROW": lambda n: np.triu_indices(n),
+    "LOWER_DIAG_ROW": lambda n: np.tril_indices(n),
+}
 
+
+def _read_matrix(feed: _TokenFeed, n: int, fmt: str) -> np.ndarray:
     w = np.zeros((n, n), dtype=np.float64)
-    if fmt == "FULL_MATRIX":
-        for r in range(n):
-            for c in range(n):
-                w[r, c] = val()
-    elif fmt == "UPPER_ROW":
-        for r in range(n):
-            for c in range(r + 1, n):
-                w[r, c] = w[c, r] = val()
-    elif fmt == "UPPER_DIAG_ROW":
-        for r in range(n):
-            for c in range(r, n):
-                x = val()
-                if r != c:
-                    w[r, c] = w[c, r] = x
-    else:  # LOWER_DIAG_ROW
-        for r in range(n):
-            for c in range(r + 1):
-                x = val()
-                if r != c:
-                    w[r, c] = w[c, r] = x
+    rows, cols = _MATRIX_LAYOUT[fmt](n)
+    values = np.array([feed.take_as(float) for _ in range(len(rows))], dtype=np.float64)
+    if np.any(values < 0):
+        raise GtsplibError("negative weight")
+    w[rows, cols] = values
+    if fmt != "FULL_MATRIX":  # a triangle: mirror it
+        w[cols, rows] = values
     np.fill_diagonal(w, 0.0)
     return w
 

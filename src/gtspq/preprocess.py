@@ -82,34 +82,18 @@ def nn2c_reduce(inst: GtspInstance) -> tuple[GtspInstance, ReductionRecord]:
     clusters of one or two nodes each.
     """
     w = inst.weights
-    n = inst.n
     kept_clusters: list[list[int]] = []
-    all_nodes = np.arange(n)
-    for cluster in inst.clusters:
-        inside = np.zeros(n, dtype=bool)
-        inside[list(cluster)] = True
-        outside = all_nodes[~inside]
-        entry = _select(
-            cluster,
-            primary=lambda v: float(w[outside, v].min()),
-            secondary=lambda v: float(w[v, outside].mean()),
-        )
-        exit_ = _select(
-            cluster,
-            primary=lambda v: float(w[v, outside].min()),
-            secondary=lambda v: float(w[outside, v].mean()),
-        )
-        kept_clusters.append(sorted({entry, exit_}))
+    for m, cluster in enumerate(inst.clusters):
+        outside = np.flatnonzero(inst.cluster_index != m)
+        # row i: the weights into / out of cluster[i]; a mean over contiguous
+        # rows sums as the 1-D mean of each row does
+        into = w[np.ix_(outside, cluster)].T.copy()
+        out_of = w[np.ix_(cluster, outside)]
+        # the last key is the primary one
+        entry = np.lexsort((cluster, out_of.mean(axis=1), into.min(axis=1)))[0]
+        exit_ = np.lexsort((cluster, into.mean(axis=1), out_of.min(axis=1)))[0]
+        kept_clusters.append(sorted({cluster[entry], cluster[exit_]}))
     return _submatrix_instance(inst, kept_clusters, METHOD_NN2C, None)
-
-
-def _select(cluster, primary, secondary) -> int:
-    best = None
-    for v in cluster:  # clusters are stored sorted, so id tie-break is free
-        key = (primary(v), secondary(v), v)
-        if best is None or key < best:
-            best = key
-    return best[2]
 
 
 def cluster_subsample(

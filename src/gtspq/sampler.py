@@ -114,22 +114,27 @@ class SampleSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampleSet":
         """The set whose ``json_chunks`` text parses to ``data``; ValueError if
-        ``entries`` is not a list of objects, ``num_reads`` is not a
-        non-negative integer, a count is not a positive integer, a bit string
-        is listed twice, or the counts of a set without a failure do not sum
-        to ``num_reads``."""
+        ``entries`` is not a list of objects, a bit string is not a string,
+        ``num_reads`` is not a non-negative integer, a count is not a
+        positive integer, one of them is not below 2**63 (counts are int64),
+        a bit string is listed twice, or the counts of a set without a
+        failure do not sum to ``num_reads``."""
         entries = data["entries"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("sample entries are not a list of objects")
-        bits = [str(e["bits"]) for e in entries]
+        bits = [e["bits"] for e in entries]
         counts = [e["count"] for e in entries]
         num_reads = data["num_reads"]
         failure = Failure(data["failure"]) if data.get("failure") else None
+        if not all(type(b) is str for b in bits):
+            raise ValueError("a bit string is not a JSON string")
         if type(num_reads) is not int or num_reads < 0:
             raise ValueError(f"num_reads {num_reads!r} is not a non-negative integer")
         for count in counts:
             if type(count) is not int or count < 1:  # a bool is no count
                 raise ValueError(f"sample count {count!r} is not a positive integer")
+        if max(counts, default=0) >= 2**63 or num_reads >= 2**63:
+            raise ValueError("a count or num_reads is not below 2**63")
         if len(set(bits)) != len(bits):
             raise ValueError("a bit string is listed more than once")
         if failure is None and sum(counts) != num_reads:

@@ -251,8 +251,10 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
     assert len(lines) == 3 and lines[1] == lines[2]
     ar_lines = (tmp_path / "ar.csv").read_text().splitlines()
     assert ar_lines[0] == "instance,backend,best_shot_ar,mean_ar,mean_random_ar"
-    violin = tmp_path / "violin" / "toy_sa.csv"
-    assert violin.read_text().splitlines() == ["ar,count", "1.0,10"]
+    violins = sorted(p.name for p in (tmp_path / "violin").iterdir())
+    assert violins == ["000_toy_sa.csv", "001_toy_sa.csv"]  # one file per report
+    for violin in (tmp_path / "violin").iterdir():
+        assert violin.read_text().splitlines() == ["ar,count", "1.0,10"]
 
 
 def test_violin_csv_rows_are_values_with_counts():

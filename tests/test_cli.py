@@ -417,6 +417,38 @@ def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
             assert float(fraction) == good / 40
 
 
+def test_bench_writes_one_violin_file_per_raw_dir(write_instance, tmp_path):
+    """Two instances of one name get two raw directories, and two violin
+    files named after them, not one file written twice."""
+    first = gen.subsample_instance("6fri26_nodes_3", 3, 2)
+    second = gen.subsample_instance("5ulysses22_nodes_4", 4, 3)
+    paths = [
+        write_instance(GtspInstance("demo", inst.clusters, inst.weights, inst.symmetric), stem)
+        for inst, stem in ((first, "d1"), (second, "d2"))
+    ]
+    out = tmp_path / "run"
+    assert main(["bench", *map(str, paths), "--reads", "20", "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "raw").iterdir()) == ["000_demo", "001_demo"]
+    violins = sorted(p.name for p in (out / "report" / "violin").iterdir())
+    assert violins == ["000_demo_sa.csv", "001_demo_sa.csv"]
+    assert len((out / "report" / "ar.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "nul\0byte"], ids=["dotdot", "slash", "nul"])
+def test_bench_rejects_an_instance_name_that_is_no_file_name(write_instance, tmp_path, capsys, name):
+    """A NAME with '/' or NUL is an instance error, found before any raw
+    file is written, inside --out or outside it."""
+    text = (write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))).read_text()
+    path = tmp_path / "named.gtsp"
+    path.write_text(text.replace("NAME: 6fri26_nodes_3", f"NAME: {name}"))
+    out = tmp_path / "deep" / "run"
+    capsys.readouterr()
+    assert main(["bench", str(path), "--reads", "20", "--out", str(out)]) == 2
+    assert "holds '/' or NUL" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["6fri26_nodes_3.gtsp", "deep", "named.gtsp"]
+
+
 def test_bench_parallel_jobs_match_serial(bench_paths, tmp_path):
     out_serial = tmp_path / "s"
     out_par = tmp_path / "p"
@@ -509,6 +541,23 @@ def test_report_malformed_config_exit_2(bench_paths, tmp_path, capsys, edit):
     assert not (tmp_path / "again").exists()
 
 
+def _one_entry_one_bit_short(data):
+    """One distinct entry, holding every read, one bit shorter than the model."""
+    first = data["entries"][0]
+    data["entries"] = [{**first, "bits": first["bits"][:-1], "count": data["num_reads"]}]
+
+
+def _bits_as_json_integer(data):
+    """A bit string written as the JSON integer of the same digits."""
+    entry = next(e for e in data["entries"] if e["bits"].startswith("1"))
+    entry["bits"] = int(entry["bits"])
+
+
+def _count_2_to_the_70(data):
+    data["entries"][0]["count"] += 2**70
+    data["num_reads"] += 2**70
+
+
 def _edit_first_entry(key, value):
     def edit(data):
         data["entries"][0][key] = value
@@ -534,6 +583,9 @@ def _edit_first_entry(key, value):
         lambda d: d["entries"][0].pop("count"),
         lambda d: d.pop("num_reads"),
         _edit_first_entry("energy", [1.0]),
+        _one_entry_one_bit_short,
+        _bits_as_json_integer,
+        _count_2_to_the_70,
     ],
     ids=[
         "listed-twice",
@@ -551,23 +603,33 @@ def _edit_first_entry(key, value):
         "no-count",
         "no-num-reads",
         "energy-list",
+        "bits-short",
+        "bits-int",
+        "count-2-70",
     ],
 )
 def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     """``report`` rejects a raw sample file whose counts could not have come
     from a run (a bit string listed twice, a count that is not a positive
-    integer, or counts that do not add up to the reads), an entry that is
-    not an object, and an entry or file without one of its keys, with an
-    error that names the file."""
+    integer below 2**63, or counts that do not add up to the reads), whose
+    bit strings are not strings of the model's width, an entry that is not
+    an object, and an entry or file without one of its keys, with an error
+    that names the file."""
     out = tmp_path / "run"
     assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
     samples = out / "raw" / "000_6fri26_nodes_3" / "samples_sa.json"
     data = json.loads(samples.read_text())
     edit(data)
     samples.write_text(json.dumps(data))
+    _assert_report_names_the_fault(out, "000_6fri26_nodes_3/samples_sa.json", tmp_path, capsys)
+
+
+def _assert_report_names_the_fault(out, file, tmp_path, capsys):
+    """``report`` of ``out`` exits 2 with an error that starts with
+    ``file``, and writes no report."""
     capsys.readouterr()
     assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
-    assert capsys.readouterr().err.startswith("error: 000_6fri26_nodes_3/samples_sa.json: ")
+    assert capsys.readouterr().err.startswith(f"error: {file}: ")
     assert not (tmp_path / "again").exists()
 
 
@@ -666,10 +728,7 @@ def test_report_malformed_raw_exit_2(write_instance, tmp_path, capsys, name, edi
         raw.unlink()
     else:
         raw.write_text(edit(raw.read_text()))
-    capsys.readouterr()
-    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: 000_4br17/{name}: ")
-    assert not (tmp_path / "again").exists()
+    _assert_report_names_the_fault(out, f"000_4br17/{name}", tmp_path, capsys)
 
 
 def test_report_needs_each_configured_instance_raw_dir(bench_paths, tmp_path, capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from gtspq import instance
 from gtspq.instance import (
     GtsplibError,
     GtspInstance,
@@ -332,7 +334,199 @@ def test_table_fixture_shapes_match():
         assert (reparsed.n, reparsed.k) == (og_n, k)
 
 
-def test_nodecoord_finite_required():
-    text = _coord_file("EUC_2D", [(0.0, 0.0), ("nan", 1.0)], ["1 1 -1", "2 2 -1"], 2, 2)
-    with pytest.raises(GtsplibError, match="finite"):
+def test_instance_name_with_slash_or_nul_is_rejected(toy_text):
+    """The name is a file name part in the CLI, so it may not leave its
+    directory; '..' and an empty name stay inside it and are allowed."""
+    w = [[0.0, 1.0], [1.0, 0.0]]
+    for name in ("../../escaped", "a/b", "/", "nul\0byte"):
+        with pytest.raises(GtsplibError, match="holds '/' or NUL"):
+            GtspInstance(name, [[0], [1]], w, symmetric=True)
+        with pytest.raises(GtsplibError, match="holds '/' or NUL"):
+            parse_gtsplib(toy_text.replace("NAME: toy", f"NAME: {name}"))
+    for name in ("..", "", "a.b c"):
+        assert GtspInstance(name, [[0], [1]], w, symmetric=True).name == name
+
+
+# --- every parser error ---------------------------------------------------------
+
+_SETS3 = ["1 1 2 -1", "2 3 -1"]
+_EXPLICIT3 = _explicit_file(3, 2, ["0 1 2", "1 0 3", "2 3 0"], "FULL_MATRIX", _SETS3)
+_COORDS3 = _coord_file("EUC_2D", [(0, 0), (3, 4), (6, 8)], _SETS3, 3, 2)
+
+
+def _swap(old, new, text=_EXPLICIT3):
+    assert old in text
+    return text.replace(old, new)
+
+
+_PARSER_ERRORS = {
+    "end-of-file": (_EXPLICIT3.split("1 0 3")[0], "unexpected end of file inside a section"),
+    "matrix-short": (
+        _swap("2 3 0\n", "2 3\n"),
+        "expected a number inside a section, got 'GTSP_SET_SECTION'",
+    ),
+    "extra-data": (_swap("2 3 0\n", "2 3 0 9\n"), "extra data at end of section"),
+    "coord-id-0": (_swap("1 0 0", "0 0 0", _COORDS3), "bad node id 0 in NODE_COORD_SECTION"),
+    "coord-id-above-n": (_swap("3 6 8", "4 6 8", _COORDS3), "bad node id 4"),
+    "coord-id-twice": (_swap("3 6 8", "2 6 8", _COORDS3), "bad node id 2"),
+    "coord-id-float": (
+        _swap("3 6 8", "3.0 6 8", _COORDS3),
+        "expected an integer inside a section, got '3.0'",
+    ),
+    "coord-nan": (_swap("3 6 8", "3 nan 8", _COORDS3), "non-finite coordinate"),
+    "coord-word": (_swap("3 6 8", "3 six 8", _COORDS3), "expected a number inside a section, got 'six'"),
+    "weight-word": (_swap("1 0 3", "1 zero 3"), "expected a number inside a section, got 'zero'"),
+    "set-id-word": (_swap("2 3 -1", "two 3 -1"), "expected an integer inside a section, got 'two'"),
+    "member-word": (_swap("2 3 -1", "2 three -1"), "expected a node id in GTSP_SET_SECTION, got 'three'"),
+    "member-0": (_swap("2 3 -1", "2 3 0 -1"), "node id 0 out of range in GTSP_SET_SECTION"),
+    "member-above-n": (_swap("2 3 -1", "2 3 4 -1"), "node id 4 out of range in GTSP_SET_SECTION"),
+    "no-dimension": (_swap("DIMENSION: 3\n", ""), "DIMENSION must precede EDGE_WEIGHT_SECTION"),
+    "late-dimension": (
+        _swap("DIMENSION: 3\n", "").replace("EOF", "DIMENSION: 3\nEOF"),
+        "DIMENSION must precede EDGE_WEIGHT_SECTION",
+    ),
+    "header-only": ("NAME: x\nTYPE: GTSP\nEOF\n", "missing header key DIMENSION"),
+    "dimension-word": (_swap("DIMENSION: 3", "DIMENSION: three"), "DIMENSION must be an integer"),
+    "no-sets-count": (_swap("GTSP_SETS: 2\n", ""), "GTSP_SETS must precede GTSP_SET_SECTION"),
+    "late-sets-count": (
+        _swap("GTSP_SETS: 2\n", "").replace("EOF", "GTSP_SETS: 2\nEOF"),
+        "GTSP_SETS must precede GTSP_SET_SECTION",
+    ),
+    "one-set": (
+        _swap("GTSP_SETS: 2", "GTSP_SETS: 1").replace("1 1 2 -1\n2 3 -1", "1 1 2 3 -1"),
+        "inconsistent DIMENSION=3 / GTSP_SETS=1",
+    ),
+    "set-ids-0-1": (_swap("1 1 2 -1\n2 3 -1", "0 1 2 -1\n1 3 -1"), "set ids are not exactly 1..GTSP_SETS"),
+    "set-id-twice": (_swap("1 1 2 -1\n2 3 -1", "1 1 2 -1\n1 3 -1"), "set ids are not exactly 1..GTSP_SETS"),
+    "set-id-3": (_swap("1 1 2 -1\n2 3 -1", "1 1 2 -1\n3 3 -1"), "set ids are not exactly 1..GTSP_SETS"),
+    "empty-cluster": (_swap("1 1 2 -1\n2 3 -1", "1 1 2 3 -1\n2 -1"), "cluster 2 is empty"),
+    "format": (_swap("FULL_MATRIX", "LOWER_ROW"), "unsupported EDGE_WEIGHT_FORMAT 'LOWER_ROW'"),
+    "type": (_swap("TYPE: GTSP", "TYPE: TSP"), "unsupported TYPE 'TSP'"),
+    "duplicate-key": (_swap("NAME: x", "NAME: x\nNAME: y"), "duplicate header key NAME"),
+    "section-keyword": (
+        _swap("GTSP_SET_SECTION", "GTSP_SET_SECTIONS"),
+        "malformed header key 'GTSP_SET_SECTIONS'",
+    ),
+    "no-weight-type": (_swap("EDGE_WEIGHT_TYPE: EXPLICIT\n", ""), "missing header key EDGE_WEIGHT_TYPE"),
+    "no-matrix": (
+        _swap("EDGE_WEIGHT_SECTION\n0 1 2\n1 0 3\n2 3 0\n", ""),
+        "EXPLICIT weights but no EDGE_WEIGHT_SECTION",
+    ),
+    "no-coords": (
+        _swap("NODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 8\n", "", _COORDS3),
+        "EUC_2D weights but no NODE_COORD_SECTION",
+    ),
+    "no-sets": (_swap("GTSP_SET_SECTION\n1 1 2 -1\n2 3 -1\n", ""), "missing GTSP_SET_SECTION"),
+    "negative-diagonal": (
+        _explicit_file(3, 2, ["-1 1 2", "0 3", "0"], "UPPER_DIAG_ROW", _SETS3),
+        "negative weight",
+    ),
+    "inf-weight": (_swap("1 0 3", "1 0 inf").replace("TYPE: GTSP", "TYPE: AGTSP"), "non-finite weight"),
+    "nan-weight": (_explicit_file(3, 2, ["1 nan", "3"], "UPPER_ROW", _SETS3), "non-finite weight"),
+    "node-in-no-cluster": (_swap("1 1 2 -1\n2 3 -1", "1 1 -1\n2 2 -1"), "nodes missing from every cluster: [2]"),
+}
+
+
+@pytest.mark.parametrize("text, message", _PARSER_ERRORS.values(), ids=_PARSER_ERRORS.keys())
+def test_parser_errors(text, message):
+    """Each fault the parser knows is a GtsplibError that says what it is."""
+    assert parse_gtsplib(_EXPLICIT3).n == 3 and parse_gtsplib(_COORDS3).n == 3
+    with pytest.raises(GtsplibError, match=re.escape(message)):
         parse_gtsplib(text)
+
+
+# --- the layout table against the per-format loops ----------------------------------
+
+
+def _reference_read_matrix(tokens, n, fmt):
+    """The parser's matrix reader as it was written before its layout table:
+    one loop per EDGE_WEIGHT_FORMAT, each value checked as it is read."""
+    feed = iter(tokens)
+
+    def val():
+        v = float(next(feed))
+        if v < 0:
+            raise GtsplibError("negative weight")
+        return v
+
+    w = np.zeros((n, n), dtype=np.float64)
+    if fmt == "FULL_MATRIX":
+        for r in range(n):
+            for c in range(n):
+                w[r, c] = val()
+    elif fmt == "UPPER_ROW":
+        for r in range(n):
+            for c in range(r + 1, n):
+                w[r, c] = w[c, r] = val()
+    elif fmt == "UPPER_DIAG_ROW":
+        for r in range(n):
+            for c in range(r, n):
+                x = val()
+                if r != c:
+                    w[r, c] = w[c, r] = x
+    else:  # LOWER_DIAG_ROW
+        for r in range(n):
+            for c in range(r + 1):
+                x = val()
+                if r != c:
+                    w[r, c] = w[c, r] = x
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+_VALUE_COUNT = {
+    "FULL_MATRIX": lambda n: n * n,
+    "UPPER_ROW": lambda n: n * (n - 1) // 2,
+    "UPPER_DIAG_ROW": lambda n: n * (n + 1) // 2,
+    "LOWER_DIAG_ROW": lambda n: n * (n + 1) // 2,
+}
+
+
+def _random_tokens(rng, count, kind):
+    if kind == "int":
+        return [str(v) for v in rng.integers(0, 1000, size=count)]
+    if kind == "ties":
+        return [str(v) for v in rng.choice([0, 1, 2], size=count)]
+    values = rng.random(count) * 10.0 ** rng.integers(-4, 7, size=count)
+    tokens = [repr(float(v)) for v in values]
+    for i in rng.integers(0, count, size=min(count, 3)):  # signed zero, tiny, inexact
+        tokens[i] = str(rng.choice(["-0.0", "0", "1e-300", "0.1"]))
+    return tokens
+
+
+@pytest.mark.parametrize("fmt", _VALUE_COUNT)
+@pytest.mark.parametrize("kind", ["int", "float", "ties"])
+def test_read_matrix_matches_the_per_format_loops(fmt, kind):
+    """Bit for bit (a -0.0 included) on random values, diagonal values of
+    the diagonal formats included, with the tokens split across lines at
+    random; a negative value is the same error."""
+    rng = np.random.default_rng(list((fmt + kind).encode()))
+    for _ in range(40):
+        n = int(rng.integers(1, 14))
+        tokens = _random_tokens(rng, _VALUE_COUNT[fmt](n), kind)
+        cuts = sorted(rng.integers(0, len(tokens) + 1, size=3))
+        lines = [" ".join(part) for part in np.split(np.array(tokens, dtype=object), cuts)]
+        got = instance._read_matrix(instance._TokenFeed(lines, 0), n, fmt)
+        expected = _reference_read_matrix(tokens, n, fmt)
+        assert got.tobytes() == expected.tobytes()
+        if tokens:
+            tokens[int(rng.integers(0, len(tokens)))] = "-3"
+            with pytest.raises(GtsplibError, match="negative weight"):
+                instance._read_matrix(instance._TokenFeed([" ".join(tokens)], 0), n, fmt)
+            with pytest.raises(GtsplibError, match="negative weight"):
+                _reference_read_matrix(tokens, n, fmt)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "ties"])
+def test_asymmetric_full_matrix_files_parse_as_the_loops_read_them(kind):
+    rng = np.random.default_rng(["int", "float", "ties"].index(kind))
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        k = int(rng.integers(2, n + 1))
+        tokens = _random_tokens(rng, n * n, kind)
+        rows = [" ".join(tokens[r * n : (r + 1) * n]) for r in range(n)]
+        clusters = gen.random_partition(n, k, rng)
+        sets = [f"{m + 1} {' '.join(str(v + 1) for v in c)} -1" for m, c in enumerate(clusters)]
+        text = _explicit_file(n, k, rows, "FULL_MATRIX", sets).replace("TYPE: GTSP", "TYPE: AGTSP")
+        weights = parse_gtsplib(text).weights
+        assert weights.tobytes() == _reference_read_matrix(tokens, n, "FULL_MATRIX").tobytes()

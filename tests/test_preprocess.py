@@ -33,6 +33,88 @@ def nn2c_oracle_kept(inst):
     return kept
 
 
+def _reference_nn2c_kept(inst):
+    """nn2c's selection as it was written before its sort keys: one key
+    tuple (best weight, opposite-direction mean, id) per node, from 1-D
+    reductions, and the smallest wins."""
+    w = inst.weights
+    all_nodes = np.arange(inst.n)
+    kept = []
+    for cluster in inst.clusters:
+        inside = np.zeros(inst.n, dtype=bool)
+        inside[list(cluster)] = True
+        outside = all_nodes[~inside]
+        entry = min(
+            (float(w[outside, v].min()), float(w[v, outside].mean()), v) for v in cluster
+        )[2]
+        exit_ = min(
+            (float(w[v, outside].min()), float(w[outside, v].mean()), v) for v in cluster
+        )[2]
+        kept.append(sorted({entry, exit_}))
+    return kept
+
+
+def _random_weights(rng, n, kind, symmetric):
+    if kind == "int":
+        w = rng.integers(0, 1000, size=(n, n)).astype(float)
+    elif kind == "float":
+        w = rng.random((n, n)) * 10.0 ** rng.integers(-3, 6)
+    elif kind == "int-ties":
+        w = rng.integers(0, 3, size=(n, n)).astype(float)
+    else:  # float ties: the minima tie often, the means differ in the last bits
+        w = rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7], size=(n, n))
+    if symmetric:
+        w = np.triu(w, 1) + np.triu(w, 1).T
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _same_incoming_weights(rng, k, size):
+    """Every node's incoming weights from outside its cluster are one list in
+    a random order, which holds its minimum many times: the minima tie both
+    ways, and the incoming means are equal up to the rounding of each sum."""
+    n = k * size
+    values = np.concatenate([np.full(n // 3, 0.1), rng.random(n - size - n // 3)])
+    clusters = [list(range(m * size, (m + 1) * size)) for m in range(k)]
+    w = np.zeros((n, n))
+    for m, cluster in enumerate(clusters):
+        outside = [u for u in range(n) if u // size != m]
+        for v in cluster:
+            w[outside, v] = rng.permutation(values)
+    return GtspInstance("same", clusters, w, symmetric=False)
+
+
+def test_nn2c_incoming_means_round_as_the_1d_means():
+    """The exit tie-break compares incoming means whose exact values are
+    equal, so it follows how each sum rounds; a mean down the strided
+    columns rounds otherwise and picks other nodes in most of these."""
+    rng = np.random.default_rng(0)
+    for k, size in [(2, 5), (3, 4), (4, 6), (5, 8), (3, 40), (2, 100), (10, 10)]:
+        for _ in range(10):
+            inst = _same_incoming_weights(rng, k, size)
+            _, record = nn2c_reduce(inst)
+            kept = _reference_nn2c_kept(inst)
+            assert sorted(record.kept_nodes.values()) == sorted(v for c in kept for v in c)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "int-ties", "float-ties"])
+def test_nn2c_matches_the_per_node_key_tuples(kind):
+    """Bit for bit the nodes the per-node key tuples keep, on random
+    instances up to 300 nodes, so that a mean runs over more than one
+    block of numpy's pairwise summation."""
+    rng = np.random.default_rng(list(kind.encode()))
+    shapes = [(int(rng.integers(2, 16)), None) for _ in range(150)] + [(300, 3), (260, 40)]
+    for n, k in shapes:
+        k = k or int(rng.integers(2, n + 1))
+        symmetric = bool(rng.integers(2))
+        w = _random_weights(rng, n, kind, symmetric)
+        inst = GtspInstance("r", gen.random_partition(n, k, rng), w, symmetric=symmetric)
+        reduced, record = nn2c_reduce(inst)
+        kept = _reference_nn2c_kept(inst)
+        assert sorted(record.kept_nodes.values()) == sorted(v for c in kept for v in c)
+        assert [[record.kept_nodes[v] for v in c] for c in reduced.clusters] == kept
+
+
 def test_nn2c_singleton_clusters_fixed_point():
     inst = gen.make_random_instance(seed=1, n=4, k=4)
     reduced, record = nn2c_reduce(inst)
