@@ -164,7 +164,7 @@ def _build_config(args) -> RunConfig:
 
 
 def _run_backend(
-    key: str, inst: GtspInstance, model: qubo.QuboModel, cfg: RunConfig, index: int
+    key: str, model: qubo.QuboModel, cfg: RunConfig, index: int
 ) -> tuple[sampler.SampleSet, qaoa.GridResult | None]:
     grid_result = None
     backend = sampler.Backend(key)
@@ -177,14 +177,13 @@ def _run_backend(
     elif backend is sampler.Backend.QAOA:
         grid_result = qaoa.grid_search(
             model,
-            inst,
             stage_seed(cfg.seed, index, "qaoa"),
             grid=cfg.grid,
             shots=cfg.shots,
             timeout_s=cfg.timeout_s,
             layers=cfg.layers,
         )
-        samples = grid_result.search_samples  # every shot drawn during the search
+        samples = grid_result.samples  # the chosen cell's shots
     else:
         transport = sampler.http_transport(cfg.external_url)
         samples = sampler.external_sampler_submit(model, cfg.reads, transport)
@@ -218,7 +217,7 @@ def _bench_instance(payload: tuple) -> None:
 
     for key in cfg.backends:
         started = time.monotonic()
-        samples, grid_result = _run_backend(key, inst, model, cfg, index)
+        samples, grid_result = _run_backend(key, model, cfg, index)
         print(f"[{inst.name}] {_outcome(key, samples, started)}", file=sys.stderr)
         bench.atomic_write(raw_dir / f"samples_{key}.json", samples.json_chunks())
         if grid_result is not None and grid_result.cells:
@@ -385,7 +384,7 @@ def cmd_solve(args) -> int:
     failures = []
     for key in cfg.backends:
         started = time.monotonic()
-        samples, grid_result = _run_backend(key, inst, model, cfg, 0)
+        samples, grid_result = _run_backend(key, model, cfg, 0)
         print(f"{inst.name} {_outcome(key, samples, started)}")
         bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.json_chunks())
         if grid_result is not None and grid_result.cells:

@@ -225,15 +225,15 @@ class _TokenFeed:
     def __init__(self, lines: list[str], start: int):
         self.lines = lines
         self.pos = start
-        self._buf: list[str] = []
+        self._buf: list[str] = []  # the line's unread tokens, in reverse order
 
     def take(self) -> str:
         while not self._buf:
             if self.pos >= len(self.lines):
                 raise GtsplibError("unexpected end of file inside a section")
-            self._buf = self.lines[self.pos].split()
+            self._buf = self.lines[self.pos].split()[::-1]
             self.pos += 1
-        return self._buf.pop(0)
+        return self._buf.pop()
 
     def take_as(self, kind: type[float] | type[int]) -> float | int:
         """The next token as a float or an int."""
@@ -299,17 +299,16 @@ def parse_gtsplib(text: str) -> GtspInstance:
             raise GtsplibError(f"DIMENSION must precede {keyword}")
         feed = _TokenFeed(lines, i)
         if keyword == "NODE_COORD_SECTION":
-            coords = [(0.0, 0.0)] * n
-            seen_ids: set[int] = set()
+            by_id: dict[int, tuple[float, float]] = {}  # grows as the coordinates arrive
             for _ in range(n):
                 node_id = feed.take_as(int)
                 x, y = feed.take_as(float), feed.take_as(float)
-                if not (1 <= node_id <= n) or node_id in seen_ids:
+                if not (1 <= node_id <= n) or node_id in by_id:
                     raise GtsplibError(f"bad node id {node_id} in NODE_COORD_SECTION")
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise GtsplibError("non-finite coordinate")
-                seen_ids.add(node_id)
-                coords[node_id - 1] = (x, y)
+                by_id[node_id] = (x, y)
+            coords = [by_id[node_id] for node_id in range(1, n + 1)]
         elif keyword == "EDGE_WEIGHT_SECTION":
             fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
             if fmt not in _MATRIX_LAYOUT:
@@ -336,21 +335,25 @@ def parse_gtsplib(text: str) -> GtspInstance:
     return _assemble(header, coords, matrix, set_records)
 
 
-# (row, column) of each EDGE_WEIGHT_SECTION value, in file order
+# per EDGE_WEIGHT_SECTION format: its value count, and the (row, column) of
+# each value in file order
 _MATRIX_LAYOUT = {
-    "FULL_MATRIX": lambda n: divmod(np.arange(n * n), n),
-    "UPPER_ROW": lambda n: np.triu_indices(n, 1),
-    "UPPER_DIAG_ROW": lambda n: np.triu_indices(n),
-    "LOWER_DIAG_ROW": lambda n: np.tril_indices(n),
+    "FULL_MATRIX": (lambda n: n * n, lambda n: divmod(np.arange(n * n), n)),
+    "UPPER_ROW": (lambda n: n * (n - 1) // 2, lambda n: np.triu_indices(n, 1)),
+    "UPPER_DIAG_ROW": (lambda n: n * (n + 1) // 2, lambda n: np.triu_indices(n)),
+    "LOWER_DIAG_ROW": (lambda n: n * (n + 1) // 2, lambda n: np.tril_indices(n)),
 }
 
 
 def _read_matrix(feed: _TokenFeed, n: int, fmt: str) -> np.ndarray:
-    w = np.zeros((n, n), dtype=np.float64)
-    rows, cols = _MATRIX_LAYOUT[fmt](n)
-    values = np.array([feed.take_as(float) for _ in range(len(rows))], dtype=np.float64)
+    """The section's values are read before anything is sized from ``n``, so
+    a short section fails before a DIMENSION-sized allocation."""
+    count, layout = _MATRIX_LAYOUT[fmt]
+    values = np.array([feed.take_as(float) for _ in range(count(n))], dtype=np.float64)
     if np.any(values < 0):
         raise GtsplibError("negative weight")
+    rows, cols = layout(n)
+    w = np.zeros((n, n), dtype=np.float64)
     w[rows, cols] = values
     if fmt != "FULL_MATRIX":  # a triangle: mirror it
         w[cols, rows] = values

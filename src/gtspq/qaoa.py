@@ -3,17 +3,18 @@
 The state is a complex128 array of shape (N,)*K over the tuples
 (i_0, ..., i_{K-1}), node i_c being the single set bit of step c, so the
 step-wise one-hot constraint holds by construction for every parameter
-choice. The mixer is an ordered product of two-variable XX+YY rotations along
-the ring 0-1-...-(N-1)-0 of each step; inside the subspace a ring edge acts as
-the 2x2 block [[cos 2b, -i sin 2b], [-i sin 2b, cos 2b]] on the two nodes it
+choice. It starts as the uniform superposition over those N^K tuples, the
+standard start for a mixer that keeps each step one-hot. The mixer is an
+ordered product of two-variable XX+YY rotations along the ring
+0-1-...-(N-1)-0 of each step; inside the subspace a ring edge acts as the
+2x2 block [[cos 2b, -i sin 2b], [-i sin 2b, cos 2b]] on the two nodes it
 couples, so one step's ring product is one N x N matrix, applied along every
 step axis. The phase layer multiplies by exp(-i*g*E) with E the full model
 energy of the tuple's bitstring. The grid search runs every (gamma, beta)
-cell and scores it by its shot-sampled mean energy. Walking the grid
-gamma-major, it computes one phase vector per gamma (holding only the
-current one) and one ring matrix per beta, keeps each cell's shots as flat
-subspace tuple indices, pools them by index, and checks feasibility once on
-the pooled distinct tuples.
+cell, scores it by its shot-sampled mean energy and reports the shots of
+the cell it chose, as a run on hardware would: choose the parameters, then
+sample at them. Walking the grid gamma-major, it computes one phase vector
+per gamma (holding only the current one) and one ring matrix per beta.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubo
-from .instance import GtspInstance
 from .qubo import QuboModel
 from .sampler import Backend, Failure, SampleSet
 
@@ -79,25 +79,20 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Per-cell summaries and the pooled multiset of every shot drawn during
-    the search.
+    """Per-cell summaries, and the shots of the cell the search chose.
 
-    ``search_samples`` is what downstream reporting consumes: the best shot
-    observed anywhere during parameter optimization, with feasibility rates
-    averaged over the whole search rather than one concentrated cell. When
-    the search ran no cell it is an empty set recording the failure.
+    ``samples`` is what downstream reporting consumes: the ``shots`` shots
+    of the first cell of least mean energy. When the search ran no cell it
+    is an empty set recording the failure.
     """
 
     cells: tuple[CellSummary, ...]
-    search_samples: SampleSet
+    samples: SampleSet
 
 
-def initial_state(layout: PartitionLayout, seed: int) -> np.ndarray:
-    """A single uniformly random one-hot basis state (one node per step)."""
-    rng = np.random.default_rng(seed)
-    state = np.zeros(layout.shape, dtype=np.complex128)
-    state[tuple(rng.integers(0, layout.n, size=layout.k))] = 1.0
-    return state
+def initial_state(layout: PartitionLayout) -> np.ndarray:
+    """The uniform superposition over the N^K one-hot tuples."""
+    return np.full(layout.shape, layout.dim**-0.5, dtype=np.complex128)
 
 
 def cost_diagonal(model: QuboModel) -> np.ndarray:
@@ -158,11 +153,11 @@ def run_qaoa(
     model: QuboModel,
     layout: PartitionLayout,
     params: QaoaParams,
-    seed: int,
+    *,
     phase: np.ndarray | None = None,
     ring: np.ndarray | None = None,
 ) -> np.ndarray:
-    """initial basis state, then (phase, mixer) x layers.
+    """The uniform initial state, then (phase, mixer) x layers.
 
     ``phase`` (``cost_phase`` of the diagonal at ``params.gamma``) and
     ``ring`` (``xy_ring_matrix`` at ``params.beta``) are computed here when
@@ -172,7 +167,7 @@ def run_qaoa(
         phase = cost_phase(cost_diagonal(model), params.gamma)
     if ring is None:
         ring = xy_ring_matrix(layout.n, params.beta)
-    state = initial_state(layout, seed)
+    state = initial_state(layout)
     for _ in range(params.layers):
         state = state * phase  # rebound first, so the old state is freed before mixing
         state = apply_ring(state, ring)
@@ -209,7 +204,6 @@ def sample_shots(
 
 def grid_search(
     model: QuboModel,
-    inst: GtspInstance,
     seed: int,
     *,
     grid: tuple[int, int],
@@ -218,23 +212,23 @@ def grid_search(
     layers: int,
 ) -> GridResult:
     """Evaluate every (gamma, beta) cell, gamma-major, on ``grid[0]`` gammas
-    and ``grid[1]`` betas spaced evenly over GAMMA_RANGE and BETA_RANGE.
+    and ``grid[1]`` betas spaced evenly over GAMMA_RANGE and BETA_RANGE, and
+    report the shots of the cell chosen.
 
     Each cell runs ``layers`` layers and is scored by the mean energy of its
-    ``shots`` shots. ``timeout_s`` covers the whole call: on expiry the
-    completed cells are returned, with failure=timeout only if none
-    completed. A model whose N^K amplitudes exceed ``MAX_SUBSPACE_DIM`` runs
-    no cell and fails as not_applicable. Cell c derives its seed as seed + c,
-    so the search is reproducible. A grid dimension below 1 is a ValueError.
+    ``shots`` shots; the chosen cell is the first of least score. ``timeout_s``
+    covers the whole call: on expiry the completed cells are returned, with
+    failure=timeout only if none completed. A model whose N^K amplitudes
+    exceed ``MAX_SUBSPACE_DIM`` runs no cell and fails as not_applicable.
+    Cell c derives its seed as seed + c, so the search is reproducible. A
+    grid dimension below 1 is a ValueError.
 
     Each piece of work is done once: the ring matrix once per beta for the
     whole search, and the phase vector once per gamma, after the timeout
-    check and holding only the current gamma's. A cell keeps only its shots'
-    flat subspace tuple indices and counts. The search's shots are pooled by
-    one ``np.unique`` over those indices; the pooled distinct tuples are
-    encoded to rows once and checked once by ``qubo.order_checks`` (every
-    tuple is step-one-hot by construction), and the inverse index maps that
-    verdict back to each cell's feasible shot fraction.
+    check and holding only the current gamma's. A cell's feasible shot
+    fraction counts its shots of energy below ``model.lam``: a tour's energy
+    is its cost, at most lambda - 1, and every other one-hot tuple pays at
+    least one penalty of lambda on top of non-negative weights.
     """
     if min(grid) < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {grid[0]}x{grid[1]}")
@@ -247,9 +241,8 @@ def grid_search(
     betas = np.linspace(*BETA_RANGE, grid[1]).tolist()
     rings = [xy_ring_matrix(layout.n, beta) for beta in betas]
     started = time.monotonic()
-    runs: list[tuple[float, float, float, float]] = []  # gamma, beta, score, best energy
-    flats: list[np.ndarray] = []  # per cell, its distinct tuples' flat indices
-    counts: list[np.ndarray] = []  # and their shot counts
+    cells: list[CellSummary] = []
+    chosen, chosen_score = None, math.inf  # the chosen cell's SampleSet and score
     phase_gamma, phase = None, None
     for gamma, (beta, ring) in itertools.product(gammas, zip(betas, rings)):
         if time.monotonic() - started > timeout_s:
@@ -258,35 +251,17 @@ def grid_search(
             phase = None  # one phase vector alive at a time
             phase_gamma, phase = gamma, cost_phase(diagonal, gamma)
         params = QaoaParams(gamma=gamma, beta=beta, layers=layers)
-        cell_seed = seed + len(runs)
         # the state is not bound, so it is freed before the next cell's is made
         samples = sample_shots(
-            run_qaoa(model, layout, params, cell_seed, phase=phase, ring=ring),
-            diagonal, shots, cell_seed,
+            run_qaoa(model, layout, params, phase=phase, ring=ring),
+            diagonal, shots, seed + len(cells),
         )
         score = sum((samples.energies * samples.counts).tolist()) / shots
-        runs.append((gamma, beta, score, float(samples.energies[0])))
-        order = samples.entries.reshape(-1, layout.k, layout.n).argmax(axis=2)
-        flats.append(np.ravel_multi_index(tuple(order.T), layout.shape))
-        counts.append(samples.counts)
+        feasible = int(samples.counts @ (samples.energies < model.lam)) / shots
+        if score < chosen_score:
+            chosen, chosen_score = samples, score
+        cells.append(CellSummary(gamma, beta, score, feasible, float(samples.energies[0])))
 
-    if not runs:
+    if not cells:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
-    flat, inverse = np.unique(np.concatenate(flats), return_inverse=True)
-    orders = np.stack(np.unravel_index(flat, layout.shape), axis=1)
-    _, feasible = qubo.order_checks(model, inst, orders)
-    shot_counts = np.concatenate(counts)
-    starts = np.cumsum([0] + [len(f) for f in flats[:-1]])
-    fractions = (np.add.reduceat(shot_counts * feasible[inverse], starts) / shots).tolist()
-    cells = tuple(
-        CellSummary(gamma, beta, score, fraction, best)
-        for (gamma, beta, score, best), fraction in zip(runs, fractions)
-    )
-    search_samples = SampleSet.from_rows(
-        Backend.QAOA,
-        shots * len(runs),
-        qubo.encode_rows(layout.n, orders),
-        np.bincount(inverse, weights=shot_counts, minlength=len(flat)),
-        diagonal.reshape(-1)[flat],
-    )
-    return GridResult(cells, search_samples)
+    return GridResult(tuple(cells), chosen)

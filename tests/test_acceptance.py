@@ -178,7 +178,7 @@ def test_criterion_06_qaoa_subspace_invariants():
             beta=float(rng.uniform(0, math.pi / 2)),
         )
         seed = int(rng.integers(1 << 31))
-        state = run_qaoa(model, layout, params, seed=seed)
+        state = run_qaoa(model, layout, params)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
         shots = sample_shots(state, cost_diagonal(model), shots=40, seed=seed)
         assert shots.counts.sum() == 40
@@ -193,14 +193,8 @@ def test_criterion_06_qaoa_subspace_invariants():
                 gamma=float(rng.uniform(0.05, math.pi)),
                 beta=float(rng.uniform(0.05, math.pi / 2)),
             )
-            seed = int(rng.integers(1 << 31))
-            state = run_qaoa(model, layout, params, seed=seed).reshape(-1)
-            init = run_qaoa(model, layout, QaoaParams(0.0, 0.0), seed=seed)
-            init_tuple = tuple(
-                int(x)
-                for x in np.unravel_index(int(np.argmax(np.abs(init))), layout.shape)
-            )
-            dense = dense_simulate(model, layout, params, init_tuple)
+            state = run_qaoa(model, layout, params).reshape(-1)
+            dense = dense_simulate(model, layout, params)
             for flat in range(layout.dim):
                 assert state[flat] == pytest.approx(
                     dense[subspace_index_in_dense(layout, flat)], abs=1e-8
@@ -217,11 +211,11 @@ def test_criterion_07_qaoa_end_to_end_small_instances():
         hits = 0
         for seed in range(10):
             result = grid_search(
-                model, inst, seed, grid=(10, 10), shots=1500, timeout_s=300.0, layers=1
+                model, seed, grid=(10, 10), shots=1500, timeout_s=300.0, layers=1
             )
             _, random_costs = random_tours(inst, 100, seed=seed)
             report = build_report(
-                inst, model, {"qaoa": result.search_samples}, exact.cost, random_costs.tolist()
+                inst, model, {"qaoa": result.samples}, exact.cost, random_costs.tolist()
             )
             if report.backends["qaoa"].best_shot_ar == 1.0:
                 hits += 1

@@ -407,7 +407,7 @@ def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
             gamma, beta, _, fraction, _ = line.split(",")
             assert fraction != ""
             seed = stage_seed(7, index, "qaoa") + cell
-            state = run_qaoa(model, layout, QaoaParams(float(gamma), float(beta)), seed)
+            state = run_qaoa(model, layout, QaoaParams(float(gamma), float(beta)))
             shots = sample_shots(state, diagonal, 40, seed)
             good = sum(
                 int(count)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -530,3 +532,46 @@ def test_asymmetric_full_matrix_files_parse_as_the_loops_read_them(kind):
         text = _explicit_file(n, k, rows, "FULL_MATRIX", sets).replace("TYPE: GTSP", "TYPE: AGTSP")
         weights = parse_gtsplib(text).weights
         assert weights.tobytes() == _reference_read_matrix(tokens, n, "FULL_MATRIX").tobytes()
+
+
+# --- the parser's cost follows its data -------------------------------------------
+
+
+@pytest.mark.parametrize("section", [*_VALUE_COUNT, "NODE_COORD_SECTION"])
+def test_a_large_dimension_allocates_nothing_ahead_of_the_data(section):
+    """A three-row section under a large DIMENSION fails at its missing data
+    having allocated nothing sized by DIMENSION: not 2000^2 float64 weights
+    (32 MB) and their index tables, nor a list of 200000 coordinates."""
+    if section == "NODE_COORD_SECTION":
+        text = _swap("DIMENSION: 3", "DIMENSION: 200000", _COORDS3)
+    else:
+        text = _explicit_file(2000, 2, ["0 1 2", "1 0 3", "2 3 0"], section, _SETS3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GtsplibError, match="inside a section, got 'GTSP_SET_SECTION'"):
+            parse_gtsplib(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_a_section_on_one_line_parses_in_linear_time():
+    """TSPLIB lets a whole section sit on one line. A 300-node matrix on one
+    line parses about as fast as the same matrix one row per line; a token
+    read that shifts the rest of its line made it about 20 times slower."""
+    n = 300
+    tokens = [str(v) for v in np.random.default_rng(8).integers(1, 100, size=n * n)]
+    sets = [f"1 {' '.join(map(str, range(1, 151)))} -1", f"2 {' '.join(map(str, range(151, 301)))} -1"]
+
+    def best_time(rows):
+        text = _explicit_file(n, 2, rows, "FULL_MATRIX", sets).replace("TYPE: GTSP", "TYPE: AGTSP")
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            parse_gtsplib(text)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    per_row = best_time([" ".join(tokens[r * n : (r + 1) * n]) for r in range(n)])
+    assert best_time([" ".join(tokens)]) < 3 * per_row

@@ -45,10 +45,11 @@ def ring_edges(n):
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-def dense_simulate(model, layout, params, init_tuple):
+def dense_simulate(model, layout, params):
     """Independent 2^(N*K) statevector simulation of the same circuit.
 
-    Cost phases act on every bitstring's full model energy; the mixer applies
+    The start puts amplitude dim^-1/2 on every bitstring with one set bit
+    per step, the N^K one-hot tuples, and 0 elsewhere. Cost phases act on every bitstring's full model energy; the mixer applies
     the identical ordered product of two-variable XX+YY rotations, each acting
     as the [[c,-is],[-is,c]] block on the {01, 10} pair of the touched qubits.
     """
@@ -63,10 +64,11 @@ def dense_simulate(model, layout, params, init_tuple):
             m = (m << 1) | int(b)
         return m
 
-    init_bits = [0] * nq
-    for c, node in enumerate(init_tuple):
-        init_bits[c * n + node] = 1
-    state[bits_to_index(init_bits)] = 1.0
+    for tup in itertools.product(range(n), repeat=k):
+        bits = [0] * nq
+        for c, node in enumerate(tup):
+            bits[c * n + node] = 1
+        state[bits_to_index(bits)] = layout.dim**-0.5
 
     phases = np.empty(dim, dtype=np.complex128)
     for m in range(dim):
@@ -164,27 +166,18 @@ def test_ring_matrix_two_nodes_is_one_rotation():
 
 
 def test_initial_state_unique_when_single_node():
-    state = initial_state(PartitionLayout(1, 3), seed=5)
+    state = initial_state(PartitionLayout(1, 3))
     assert state.reshape(-1).tolist() == [1.0 + 0.0j]
 
 
-def test_initial_state_deterministic():
-    layout = PartitionLayout(3, 2)
-    a = initial_state(layout, seed=9)
-    b = initial_state(layout, seed=9)
-    assert np.array_equal(a, b)
-
-
 def test_initial_state_uniform_over_basis():
-    layout = PartitionLayout(3, 2)
-    counts = np.zeros(9)
-    trials = 10_000
-    for seed in range(trials):
-        counts[int(np.argmax(np.abs(initial_state(layout, seed))))] += 1
-    expected = trials / 9
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    # chi-square with 8 degrees of freedom: mean 8, std 4
-    assert chi2 <= 8 + 3 * 4
+    """Every one of the N^K tuples holds amplitude dim^-1/2, and the norm is 1."""
+    for n, k in ((2, 2), (3, 2), (4, 3), (5, 1)):
+        layout = PartitionLayout(n, k)
+        state = initial_state(layout)
+        assert state.shape == layout.shape and state.dtype == np.complex128
+        assert (state == layout.dim**-0.5).all()
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_too_large_guard():
@@ -266,9 +259,9 @@ def test_mixer_unitary_over_many_applications():
 
 
 def test_mixer_preserves_subspace_support():
-    # a basis state spreads only across tuples; any support pattern is valid,
-    # but the vector length never changes and no mass leaks out
-    state = initial_state(PartitionLayout(3, 3), seed=3)
+    # the mixer moves mass only between tuples: the vector length never
+    # changes and no mass leaks out
+    state = initial_state(PartitionLayout(3, 3))
     out = apply_ring(state, xy_ring_matrix(3, 0.3))
     assert out.shape == (3, 3, 3)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -281,9 +274,8 @@ def test_run_qaoa_zero_params_returns_initial_state():
     inst = gen.make_random_instance(seed=15, n=3, k=2)
     model = build_qubo(inst)
     layout = PartitionLayout(3, 2)
-    out = run_qaoa(model, layout, QaoaParams(0.0, 0.0), seed=7)
-    init = initial_state(layout, seed=7)
-    assert np.allclose(out, init)
+    out = run_qaoa(model, layout, QaoaParams(0.0, 0.0))
+    assert np.allclose(out, initial_state(layout))
 
 
 @pytest.mark.parametrize("n,k,seed", [(2, 2, 0), (3, 2, 1), (4, 3, 2)])
@@ -297,10 +289,8 @@ def test_subspace_matches_dense_full_space(n, k, seed):
         beta=float(rng.uniform(0.05, math.pi / 2)),
         layers=int(rng.integers(1, 3)),
     )
-    init = initial_state(layout, seed=seed)
-    init_tuple = tuple(int(x) for x in np.unravel_index(int(np.argmax(np.abs(init))), layout.shape))
-    sub = run_qaoa(model, layout, params, seed=seed).reshape(-1)
-    dense = dense_simulate(model, layout, params, init_tuple)
+    sub = run_qaoa(model, layout, params).reshape(-1)
+    dense = dense_simulate(model, layout, params)
     for flat in range(layout.dim):
         dense_idx = subspace_index_in_dense(layout, flat)
         assert sub[flat] == pytest.approx(dense[dense_idx], abs=1e-8)
@@ -318,12 +308,59 @@ def test_run_qaoa_given_phase_and_ring_is_the_same_state():
     diagonal = cost_diagonal(model)
     for layers in (1, 2, 3):
         params = QaoaParams(0.83, 0.41, layers)
-        own = run_qaoa(model, layout, params, seed=4)
+        own = run_qaoa(model, layout, params)
         shared = run_qaoa(
-            model, layout, params, 4,
+            model, layout, params,
             phase=cost_phase(diagonal, params.gamma), ring=xy_ring_matrix(4, params.beta),
         )
         assert np.array_equal(own, shared)
+
+
+def test_run_qaoa_phase_and_ring_are_keyword_only():
+    """A fourth positional argument, such as a seed left over from a call
+    written for a seeded start, is a TypeError, not a phase."""
+    model = build_qubo(gen.make_random_instance(seed=22, n=3, k=2))
+    with pytest.raises(TypeError):
+        run_qaoa(model, PartitionLayout(3, 2), QaoaParams(0.5, 0.3), 7)
+
+
+def test_shots_depend_on_gamma_at_one_layer():
+    """From the uniform start the phase layer is not a global phase: at one
+    layer, two gammas with the same beta and shot seed draw different shots.
+    (From a single basis state both would draw the same shots.)"""
+    model = build_qubo(gen.make_random_instance(seed=24, n=4, k=3))
+    layout = PartitionLayout(4, 3)
+    diagonal = cost_diagonal(model)
+    texts = {
+        gen.sample_text(sample_shots(run_qaoa(model, layout, QaoaParams(g, 0.4)), diagonal, 500, 6))
+        for g in (0.3, 1.1)
+    }
+    assert len(texts) == 2
+
+
+@pytest.mark.parametrize("zero_is_edge", [False, True])
+@pytest.mark.parametrize("weights", ["int", "fraction", "int-absent", "fraction-absent"])
+def test_energy_below_lambda_is_the_tour_verdict(weights, zero_is_edge):
+    """On every one-hot tuple, energy < lambda is ``order_checks``' tour
+    verdict: a tour's energy is its cost, at most lambda - 1, and every
+    other tuple pays at least one lambda on top of non-negative weights."""
+    rng = np.random.default_rng(105)
+    seen = set()
+    for n, k in ((2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3), (4, 4)):
+        for _ in range(6):
+            inst = gen.make_random_instance(
+                int(rng.integers(1 << 31)), n, k, low=0 if "absent" in weights else 1, high=4
+            )
+            if weights.startswith("fraction"):
+                w = np.round(inst.weights * rng.uniform(0.1, 9.9, size=(n, n)), 3)
+                inst = GtspInstance(inst.name, inst.clusters, w, symmetric=False)
+            model = build_qubo(inst, zero_is_edge=zero_is_edge)
+            orders = np.indices(PartitionLayout(n, k).shape).reshape(k, -1).T
+            _, tour_ok = qubo.order_checks(model, inst, orders)
+            below = cost_diagonal(model).reshape(-1) < model.lam
+            assert np.array_equal(below, tour_ok)
+            seen.update(tour_ok.tolist())
+    assert seen == {False, True}
 
 
 # --- sampling -------------------------------------------------------------------------
@@ -352,7 +389,7 @@ def test_sample_shots_binomial_split():
 def test_sample_shots_step_one_hot_always():
     inst = gen.make_random_instance(seed=16, n=4, k=3)
     model = build_qubo(inst)
-    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.7, 0.4), seed=11)
+    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.7, 0.4))
     result = sample_shots(state, cost_diagonal(model), shots=2000, seed=12)
     assert (result.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()
 
@@ -360,7 +397,7 @@ def test_sample_shots_step_one_hot_always():
 def test_sample_shots_rows_encode_the_drawn_tuples():
     """Each distinct draw's row is ``encode_rows`` of its unravelled tuple."""
     model = build_qubo(gen.make_random_instance(seed=19, n=4, k=3))
-    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.6, 0.5), seed=19)
+    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.6, 0.5))
     result = sample_shots(state, cost_diagonal(model), shots=500, seed=20)
     probs = np.abs(state.reshape(-1)) ** 2
     draws = np.random.default_rng(20).choice(len(probs), size=500, p=probs / probs.sum())
@@ -387,7 +424,7 @@ def test_sample_shots_energies_equal_qubo_energy():
             w = inst.weights * np.random.default_rng(seed).uniform(0.1, 3.7, size=(4, 4))
             inst = GtspInstance(inst.name, inst.clusters, w, symmetric=False)
         model = build_qubo(inst)
-        state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.9, 0.3), seed=seed)
+        state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(0.9, 0.3))
         result = sample_shots(state, cost_diagonal(model), shots=3000, seed=seed)
         assert len(result.entries) > 20
         for row, e in zip(result.entries, result.energies):
@@ -400,14 +437,14 @@ def test_sample_shots_energies_equal_qubo_energy():
 # --- grid search ------------------------------------------------------------------------
 
 
-def _grid(model, inst, seed, **overrides):
+def _grid(model, seed, **overrides):
     """``grid_search`` at ``RunConfig``'s default settings, ``overrides`` on top."""
     settings = {key: getattr(RunConfig, key) for key in ("grid", "shots", "timeout_s", "layers")}
-    return grid_search(model, inst, seed, **{**settings, **overrides})
+    return grid_search(model, seed, **{**settings, **overrides})
 
 
 def test_grid_endpoints_inclusive(toy_instance):
-    cells = _grid(build_qubo(toy_instance), toy_instance, 0, shots=10).cells
+    cells = _grid(build_qubo(toy_instance), 0, shots=10).cells
     gammas = sorted({c.gamma for c in cells})
     betas = sorted({c.beta for c in cells})
     assert gammas[0] == pytest.approx(0.05) and gammas[-1] == pytest.approx(math.pi)
@@ -418,18 +455,18 @@ def test_grid_endpoints_inclusive(toy_instance):
 
 def test_grid_1x1_degenerates_to_single_run(toy_instance):
     model = build_qubo(toy_instance)
-    result = _grid(model, toy_instance, 5, grid=(1, 1), shots=200)
+    result = _grid(model, 5, grid=(1, 1), shots=200)
     assert len(result.cells) == 1
     params = QaoaParams(gamma=0.05, beta=0.05, layers=1)
-    state = run_qaoa(model, PartitionLayout(2, 2), params, seed=5)
+    state = run_qaoa(model, PartitionLayout(2, 2), params)
     direct = sample_shots(state, cost_diagonal(model), shots=200, seed=5)
-    assert gen.sample_text(result.search_samples) == gen.sample_text(direct)
+    assert gen.sample_text(result.samples) == gen.sample_text(direct)
     assert (result.cells[0].gamma, result.cells[0].beta) == (params.gamma, params.beta)
 
 
 def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     model = build_qubo(toy_instance)
-    result = _grid(model, toy_instance, 1)
+    result = _grid(model, 1)
     optimal_rows = encode_rows(2, [(0, 1), (1, 0)])
     # the first cell of least mean energy; only the optimal tours reach its energy
     best = min(result.cells, key=lambda c: c.mean_energy)
@@ -440,39 +477,34 @@ def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
 
 def test_grid_deterministic(toy_instance):
     model = build_qubo(toy_instance)
-    a = _grid(model, toy_instance, 2, grid=(3, 3), shots=100)
-    b = _grid(model, toy_instance, 2, grid=(3, 3), shots=100)
+    a = _grid(model, 2, grid=(3, 3), shots=100)
+    b = _grid(model, 2, grid=(3, 3), shots=100)
     assert a.cells == b.cells
-    assert gen.sample_text(a.search_samples) == gen.sample_text(b.search_samples)
+    assert gen.sample_text(a.samples) == gen.sample_text(b.samples)
 
 
-def test_grid_search_samples_pool_every_cell(toy_instance):
-    model = build_qubo(toy_instance)
-    result = _grid(model, toy_instance, 9, grid=(4, 4), shots=100)
-    assert result.search_samples.num_reads == 16 * 100
-    pool = result.search_samples
-    assert pool.counts.sum() == 16 * 100
-    # the pooled multiset dominates every cell's shots entry-wise
-    pooled = dict(zip(map(tuple, pool.entries.tolist()), pool.counts.tolist()))
-    diagonal = cost_diagonal(model)
-    for c, cell in enumerate(result.cells):
-        params = QaoaParams(cell.gamma, cell.beta)
-        state = run_qaoa(
-            model, PartitionLayout(2, 2), params, 9 + c, phase=cost_phase(diagonal, cell.gamma)
-        )
-        shots = sample_shots(state, diagonal, 100, 9 + c)
-        for row, count in zip(shots.entries.tolist(), shots.counts.tolist()):
-            assert pooled[tuple(row)] >= count
-    assert len(pooled) == len(pool.counts)  # one entry per distinct row
-    keys = list(zip(pool.energies.tolist(), pool.entries.tolist()))
-    assert keys == sorted(keys)
+def test_grid_search_samples_are_the_chosen_cells_shots():
+    """The search reports the ``shots`` shots of its first cell of least
+    mean energy, redrawn here from that cell's seed, and nothing pooled."""
+    inst = gen.make_random_instance(seed=25, n=4, k=3)
+    model = build_qubo(inst)
+    result = _grid(model, 9, grid=(4, 4), shots=100)
+    scores = [c.mean_energy for c in result.cells]
+    chosen = scores.index(min(scores))
+    assert chosen != 0  # the choice is exercised, not the first cell by default
+    cell = result.cells[chosen]
+    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(cell.gamma, cell.beta))
+    redrawn = sample_shots(state, cost_diagonal(model), 100, 9 + chosen)
+    assert result.samples.num_reads == 100 and result.samples.counts.sum() == 100
+    assert gen.sample_text(result.samples) == gen.sample_text(redrawn)
+    assert float(result.samples.energies[0]) == cell.best_shot_energy
 
 
 def test_grid_timeout_zero_cells(toy_instance):
     model = build_qubo(toy_instance)
-    result = _grid(model, toy_instance, 0, shots=10, timeout_s=-1.0)
-    assert result.search_samples.failure is Failure.TIMEOUT
-    assert result.search_samples.num_reads == 0
+    result = _grid(model, 0, shots=10, timeout_s=-1.0)
+    assert result.samples.failure is Failure.TIMEOUT
+    assert result.samples.num_reads == 0
     assert result.cells == ()
 
 
@@ -480,25 +512,25 @@ def test_grid_timeout_zero_cells(toy_instance):
 def test_grid_search_rejects_an_empty_grid(toy_instance, grid):
     """An empty grid is a caller's error, not a timeout: no time expired."""
     with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
-        _grid(build_qubo(toy_instance), toy_instance, 0, grid=grid, shots=10)
+        _grid(build_qubo(toy_instance), 0, grid=grid, shots=10)
 
 
 def test_grid_over_state_cap_not_applicable():
     """8^7 > MAX_SUBSPACE_DIM amplitudes: no cell runs, and the search
     fails as not_applicable with no reads."""
     inst = gen.make_random_instance(seed=3, n=8, k=7)
-    result = _grid(build_qubo(inst), inst, 0, grid=(1, 1), shots=10)
+    result = _grid(build_qubo(inst), 0, grid=(1, 1), shots=10)
     assert result.cells == ()
-    assert result.search_samples.backend is Backend.QAOA
-    assert result.search_samples.failure is Failure.NOT_APPLICABLE
-    assert result.search_samples.num_reads == 0
+    assert result.samples.backend is Backend.QAOA
+    assert result.samples.failure is Failure.NOT_APPLICABLE
+    assert result.samples.num_reads == 0
 
 
 def _reference_grid_search(model, inst, seed, *, grid, shots, timeout_s, layers):
-    """The grid search before it shared work between cells: every cell
-    computes its own phase and ring, keeps its ``SampleSet``, and one
-    ``decode_rows`` over every cell's rows gives the feasible fractions and
-    the orders the shots are pooled by."""
+    """The grid search without shared work: every cell computes its own
+    phase and ring and keeps its ``SampleSet``; one ``decode_rows`` over
+    every cell's rows gives the feasible fractions, and the reported set is
+    the one of the first cell of least mean energy."""
     try:
         layout = PartitionLayout(model.n, model.k)
     except StateTooLargeError:
@@ -512,17 +544,15 @@ def _reference_grid_search(model, inst, seed, *, grid, shots, timeout_s, layers)
         if qaoa.time.monotonic() - started > timeout_s:
             break
         params = QaoaParams(gamma=gamma, beta=beta, layers=layers)
-        cell_seed = seed + len(runs)
-        state = run_qaoa(model, layout, params, cell_seed, phase=cost_phase(diagonal, gamma))
-        samples = sample_shots(state, diagonal, shots, cell_seed)
+        state = run_qaoa(model, layout, params, phase=cost_phase(diagonal, gamma))
+        samples = sample_shots(state, diagonal, shots, seed + len(runs))
         score = sum((samples.energies * samples.counts).tolist()) / shots
         runs.append((gamma, beta, score, samples))
 
     if not runs:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))
     cell_sets = [samples for *_, samples in runs]
-    rows = np.concatenate([s.entries for s in cell_sets])
-    violations, order = qubo.decode_rows(model, inst, rows)
+    violations, _ = qubo.decode_rows(model, inst, np.concatenate([s.entries for s in cell_sets]))
     feasible = np.array([v is None for v in violations], dtype=bool)
     counts = np.concatenate([s.counts for s in cell_sets])
     starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
@@ -531,24 +561,13 @@ def _reference_grid_search(model, inst, seed, *, grid, shots, timeout_s, layers)
         CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
         for (gamma, beta, score, samples), fraction in zip(runs, fractions)
     )
-    flat, first, inverse = np.unique(
-        np.ravel_multi_index(tuple(order.T), layout.shape),
-        return_index=True,
-        return_inverse=True,
-    )
-    search_samples = SampleSet.from_rows(
-        Backend.QAOA,
-        shots * len(runs),
-        rows[first],
-        np.bincount(inverse, weights=counts, minlength=len(flat)),
-        diagonal.reshape(-1)[flat],
-    )
-    return GridResult(cells, search_samples)
+    chosen = min(range(len(runs)), key=lambda c: runs[c][2])  # the first of least score
+    return GridResult(cells, cell_sets[chosen])
 
 
 def _assert_same_search(got, want):
     assert got.cells == want.cells
-    a, b = got.search_samples, want.search_samples
+    a, b = got.samples, want.samples
     assert (a.backend, a.num_reads, a.failure) == (b.backend, b.num_reads, b.failure)
     assert a.entries.dtype == b.entries.dtype
     assert np.array_equal(a.entries, b.entries)
@@ -576,7 +595,7 @@ def test_grid_search_equals_reference(which, layers, toy_instance):
     settings = dict(grid=(10, 10), shots=500, timeout_s=300.0, layers=layers)
     for zero_is_edge in (False, True) if which == "absent-edges" else (False,):
         model = build_qubo(inst, zero_is_edge=zero_is_edge)
-        got = grid_search(model, inst, 3, **settings)
+        got = grid_search(model, 3, **settings)
         want = _reference_grid_search(model, inst, 3, **settings)
         assert len(got.cells) == 100
         _assert_same_search(got, want)
@@ -600,7 +619,7 @@ def test_grid_search_equals_reference_under_a_timeout_cut(cut, layers, monkeypat
     model = build_qubo(inst)
     settings = dict(grid=(10, 10), shots=500, timeout_s=1.0, layers=layers)
     _clock_cut_after(monkeypatch, cut)
-    got = grid_search(model, inst, 8, **settings)
+    got = grid_search(model, 8, **settings)
     _clock_cut_after(monkeypatch, cut)
     want = _reference_grid_search(model, inst, 8, **settings)
     assert len(got.cells) == cut
@@ -628,7 +647,7 @@ def test_grid_builds_each_ring_once_and_each_phase_once_per_gamma(
     if cut is not None:
         _clock_cut_after(monkeypatch, cut)
     model = build_qubo(toy_instance)
-    result = grid_search(model, toy_instance, 0, grid=(3, 4), shots=20, timeout_s=1.0, layers=2)
+    result = grid_search(model, 0, grid=(3, 4), shots=20, timeout_s=1.0, layers=2)
     assert len(result.cells) == (12 if cut is None else cut)
     assert built == {"ring": 4, "phase": gammas_run}
 
@@ -647,7 +666,7 @@ def test_norm_drift_and_one_hot_over_random_draws():
             beta=float(rng.uniform(0, math.pi / 2)),
         )
         seed = int(rng.integers(1 << 31))
-        state = run_qaoa(model, layout, params, seed=seed)
+        state = run_qaoa(model, layout, params)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
         shots = sample_shots(state, cost_diagonal(model), shots=64, seed=seed)
         assert (shots.entries.reshape(-1, 3, 4).sum(axis=2) == 1).all()

@@ -90,7 +90,7 @@ def test_benchmark_reads_a_real_run(write_instance, tmp_path):
     assert {key: b.shots for key, b in tally.backends.items()} == {
         "exhaustive": 1,
         "sa": 20,
-        "qaoa": 4 * 20,
+        "qaoa": 20,
     }
     assert tally.backend("exhaustive").ar_sum == 1.0
     assert tally.backend("sa").feasible_shots > 0
