@@ -170,6 +170,13 @@ def test_initial_state_unique_when_single_node():
     assert state.reshape(-1).tolist() == [1.0 + 0.0j]
 
 
+def test_initial_state_deterministic():
+    layout = PartitionLayout(3, 2)
+    a = initial_state(layout)
+    b = initial_state(layout)
+    assert np.array_equal(a, b)
+
+
 def test_initial_state_uniform_over_basis():
     """Every one of the N^K tuples holds amplitude dim^-1/2, and the norm is 1."""
     for n, k in ((2, 2), (3, 2), (4, 3), (5, 1)):
