@@ -113,7 +113,9 @@ def build_report(
             if weight and optimal_cost > 0:
                 ars, inverse = np.unique(optimal_cost / row_costs, return_inverse=True)
                 values = tuple(ars.tolist())
-                counts = tuple(np.bincount(inverse, weights=row_counts).astype(int).tolist())
+                ar_counts = np.zeros(len(ars), dtype=np.int64)
+                np.add.at(ar_counts, inverse, row_counts)  # exact, unlike float weights
+                counts = tuple(ar_counts.tolist())
         if samples.failure is None and weight == 0:
             failure = Failure.INVALID_TOUR.value
         reads = samples.num_reads

@@ -289,11 +289,9 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig) -> bench.InstanceReport:
         return data["original_n"]
 
     def check_samples(key: str, data: dict) -> sampler.SampleSet:
-        samples = sampler.SampleSet.from_json_dict(data)
+        samples = sampler.SampleSet.from_json_dict(data, model.num_vars)
         if samples.backend.value != key:
             raise ValueError(f"backend {samples.backend.value!r} is not {key!r}")
-        if len(samples.counts) and samples.entries.shape[1] != inst.n * inst.k:
-            raise ValueError(f"bit strings are not the model's {inst.n * inst.k} bits")
         return samples
 
     inst = read("instance.gtsp")

@@ -3,8 +3,8 @@
 Three backends: an exhaustive ground-state scan (small models), multi-restart
 single-bit-flip simulated annealing (the stand-in for annealer sampling, 1500
 reads by default), and an adapter that ships the exported model to an external
-sampler endpoint. All sample energies are recomputed locally against the
-model, never trusted from elsewhere.
+sampler endpoint. Each builds its set with ``SampleSet.from_reads``, which
+recomputes every energy against the model (``report`` keeps stored energies).
 
 Each annealing sweep visits the variables class by class, in greedy colour
 order: a class holds variables with no coupling between them, and flips in
@@ -15,9 +15,9 @@ that order.
 from __future__ import annotations
 
 import enum
+import http.client
 import json
 import math
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from typing import Callable
@@ -55,8 +55,8 @@ class SampleSet:
 
     ``entries`` is a read-only (m, num_vars) uint8 array of distinct rows,
     with ``counts`` and ``energies`` aligned to it, sorted by (energy, bits).
-    Build one with ``from_rows`` (or ``failed``); bit strings exist only in
-    the JSON form.
+    Build one with ``from_reads``, ``from_rows`` (QAOA) or ``failed``; bit
+    strings exist only in the JSON form.
     """
 
     backend: Backend
@@ -112,41 +112,59 @@ class SampleSet:
         )
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SampleSet":
-        """The set whose ``json_chunks`` text parses to ``data``; ValueError if
-        ``entries`` is not a list of objects, a bit string is not a string,
-        ``num_reads`` is not a non-negative integer, a count is not a
-        positive integer, one of them is not below 2**63 (counts are int64),
-        a bit string is listed twice, or the counts of a set without a
-        failure do not sum to ``num_reads``."""
-        entries = data["entries"]
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValueError("sample entries are not a list of objects")
-        bits = [e["bits"] for e in entries]
-        counts = [e["count"] for e in entries]
-        num_reads = data["num_reads"]
+    def from_reads(cls, backend: Backend, model: QuboModel, rows, counts=None) -> "SampleSet":
+        """The set of (m, num_vars) 0/1 ``rows``, each read once or ``counts[i]``
+        times: equal rows merge, counts summed exactly in int64; ``num_reads``
+        is their sum, and every energy is recomputed against ``model``."""
+        rows, inverse = np.unique(qubo.as_rows(rows, model.num_vars), axis=0, return_inverse=True)
+        merged = np.zeros(len(rows), dtype=np.int64)
+        np.add.at(merged, inverse.reshape(-1), 1 if counts is None else counts)
+        return cls.from_rows(backend, int(merged.sum()), rows, merged, qubo.energies(model, rows))
+
+    @classmethod
+    def from_json_dict(cls, data: dict, num_vars: int) -> "SampleSet":
+        """The set, stored energies and all, whose ``json_chunks`` text parses
+        to ``data``; ValueError if ``_read_entries`` rejects its entries,
+        ``num_reads`` is no int in [0, 2**63), a bit string is listed twice, or
+        a set without a failure has counts that do not sum to ``num_reads``."""
+        entries, num_reads = data["entries"], data["num_reads"]
+        rows, counts = _read_entries(entries, num_vars)
         failure = Failure(data["failure"]) if data.get("failure") else None
-        if not all(type(b) is str for b in bits):
-            raise ValueError("a bit string is not a JSON string")
-        if type(num_reads) is not int or num_reads < 0:
-            raise ValueError(f"num_reads {num_reads!r} is not a non-negative integer")
-        for count in counts:
-            if type(count) is not int or count < 1:  # a bool is no count
-                raise ValueError(f"sample count {count!r} is not a positive integer")
-        if max(counts, default=0) >= 2**63 or num_reads >= 2**63:
-            raise ValueError("a count or num_reads is not below 2**63")
-        if len(set(bits)) != len(bits):
+        if type(num_reads) is not int or not 0 <= num_reads < 2**63:
+            raise ValueError(f"num_reads {num_reads!r} is not a non-negative integer below 2**63")
+        if len({e["bits"] for e in entries}) != len(entries):
             raise ValueError("a bit string is listed more than once")
-        if failure is None and sum(counts) != num_reads:
-            raise ValueError(f"sample counts sum to {sum(counts)}, not num_reads {num_reads}")
-        return cls.from_rows(
-            Backend(data["backend"]),
-            num_reads,
-            qubo.as_rows(bits, len(bits[0]) if bits else 0),
-            counts,
-            [float(e["energy"]) for e in entries],
-            failure,
-        )
+        if failure is None and counts.sum() != num_reads:
+            raise ValueError(f"sample counts sum to {counts.sum()}, not num_reads {num_reads}")
+        energies = [float(e["energy"]) for e in entries]
+        return cls.from_rows(Backend(data["backend"]), num_reads, rows, counts, energies, failure)
+
+
+def _read_entries(entries, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 rows and int64 counts of ``{bits, count}`` objects from
+    outside; ValueError unless ``entries`` is a list of objects whose bit
+    strings are ``num_vars`` characters 0 or 1 and whose counts are positive
+    ints (no bool) summing below 2**63, so every merge of them is exact."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("sample entries are not a list of objects")
+    bits, counts = [e.get("bits") for e in entries], [e.get("count") for e in entries]
+    for entry, b in zip(entries, bits):
+        if type(b) is not str:
+            raise ValueError(f"sample entry {entry!r} lacks a bit string")
+        if len(b) != num_vars:
+            raise ValueError(f"bitstring length {len(b)} != {num_vars} variables")
+    # one '?' per character outside ASCII; below '0' wraps past 1 in uint8
+    text = "".join(bits).encode("ascii", "replace")
+    rows = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(bits), num_vars)
+    bad = (rows > 1).any(axis=1)
+    if bad.any():
+        raise ValueError(f"bitstring {bits[bad.argmax()]!r} holds a character other than 0/1")
+    for count in counts:
+        if type(count) is not int or count < 1:
+            raise ValueError(f"sample count {count!r} is not a positive integer")
+    if sum(counts) >= 2**63:
+        raise ValueError(f"sample counts sum to {sum(counts)}, not below 2**63")
+    return rows, np.array(counts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -235,7 +253,7 @@ def exhaustive_ground_state(model: QuboModel) -> SampleSet:
             best_e = float(energies.flat[idx])
             best_m = (start << n_lo) + idx
     row = np.array([[(best_m >> (n - 1 - j)) & 1 for j in range(n)]], dtype=np.uint8)
-    return SampleSet.from_rows(Backend.EXHAUSTIVE, 1, row, [1], qubo.energies(model, row))
+    return SampleSet.from_reads(Backend.EXHAUSTIVE, model, row)
 
 
 # --- simulated annealing -----------------------------------------------------
@@ -326,10 +344,7 @@ def sa_sample(
 
     bits = np.empty((num_reads, n), dtype=np.uint8)
     bits[:, order] = (spins.T < 0)
-    rows, counts = np.unique(bits, axis=0, return_counts=True)
-    return SampleSet.from_rows(
-        Backend.SIMULATED_ANNEALING, num_reads, rows, counts, qubo.energies(model, rows)
-    )
+    return SampleSet.from_reads(Backend.SIMULATED_ANNEALING, model, bits)
 
 
 # --- external sampler adapter -------------------------------------------------
@@ -341,7 +356,7 @@ class ExternalSamplerError(RuntimeError):
 
 def http_transport(url: str) -> Callable[[dict], dict]:
     """A transport that POSTs the request dict to ``url`` as JSON and returns
-    the decoded JSON response."""
+    the decoded response (ExternalSamplerError if it is not UTF-8 JSON)."""
 
     def send(payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
@@ -349,7 +364,11 @@ def http_transport(url: str) -> Callable[[dict], dict]:
             url, data=body, headers={"Content-Type": "application/json"}
         )
         with urllib.request.urlopen(req, timeout=EXTERNAL_TIMEOUT_S) as resp:
-            return json.loads(resp.read().decode("utf-8"))
+            text = resp.read()
+        try:
+            return json.loads(text.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ExternalSamplerError(f"response is not JSON: {exc}") from None
 
     return send
 
@@ -379,12 +398,12 @@ def external_sampler_submit(
     more than once counts once, with the counts summed.
 
     Remote failure strings map onto the failure taxonomy; transport errors
-    count as a timeout; schema violations raise.
+    and malformed HTTP replies count as a timeout; schema violations raise.
     """
     payload = {"model": qubo.to_json_dict(model), "num_reads": num_reads}
     try:
         response = transport(payload)
-    except (urllib.error.URLError, TimeoutError, ConnectionError, OSError):
+    except (OSError, http.client.HTTPException):  # URLError and timeouts are OSErrors
         return SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, num_reads)
 
     if not isinstance(response, dict):
@@ -393,28 +412,8 @@ def external_sampler_submit(
     if reason:
         failure = _map_remote_failure(str(reason))
         return SampleSet.failed(Backend.EXTERNAL, failure, num_reads)
-    raw_entries = response.get("entries")
-    if not isinstance(raw_entries, list):
-        raise ExternalSamplerError("response lacks an entries list")
-    bits, counts = [], []
-    for item in raw_entries:
-        if not isinstance(item, dict) or not isinstance(item.get("bits"), str):
-            raise ExternalSamplerError(f"entry {item!r} lacks a bit string")
-        b, count = item["bits"], item.get("count")
-        if len(b) != model.num_vars:
-            raise ExternalSamplerError(
-                f"bitstring length {len(b)} != {model.num_vars} variables"
-            )
-        if set(b) - {"0", "1"}:
-            raise ExternalSamplerError(f"bitstring {b!r} holds a character other than 0/1")
-        if type(count) is not int or count < 1:  # a bool is no count
-            raise ExternalSamplerError(f"entry count {count!r} is not a positive integer")
-        bits.append(b)
-        counts.append(count)
-    rows, inverse = np.unique(
-        qubo.as_rows(bits, model.num_vars), axis=0, return_inverse=True
-    )
-    merged = np.bincount(inverse.reshape(-1), weights=counts, minlength=len(rows))
-    return SampleSet.from_rows(
-        Backend.EXTERNAL, sum(counts), rows, merged, qubo.energies(model, rows)
-    )
+    try:
+        rows, counts = _read_entries(response.get("entries"), model.num_vars)
+    except ValueError as exc:
+        raise ExternalSamplerError(str(exc)) from None
+    return SampleSet.from_reads(Backend.EXTERNAL, model, rows, counts)

@@ -287,6 +287,20 @@ def test_report_size_does_not_grow_with_shot_count():
     assert violin_csv(large).count("\n") == violin_csv(small).count("\n") <= 5
 
 
+def test_report_ar_counts_are_exact_past_2_53():
+    """Counts 2**53 and 1 on a tour and its reverse (one cost, so one AR)
+    merge into 2**53 + 1 shots, which a float64 sum rounds away."""
+    inst = gen.make_random_instance(seed=23, n=4, k=2, symmetric=True)
+    model = build_qubo(inst)
+    exact = exact_solve(inst)
+    tour = list(exact.tour)
+    entries = [(_bits(inst.n, tour), 2**53, 0.0), (_bits(inst.n, tour[::-1]), 1, 0.0)]
+    samples = _sample_set(entries, 2**53 + 1)
+    backend = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost]).backends["x"]
+    assert backend.ar_values == (1.0,)
+    assert backend.ar_counts == (2**53 + 1,)
+
+
 def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):
     bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 7, 10.0)], 7)

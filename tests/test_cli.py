@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import shutil
@@ -190,6 +191,76 @@ def test_bench_malformed_external_response_exit_2(write_instance, tmp_path, caps
     finally:
         server.shutdown()
     assert "error: bitstring length 2 != 15 variables" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def _endpoint(reply: bytes):
+    """A loopback endpoint that reads each request whole and answers with
+    the raw bytes ``reply``, status line and headers included; yields its
+    URL."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _http_reply(body: bytes, length: int | None = None) -> bytes:
+    """An HTTP/1.0 200 reply of ``body`` whose Content-Length is ``length``
+    (the body's own length by default)."""
+    length = len(body) if length is None else length
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (length, body)
+
+
+def test_bench_external_counts_summing_to_2_63_exit_2(write_instance, tmp_path, capsys):
+    """Counts that sum to 2**63 cannot be int64 counts: exit 2 before any
+    sample file is written, not a count wrapped to -2**63."""
+    path = write_instance(gen.subsample_instance("9p43_nodes_5", 5, 3))
+    entries = [{"bits": "1" * 15, "count": 2**62}, {"bits": "1" * 15, "count": 2**62}]
+    with _endpoint(_http_reply(json.dumps({"entries": entries}).encode())) as url:
+        args = ["bench", str(path), "--backend", "external", "--external-url", url]
+        assert main(args + ["--reads", "20", "--out", str(tmp_path / "run")]) == 2
+    assert "not below 2**63" in capsys.readouterr().err
+    assert not list((tmp_path / "run").rglob("samples_external.json"))
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"GARBAGE\r\n\r\n", _http_reply(b'{"entries": []}', length=100)],
+    ids=["status-line", "body-short"],
+)
+def test_solve_external_malformed_http_reply_is_timeout(write_instance, tmp_path, reply):
+    """A reply that is not HTTP, or whose body ends before its
+    Content-Length, is a transport error: a timeout failure, exit 3, no
+    traceback."""
+    path = write_instance(gen.subsample_instance("9p43_nodes_5", 5, 3))
+    with _endpoint(reply) as url:
+        args = ["solve", str(path), "--backend", "external", "--external-url", url]
+        assert main(args + ["--reads", "20", "--out", str(tmp_path)]) == 3
+    samples = json.loads((tmp_path / "9p43_nodes_5_samples_external.json").read_text())
+    assert samples["failure"] == "timeout"
+
+
+@pytest.mark.parametrize("body", [b"not json", b'{"entries": "\xff"}'], ids=["text", "not-utf-8"])
+def test_solve_external_body_not_json_exit_2(write_instance, tmp_path, capsys, body):
+    """A body that is not UTF-8 JSON is a malformed response: exit 2, with
+    an error that says so."""
+    path = write_instance(gen.subsample_instance("9p43_nodes_5", 5, 3))
+    with _endpoint(_http_reply(body)) as url:
+        args = ["solve", str(path), "--backend", "external", "--external-url", url]
+        assert main(args + ["--reads", "20", "--out", str(tmp_path)]) == 2
+    assert "error: response is not JSON: " in capsys.readouterr().err
 
 
 def test_bench_over_sampler_caps_not_applicable_exit_3(write_instance, tmp_path):

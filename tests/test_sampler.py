@@ -360,7 +360,7 @@ def test_external_wrong_length_is_schema_error(toy_instance):
         ({"bits": "1x01", "count": 1}, "'1x01' holds a character other than 0/1"),
         ({"bits": "10 1", "count": 1}, "'10 1' holds a character other than 0/1"),
         ({"bits": 1001, "count": 1}, "lacks a bit string"),
-        ("1001", "lacks a bit string"),
+        ("1001", "not a list of objects"),
     ],
 )
 def test_external_malformed_entry_names_its_fault(toy_instance, item, message):
@@ -376,6 +376,31 @@ def test_external_merges_repeated_bitstrings(toy_instance):
     assert result.num_reads == 6
     assert result.entries.tolist() == [[1, 0, 0, 1], [0, 0, 0, 0]]  # by energy
     assert result.counts.tolist() == [5, 1]
+
+
+def test_external_merges_counts_exactly(toy_instance):
+    """Counts 2**53 and 1 on one bit string merge to 2**53 + 1, which a
+    float64 sum rounds away, and the set's file reads back to its text."""
+    model = _toy_model(toy_instance)
+    entries = [{"bits": "1001", "count": 2**53}, {"bits": "1001", "count": 1}]
+    result = external_sampler_submit(model, 1500, lambda payload: {"entries": entries})
+    assert result.counts.tolist() == [2**53 + 1]
+    assert result.num_reads == 2**53 + 1
+    text = gen.sample_text(result)
+    assert gen.sample_text(SampleSet.from_json_dict(json.loads(text), model.num_vars)) == text
+
+
+@pytest.mark.parametrize(
+    "bits, counts",
+    [(["1001", "1001"], [2**62, 2**62]), (["1001", "0110"], [2**63 - 1, 1]), (["1001"], [2**63])],
+)
+def test_external_counts_summing_to_2_63_are_schema_errors(toy_instance, bits, counts):
+    """Counts are int64, so counts that sum to 2**63 or more cannot be
+    merged; the response is rejected rather than wrapped to a negative."""
+    model = _toy_model(toy_instance)
+    entries = [{"bits": b, "count": c} for b, c in zip(bits, counts)]
+    with pytest.raises(ExternalSamplerError, match=r"not below 2\*\*63"):
+        external_sampler_submit(model, 1500, lambda payload: {"entries": entries})
 
 
 def test_external_transport_error_is_timeout(toy_instance):
@@ -423,7 +448,7 @@ def test_sampleset_json_round_trip(toy_instance):
     result = sa_sample(model, num_reads=20, seed=1)
     text = gen.sample_text(result)
     data = json.loads(text)
-    again = SampleSet.from_json_dict(data)
+    again = SampleSet.from_json_dict(data, model.num_vars)
     assert gen.sample_text(again) == text
     for name in ("entries", "counts", "energies"):
         assert getattr(again, name).dtype == getattr(result, name).dtype
@@ -431,7 +456,7 @@ def test_sampleset_json_round_trip(toy_instance):
     assert sorted(data) == ["backend", "entries", "failure", "num_reads"]
     failed = SampleSet.failed(Backend.EXTERNAL, Failure.TIMEOUT, 7)
     text = gen.sample_text(failed)
-    assert gen.sample_text(SampleSet.from_json_dict(json.loads(text))) == text
+    assert gen.sample_text(SampleSet.from_json_dict(json.loads(text), model.num_vars)) == text
     assert failed.num_reads == 7 and failed.entries.shape == (0, 0)
 
 
@@ -511,6 +536,62 @@ def test_from_rows_orders_zero_width_rows(size):
     assert failed.counts.shape == (0,) and failed.energies.shape == (0,)
 
 
+def _reference_sa(model, rows):
+    """The SA tail before ``from_reads``: one read per row."""
+    distinct, counts = np.unique(rows, axis=0, return_counts=True)
+    return SampleSet.from_rows(
+        Backend.SIMULATED_ANNEALING, len(rows), distinct, counts, energies(model, distinct)
+    )
+
+
+def _reference_exhaustive(model, row):
+    """The exhaustive scan's tail before ``from_reads``: one row, one read."""
+    return SampleSet.from_rows(Backend.EXHAUSTIVE, 1, row, [1], energies(model, row))
+
+
+def _reference_external(model, rows, counts):
+    """The external adapter's tail before ``from_reads``: counts merged as
+    float64 weights, exact while they stay below 2**53."""
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    merged = np.bincount(inverse.reshape(-1), weights=counts, minlength=len(distinct))
+    return SampleSet.from_rows(
+        Backend.EXTERNAL, sum(counts), distinct, merged, energies(model, distinct)
+    )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_from_reads_equals_the_former_constructions(seed):
+    """On a random model and a random multiset of rows (few distinct ones,
+    so rows repeat; few coefficient values, so energies tie), ``from_reads``
+    writes the same text as each backend's former construction."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+    width = n * k
+    pairs = rng.integers(0, width, size=(3 * width, 2))
+    model = gen.from_terms(
+        n, k,
+        [(v, int(rng.integers(-3, 4))) for v in range(width)],
+        [(u, v, int(rng.integers(-2, 3))) for u, v in pairs if u != v],
+        offset=float(rng.integers(0, 5)), lam=10.0,
+    )
+    pool = rng.integers(0, 2, size=(int(rng.integers(1, 30)), width), dtype=np.uint8)
+    rows = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 300)))]
+    counts = rng.integers(1, 2**40, size=len(rows)).tolist()
+    text = gen.sample_text
+    assert text(SampleSet.from_reads(Backend.SIMULATED_ANNEALING, model, rows)) == text(
+        _reference_sa(model, rows)
+    )
+    assert text(SampleSet.from_reads(Backend.EXTERNAL, model, rows, counts)) == text(
+        _reference_external(model, rows, counts)
+    )
+    assert text(SampleSet.from_reads(Backend.EXHAUSTIVE, model, rows[:1])) == text(
+        _reference_exhaustive(model, rows[:1])
+    )
+    if width <= 16:
+        got = exhaustive_ground_state(model)
+        assert text(got) == text(_reference_exhaustive(model, got.entries))
+
+
 _THREE_READS = [("1001", 1), ("0110", 2)]
 
 
@@ -525,6 +606,10 @@ _THREE_READS = [("1001", 1), ("0110", 2)]
         (_THREE_READS, 4, "sum to 3, not num_reads 4"),
         (_THREE_READS, 3.0, "num_reads 3.0 is not a non-negative integer"),
         (_THREE_READS, "3", "num_reads '3' is not a non-negative integer"),
+        ([("1001", 2**62), ("0110", 2**62)], 2**63 - 1, r"sum to \d+, not below 2\*\*63"),
+        (_THREE_READS, 2**63, r"num_reads \d+ is not a non-negative integer below 2\*\*63"),
+        ([("1001", 1), ("01101", 2)], 3, "bitstring length 5 != 4 variables"),
+        ([("1001", 1), ("01\u00e91", 2)], 3, "'01\u00e91' holds a character other than 0/1"),
     ],
 )
 def test_sampleset_from_json_rejects_malformed_counts(entries, num_reads, message):
@@ -535,11 +620,11 @@ def test_sampleset_from_json_rejects_malformed_counts(entries, num_reads, messag
         "entries": [{"bits": b, "count": c, "energy": 0.0} for b, c in entries],
     }
     with pytest.raises(ValueError, match=message):
-        SampleSet.from_json_dict(data)
+        SampleSet.from_json_dict(data, 4)
 
 
 @pytest.mark.parametrize("entries", [[1], ["1001"], [None], {"bits": "1001"}, "1001"])
 def test_sampleset_from_json_rejects_entries_that_are_not_objects(entries):
     data = {"backend": "sa", "num_reads": 1, "failure": None, "entries": entries}
     with pytest.raises(ValueError, match="not a list of objects"):
-        SampleSet.from_json_dict(data)
+        SampleSet.from_json_dict(data, 4)
