@@ -67,6 +67,10 @@ class QaoaParams:
     beta: float
     layers: int = 1
 
+    def __post_init__(self):
+        if type(self.layers) is not int or self.layers < 1:
+            raise ValueError(f"layers must be an int >= 1, got {self.layers!r}")
+
 
 @dataclass(frozen=True)
 class CellSummary:
@@ -162,14 +166,18 @@ def run_qaoa(
     ``phase`` (``cost_phase`` of the diagonal at ``params.gamma``) and
     ``ring`` (``xy_ring_matrix`` at ``params.beta``) are computed here when
     not given; a caller running many cells passes the ones it shares.
+
+    The first layer's phased start is ``phase * N^(-K/2)``, bit for bit
+    ``initial_state(layout) * phase``, without the uniform array.
     """
     if phase is None:
         phase = cost_phase(cost_diagonal(model), params.gamma)
     if ring is None:
         ring = xy_ring_matrix(layout.n, params.beta)
-    state = initial_state(layout)
-    for _ in range(params.layers):
-        state = state * phase  # rebound first, so the old state is freed before mixing
+    state = phase * layout.dim**-0.5
+    for layer in range(params.layers):
+        if layer:
+            state = state * phase  # rebound first, so the old state is freed before mixing
         state = apply_ring(state, ring)
     return state
 
@@ -183,6 +191,12 @@ def sample_shots(
     The draws are the ones ``rng.choice(len(probs), size=shots, p=probs)``
     makes, by the inverse CDF that it computes, without its other passes
     over ``probs``. A state whose norm is zero or not finite is a ValueError.
+
+    The draws are only counted, so the uniforms are sorted first: equal
+    tuples then come out as runs, read off at their change points. Bit
+    c*N + i is set for node i at step c, so a lower flat tuple index is a
+    larger bit string, and ordering the distinct tuples by (energy, -index)
+    gives the set's (energy, bits) order without sorting the rows.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -192,14 +206,18 @@ def sample_shots(
         raise ValueError(f"state norm squared is {total}, not finite and positive")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    draws = cdf.searchsorted(rng.random(shots), side="right")
-    uniq, counts = np.unique(draws, return_counts=True)
-    orders = np.stack(np.unravel_index(uniq, state.shape), axis=1)
+    uniforms = np.random.default_rng(seed).random(shots)
+    uniforms.sort()
+    draws = cdf.searchsorted(uniforms, side="right")  # ascending
+    # the runs' bounds: both ends and every change point
+    bounds = np.flatnonzero(np.concatenate(([True], draws[1:] != draws[:-1], [True])))
+    flat = draws[bounds[:-1]]
+    energies = diagonal.reshape(-1)[flat]
+    order = np.lexsort((-flat, energies))
+    counts = np.diff(bounds)[order]
+    orders = np.stack(np.unravel_index(flat[order], state.shape), axis=1)
     rows = qubo.encode_rows(state.shape[0], orders)
-    return SampleSet.from_rows(
-        Backend.QAOA, shots, rows, counts, diagonal.reshape(-1)[uniq]
-    )
+    return SampleSet(Backend.QAOA, shots, rows, counts, energies[order])
 
 
 def grid_search(
@@ -221,7 +239,7 @@ def grid_search(
     failure=timeout only if none completed. A model whose N^K amplitudes
     exceed ``MAX_SUBSPACE_DIM`` runs no cell and fails as not_applicable.
     Cell c derives its seed as seed + c, so the search is reproducible. A
-    grid dimension below 1 is a ValueError.
+    grid dimension, ``shots`` or ``layers`` below 1 is a ValueError.
 
     Each piece of work is done once: the ring matrix once per beta for the
     whole search, and the phase vector once per gamma, after the timeout
@@ -232,6 +250,9 @@ def grid_search(
     """
     if min(grid) < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {grid[0]}x{grid[1]}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    QaoaParams(GAMMA_RANGE[0], BETA_RANGE[0], layers)  # a ValueError unless layers >= 1
     try:
         layout = PartitionLayout(model.n, model.k)
     except StateTooLargeError:

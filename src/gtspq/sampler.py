@@ -18,6 +18,7 @@ import enum
 import http.client
 import json
 import math
+import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +32,7 @@ EXHAUSTIVE_CAP = 24
 DEFAULT_NUM_READS = 1500
 DEFAULT_SWEEPS = 1000
 EXTERNAL_TIMEOUT_S = 30.0  # per HTTP request to the external sampler
+_TIMEOUT_STATUSES = (408, 504)  # request timeout, gateway timeout
 JSON_CHUNK_ENTRIES = 4096  # sample entries per chunk of a set's JSON text
 _JSON_ENTRY = '    {\n      "bits": "%s",\n      "count": %d,\n      "energy": %s\n    }'
 
@@ -55,8 +57,9 @@ class SampleSet:
 
     ``entries`` is a read-only (m, num_vars) uint8 array of distinct rows,
     with ``counts`` and ``energies`` aligned to it, sorted by (energy, bits).
-    Build one with ``from_reads``, ``from_rows`` (QAOA) or ``failed``; bit
-    strings exist only in the JSON form.
+    Build one with ``from_reads``, ``from_rows`` or ``failed``; QAOA's
+    ``sample_shots`` constructs it directly, its rows already in that order.
+    Bit strings exist only in the JSON form.
     """
 
     backend: Backend
@@ -356,15 +359,25 @@ class ExternalSamplerError(RuntimeError):
 
 def http_transport(url: str) -> Callable[[dict], dict]:
     """A transport that POSTs the request dict to ``url`` as JSON and returns
-    the decoded response (ExternalSamplerError if it is not UTF-8 JSON)."""
+    the decoded response. An error status is an ExternalSamplerError, except
+    408 and 504, which say the request timed out and stay transport errors;
+    so is a body that is not UTF-8 JSON."""
 
     def send(payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
         req = urllib.request.Request(
             url, data=body, headers={"Content-Type": "application/json"}
         )
-        with urllib.request.urlopen(req, timeout=EXTERNAL_TIMEOUT_S) as resp:
-            text = resp.read()
+        try:
+            with urllib.request.urlopen(req, timeout=EXTERNAL_TIMEOUT_S) as resp:
+                text = resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code in _TIMEOUT_STATUSES:
+                raise
+            raise ExternalSamplerError(
+                f"endpoint answered HTTP {exc.code} {exc.reason}"
+            ) from None
         try:
             return json.loads(text.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
@@ -398,7 +411,8 @@ def external_sampler_submit(
     more than once counts once, with the counts summed.
 
     Remote failure strings map onto the failure taxonomy; transport errors
-    and malformed HTTP replies count as a timeout; schema violations raise.
+    and malformed HTTP replies count as a timeout; schema violations raise,
+    as do ``http_transport``'s error statuses other than 408 and 504.
     """
     payload = {"model": qubo.to_json_dict(model), "num_reads": num_reads}
     try:

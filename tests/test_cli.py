@@ -252,6 +252,40 @@ def test_solve_external_malformed_http_reply_is_timeout(write_instance, tmp_path
     assert samples["failure"] == "timeout"
 
 
+def _http_status(status: bytes) -> bytes:
+    """An HTTP/1.0 reply with the status line ``status`` and an empty
+    entry list as its body."""
+    body = b'{"entries": []}'
+    return b"HTTP/1.0 %s\r\nContent-Length: %d\r\n\r\n%s" % (status, len(body), body)
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize(
+    "status", [b"500 Internal Server Error", b"404 Not Found", b"429 Too Many Requests"]
+)
+def test_external_http_error_status_exit_2(write_instance, tmp_path, capsys, command, status):
+    """An endpoint that answers with an error status did not run out of
+    time: exit 2 with the status named, and no sample file written."""
+    path = write_instance(gen.subsample_instance("9p43_nodes_5", 5, 3))
+    out = tmp_path / "run"
+    with _endpoint(_http_status(status)) as url:
+        args = [command, str(path), "--backend", "external", "--external-url", url]
+        assert main(args + ["--reads", "20", "--out", str(out)]) == 2
+    assert f"error: endpoint answered HTTP {status.decode()}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*samples_external.json"))
+
+
+@pytest.mark.parametrize("status", [b"504 Gateway Timeout", b"408 Request Timeout"])
+def test_solve_external_timeout_status_is_timeout(write_instance, tmp_path, status):
+    """408 and 504 say the request timed out: a timeout failure, exit 3."""
+    path = write_instance(gen.subsample_instance("9p43_nodes_5", 5, 3))
+    with _endpoint(_http_status(status)) as url:
+        args = ["solve", str(path), "--backend", "external", "--external-url", url]
+        assert main(args + ["--reads", "20", "--out", str(tmp_path)]) == 3
+    samples = json.loads((tmp_path / "9p43_nodes_5_samples_external.json").read_text())
+    assert samples["failure"] == "timeout"
+
+
 @pytest.mark.parametrize("body", [b"not json", b'{"entries": "\xff"}'], ids=["text", "not-utf-8"])
 def test_solve_external_body_not_json_exit_2(write_instance, tmp_path, capsys, body):
     """A body that is not UTF-8 JSON is a malformed response: exit 2, with

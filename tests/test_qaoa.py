@@ -323,6 +323,29 @@ def test_run_qaoa_given_phase_and_ring_is_the_same_state():
         assert np.array_equal(own, shared)
 
 
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (4, 3), (5, 2)])
+def test_run_qaoa_equals_the_uniform_array_times_the_phase(n, k):
+    """The phased start ``phase * dim^-1/2`` gives, bit for bit, the state
+    of the uniform array multiplied by the phase, then (phase, ring) layers."""
+    model = build_qubo(gen.make_random_instance(seed=23 + n, n=n, k=k))
+    layout = PartitionLayout(n, k)
+    diagonal = cost_diagonal(model)
+    for gamma, beta in ((0.0, 0.41), (0.83, 0.0), (2.9, 1.3)):
+        phase, ring = cost_phase(diagonal, gamma), xy_ring_matrix(n, beta)
+        want = initial_state(layout)
+        for layers in (1, 2, 3):
+            want = apply_ring(want * phase, ring)
+            got = run_qaoa(model, layout, QaoaParams(gamma, beta, layers), phase=phase, ring=ring)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("layers", [0, -1, 1.0, True, "1", None])
+def test_qaoa_params_rejects_layers_that_are_not_an_int_of_at_least_one(layers):
+    with pytest.raises(ValueError, match="layers must be an int >= 1"):
+        QaoaParams(0.5, 0.3, layers)
+
+
 def test_run_qaoa_phase_and_ring_are_keyword_only():
     """A fourth positional argument, such as a seed left over from a call
     written for a seeded start, is a TypeError, not a phase."""
@@ -441,6 +464,81 @@ def test_sample_shots_energies_equal_qubo_energy():
                 assert abs(e - energy(model, row)) <= 1e-9
 
 
+def _reference_sample_shots(state, diagonal, shots, seed):
+    """The set ``sample_shots`` built before it sorted its draws: the
+    unsorted draws counted by ``np.unique``, rows encoded, then ``from_rows``."""
+    probs = np.abs(state.reshape(-1)) ** 2
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
+    uniq, counts = np.unique(draws, return_counts=True)
+    rows = encode_rows(state.shape[0], np.stack(np.unravel_index(uniq, state.shape), axis=1))
+    return SampleSet.from_rows(Backend.QAOA, shots, rows, counts, diagonal.reshape(-1)[uniq])
+
+
+def _assert_same_set(got, want):
+    assert got.backend is want.backend and got.num_reads == want.num_reads
+    assert got.failure is want.failure
+    for name in ("entries", "counts", "energies"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+    assert gen.sample_text(got) == gen.sample_text(want)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_sample_shots_equals_the_unsorted_construction_under_ties(trial):
+    """Random states over random shapes, energies drawn from three integers
+    so that many distinct tuples tie: the set is the reference's bit for bit."""
+    rng = np.random.default_rng(900 + trial)
+    n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    shape = (n,) * k
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    state[rng.random(shape) < 0.3] = 0.0
+    state.flat[0] += 0.1  # never all zero
+    diagonal = rng.integers(0, 3, size=shape).astype(np.float64)
+    for shots in (1, 7, 500):
+        seed = int(rng.integers(1 << 31))
+        _assert_same_set(
+            sample_shots(state, diagonal, shots, seed),
+            _reference_sample_shots(state, diagonal, shots, seed),
+        )
+
+
+def test_sample_shots_equals_the_unsorted_construction_on_wide_rows():
+    """N=40, K=3: 120-bit rows, wider than one 64-bit word, and energies of
+    a model whose weights take two values."""
+    model = build_qubo(gen.make_random_instance(seed=31, n=40, k=3, low=1, high=2))
+    diagonal = cost_diagonal(model)
+    state = run_qaoa(model, PartitionLayout(40, 3), QaoaParams(0.4, 0.7))
+    for shots, seed in ((1, 3), (500, 4), (5000, 5)):
+        got = sample_shots(state, diagonal, shots, seed)
+        _assert_same_set(got, _reference_sample_shots(state, diagonal, shots, seed))
+    assert got.entries.shape[1] == 120 and len(np.unique(got.energies)) < len(got.energies)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sample_shots_equals_the_unsorted_construction_at_one_node(k):
+    """N=1: one tuple, so every shot is the same row."""
+    state = np.full((1,) * k, 1.0 + 0.0j)
+    diagonal = np.full((1,) * k, 2.5)
+    for shots in (1, 500):
+        got = sample_shots(state, diagonal, shots, 8)
+        _assert_same_set(got, _reference_sample_shots(state, diagonal, shots, 8))
+        assert got.counts.tolist() == [shots]
+
+
+def test_sample_shots_equals_the_unsorted_construction_on_a_basis_state():
+    diagonal = np.arange(27, dtype=np.float64).reshape(3, 3, 3) % 4
+    state = np.zeros((3, 3, 3), dtype=complex)
+    state[2, 0, 1] = 1j
+    for shots in (1, 500):
+        got = sample_shots(state, diagonal, shots, 9)
+        _assert_same_set(got, _reference_sample_shots(state, diagonal, shots, 9))
+        assert got.entries.tolist() == [[0, 0, 1, 1, 0, 0, 0, 1, 0]]
+
+
 # --- grid search ------------------------------------------------------------------------
 
 
@@ -520,6 +618,21 @@ def test_grid_search_rejects_an_empty_grid(toy_instance, grid):
     """An empty grid is a caller's error, not a timeout: no time expired."""
     with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
         _grid(build_qubo(toy_instance), 0, grid=grid, shots=10)
+
+
+@pytest.mark.parametrize("timeout_s", [-1.0, 300.0])
+@pytest.mark.parametrize(
+    "setting,match",
+    [({"shots": 0}, "shots must be >= 1"), ({"layers": 0}, "layers must be an int >= 1"),
+     ({"layers": -2}, "layers must be an int >= 1")],
+    ids=["shots-0", "layers-0", "layers-negative"],
+)
+def test_grid_search_rejects_shots_and_layers_below_one(toy_instance, timeout_s, setting, match):
+    """A shot or layer count below 1 is a caller's error, raised before the
+    first timeout check: not a timeout, and no cell of the unphased state."""
+    settings = {"grid": (1, 1), "shots": 10, "layers": 1, "timeout_s": timeout_s, **setting}
+    with pytest.raises(ValueError, match=match):
+        _grid(build_qubo(toy_instance), 0, **settings)
 
 
 def test_grid_over_state_cap_not_applicable():
