@@ -4,7 +4,7 @@ Feasibility ratio (``feasible_shot_rate``) counts the shots that decode to
 valid tours; approximation ratio is optimal cost over achieved cost (1.0 is
 optimal). An AR distribution holds each distinct AR once, with its shot count:
 a bitstring sampled 30 times is one value counted 30 times. Emission is
-deterministic: fixed row order, repr float formatting, sorted JSON keys, "v3".
+deterministic: fixed row order, repr float formatting, sorted JSON keys, "v4".
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .qaoa import CellSummary, GridResult
 from .qubo import QuboModel
 from .sampler import Failure, SampleSet
 
-SCHEMA_VERSION = "v3"
+SCHEMA_VERSION = "v4"
 
 
 def approximation_ratio(optimal: float, cost: float) -> float:
@@ -192,8 +192,16 @@ def ar_csv(group: ExperimentGroup) -> str:
     )
 
 
-def violin_csv(report: BackendReport) -> str:
-    return _csv_text(["ar", "count"], zip(report.ar_values, report.ar_counts))
+def violin_csv(group: ExperimentGroup) -> str:
+    """Every AR distribution in one table, a row per distinct AR, by instance
+    ``index`` (two instances of one name stay apart), backend, then AR."""
+    rows = (
+        [index, rep.name, key, ar, count]
+        for index, rep in enumerate(group.reports)
+        for key, b in sorted(rep.backends.items())
+        for ar, count in zip(b.ar_values, b.ar_counts)
+    )
+    return _csv_text(["index", "instance", "backend", "ar", "count"], rows)
 
 
 def grid_csv(result: GridResult) -> str:
@@ -224,15 +232,10 @@ def atomic_write(path: Path, content: str | dict | Iterable[str]) -> None:
 
 
 def emit(group: ExperimentGroup, out_dir) -> None:
-    """Write the report files: group.json, the three CSVs and one violin CSV
-    per instance and backend, ``violin/<i:03d>_<name>_<backend>.csv`` after
-    the instance's raw directory, so two instances of one name keep two."""
+    """Write group.json and the four CSVs into ``out_dir``, creating it."""
     out = Path(out_dir)
-    (out / "violin").mkdir(parents=True, exist_ok=True)
     atomic_write(out / "group.json", group.to_json_dict())
     atomic_write(out / "instances.csv", instances_csv(group))
     atomic_write(out / "feasibility.csv", feasibility_csv(group))
     atomic_write(out / "ar.csv", ar_csv(group))
-    for index, rep in enumerate(group.reports):
-        for key, b in sorted(rep.backends.items()):
-            atomic_write(out / "violin" / f"{index:03d}_{rep.name}_{key}.csv", violin_csv(b))
+    atomic_write(out / "violin.csv", violin_csv(group))

@@ -110,15 +110,16 @@ class RunConfig:
                 raise ValueError(f"unknown backend {b!r}")
         if not self.backends:
             raise ValueError("at least one backend is required")
-        for flag, value in (
-            ("--reads", self.reads),
-            ("--shots", self.shots),
-            ("--grid", min(self.grid)),
-            ("--layers", self.layers),
-            ("--jobs", self.jobs),
+        for flag, value, least in (
+            ("--seed", self.seed, 0),  # stage seeds feed default_rng, which takes none below 0
+            ("--reads", self.reads, 1),
+            ("--shots", self.shots, 1),
+            ("--grid", min(self.grid), 1),
+            ("--layers", self.layers, 1),
+            ("--jobs", self.jobs, 1),
         ):
-            if value < 1:
-                raise ValueError(f"{flag} must be at least 1")
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least}")
         if not self.timeout_s >= 0:  # NaN too: no elapsed time exceeds it
             raise ValueError(f"--timeout-s must be at least 0, got {self.timeout_s!r}")
         preprocess.parse_spec(self.reduce)
@@ -191,7 +192,8 @@ def _run_backend(
 
 
 def _bench_instance(payload: tuple) -> None:
-    """Solve one instance end to end and persist its raw artifacts."""
+    """Solve one instance end to end and persist its raw artifacts; the
+    random baseline is not one of them (``report`` draws it from the config)."""
     cfg, index, path = payload
     original = _read_instance(path)
     inst, record = preprocess.reduce(
@@ -209,11 +211,6 @@ def _bench_instance(payload: tuple) -> None:
 
     exact = baseline.exact_solve(inst)
     bench.atomic_write(raw_dir / "exact.json", {"tour": list(exact.tour), "cost": exact.cost})
-    # the random baseline is drawn once, from these, when the report is built
-    bench.atomic_write(
-        raw_dir / "random.json",
-        {"seed": stage_seed(cfg.seed, index, "random"), "count": cfg.reads},
-    )
 
     for key in cfg.backends:
         started = time.monotonic()
@@ -248,16 +245,16 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
             raise ValueError(f"{pattern}: {len(found)} matches, expected one raw directory")
         raw_dirs.append(found[0])
     _check_no_stale_raw_dirs(out_dir, len(raw_dirs))
-    reports = tuple(_read_raw_dir(raw_dir, cfg) for raw_dir in raw_dirs)
+    reports = tuple(_read_raw_dir(raw_dir, cfg, index) for index, raw_dir in enumerate(raw_dirs))
     return bench.ExperimentGroup(name=cfg.group, reports=reports)
 
 
-def _read_raw_dir(raw_dir: Path, cfg: RunConfig) -> bench.InstanceReport:
-    """One instance's report, from the files of its raw directory that
-    ``cfg`` implies: instance.gtsp, exact.json, random.json, reduction.json
-    exactly when the run reduced, and samples_<key>.json per backend. Any
-    fault in one of them is a ValueError that starts with
-    ``<raw dir>/<file>: ``."""
+def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> bench.InstanceReport:
+    """Instance ``index``'s report, from the files of its raw directory that
+    ``cfg`` implies: instance.gtsp, exact.json, reduction.json exactly when the
+    run reduced, and samples_<key>.json per backend; any fault in one is a
+    ValueError that starts with ``<raw dir>/<file>: ``. The random baseline
+    is drawn from ``cfg``'s reads and seed; an older run's random.json is ignored."""
 
     def read(name: str, check=lambda value: value):
         with _fault_names(f"{raw_dir.name}/{name}"):
@@ -275,14 +272,6 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig) -> bench.InstanceReport:
             raise ValueError("not a one-node-per-cluster tour with its cost")
         return float(cost)
 
-    def check_random(data: dict) -> list[float]:
-        seed, count = data["seed"], data["count"]
-        if type(seed) is not int or type(count) is not int:
-            raise ValueError("seed and count must be JSON integers")
-        if count != cfg.reads:  # bench draws the run's reads
-            raise ValueError(f"count {count} is not the run's reads, {cfg.reads}")
-        return baseline.random_tours(inst, count, seed)[1].tolist()
-
     def check_reduction(data: dict) -> int:
         if type(data["original_n"]) is not int or data["original_n"] < inst.n:
             raise ValueError("original_n is not an integer >= n")
@@ -297,7 +286,8 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig) -> bench.InstanceReport:
     inst = read("instance.gtsp")
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     cost = read("exact.json", check_exact)
-    random_costs = read("random.json", check_random)
+    seed = stage_seed(cfg.seed, index, "random")
+    random_costs = baseline.random_tours(inst, cfg.reads, seed)[1].tolist()
     original_n = read("reduction.json", check_reduction) if cfg.reduce != "none" else None
     sample_sets = {
         key: read(f"samples_{key}.json", lambda data: check_samples(key, data))
@@ -350,6 +340,8 @@ def cmd_reduce(args) -> int:
         raise _UsageError(str(exc)) from None
     if method == "none":
         raise _UsageError("--reduce must be nn2c or subsample:TARGET")
+    if args.seed < 0:
+        raise _UsageError("--seed must be at least 0")
     reduced, record = preprocess.reduce(_read_instance(args.instance), args.reduce, args.seed)
     stem = reduced.name if record.method == preprocess.METHOD_SUBSAMPLE else f"{reduced.name}_nn2c"
     out = Path(args.out)

@@ -10,6 +10,7 @@ from gtspq.baseline import exact_solve, random_tours
 from gtspq.bench import (
     BackendReport,
     ExperimentGroup,
+    InstanceReport,
     approximation_ratio,
     build_report,
     emit,
@@ -237,8 +238,9 @@ def test_emit_empty_group(tmp_path):
     emit(group, tmp_path)
     assert (tmp_path / "instances.csv").read_text() == "name,n,k,qubits,original_n\n"
     assert (tmp_path / "feasibility.csv").read_text().startswith("instance,backend")
+    assert (tmp_path / "violin.csv").read_text() == "index,instance,backend,ar,count\n"
     data = json.loads((tmp_path / "group.json").read_text())
-    assert data == {"schema": "v3", "name": "empty", "instances": []}
+    assert data == {"schema": "v4", "name": "empty", "instances": []}
 
 
 def test_emit_row_order_and_headers(toy_instance, tmp_path):
@@ -251,20 +253,44 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
     assert len(lines) == 3 and lines[1] == lines[2]
     ar_lines = (tmp_path / "ar.csv").read_text().splitlines()
     assert ar_lines[0] == "instance,backend,best_shot_ar,mean_ar,mean_random_ar"
-    violins = sorted(p.name for p in (tmp_path / "violin").iterdir())
-    assert violins == ["000_toy_sa.csv", "001_toy_sa.csv"]  # one file per report
-    for violin in (tmp_path / "violin").iterdir():
-        assert violin.read_text().splitlines() == ["ar,count", "1.0,10"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ar.csv",
+        "feasibility.csv",
+        "group.json",
+        "instances.csv",
+        "violin.csv",
+    ]
+    assert (tmp_path / "violin.csv").read_text().splitlines() == [
+        "index,instance,backend,ar,count",
+        "0,toy,sa,1.0,10",
+        "1,toy,sa,1.0,10",  # the same name at another index: rows of its own
+    ]
+
+
+def _group_of(*backends: dict[str, BackendReport]) -> ExperimentGroup:
+    """A group of one report per dict of backend reports, named a, b, c."""
+    reports = tuple(
+        InstanceReport(name, 2, 2, 4, None, 1.0, 1.0, b) for name, b in zip("abc", backends)
+    )
+    return ExperimentGroup(name="g", reports=reports)
 
 
 def test_violin_csv_rows_are_values_with_counts():
+    """One row per distinct AR, by instance, then backend, then AR; a failed
+    backend, with no AR values, contributes no row."""
     ars = (2e-7, 0.123456789012345, 1 / 3, 0.8, 1.0)
     report = BackendReport(1.0, ars, (1, 2, 3, 40, 500), 1.0, 1.0, None)
-    assert violin_csv(report) == (
-        "ar,count\n2e-07,1\n0.123456789012345,2\n0.3333333333333333,3\n0.8,40\n1.0,500\n"
-    )
+    other = BackendReport(1.0, (0.5, 0.75), (7, 3), 0.75, 1.0, None)
     empty = BackendReport(0.0, (), (), None, None, "invalid_tour")
-    assert violin_csv(empty) == "ar,count\n"
+    group = _group_of({"sa": report, "qaoa": empty, "exhaustive": other}, {"sa": other})
+    assert violin_csv(group) == (
+        "index,instance,backend,ar,count\n"
+        "0,a,exhaustive,0.5,7\n0,a,exhaustive,0.75,3\n"
+        "0,a,sa,2e-07,1\n0,a,sa,0.123456789012345,2\n0,a,sa,0.3333333333333333,3\n"
+        "0,a,sa,0.8,40\n0,a,sa,1.0,500\n"
+        "1,b,sa,0.5,7\n1,b,sa,0.75,3\n"
+    )
+    assert violin_csv(_group_of({"qaoa": empty})) == "index,instance,backend,ar,count\n"
 
 
 def test_report_size_does_not_grow_with_shot_count():
@@ -284,7 +310,8 @@ def test_report_size_does_not_grow_with_shot_count():
     assert small.ar_values == large.ar_values
     assert large.ar_counts == tuple(1000 * c for c in small.ar_counts)
     assert sum(small.ar_counts) == 10
-    assert violin_csv(large).count("\n") == violin_csv(small).count("\n") <= 5
+    lines = [violin_csv(_group_of({"x": b})).count("\n") for b in (large, small)]
+    assert lines[0] == lines[1] <= 1 + 5
 
 
 def test_report_ar_counts_are_exact_past_2_53():

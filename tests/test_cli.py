@@ -310,6 +310,7 @@ def test_bench_over_sampler_caps_not_applicable_exit_3(write_instance, tmp_path)
         "big8x7,exhaustive,0.0,not_applicable",
         "big8x7,qaoa,0.0,not_applicable",
     ]
+    assert (out / "report" / "violin.csv").read_text() == "index,instance,backend,ar,count\n"
     assert not (out / "raw" / "000_big8x7" / "qaoa_grid.csv").exists()
 
 
@@ -368,6 +369,25 @@ def test_bench_malformed_config_file_is_usage_error(write_instance, tmp_path, ca
     out = tmp_path / "run"
     assert main(["bench", str(path), "--config", str(cfg), "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "solve", "reduce", "config"])
+def test_negative_seed_is_usage_error(write_instance, tmp_path, capsys, command):
+    """A seed below 0, as a flag or in a --config file, is a usage error
+    found before anything is written: stage seeds below 0 would reach
+    numpy's default_rng, which rejects them mid-run."""
+    path = str(write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2)))
+    out = tmp_path / "run"
+    args = {
+        "bench": ["bench", path, "--backend", "sa", "--reads", "5", "--seed", "-5"],
+        "solve": ["solve", path, "--backend", "sa", "--reads", "5", "--seed", "-5"],
+        "reduce": ["reduce", path, "--reduce", "nn2c", "--seed", "-5"],
+        "config": ["bench", path, "--reads", "5", "--config", str(tmp_path / "cfg.json")],
+    }[command]
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+    assert main(args + ["--out", str(out)]) == 1
+    assert "usage error: --seed must be at least 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -465,18 +485,16 @@ def test_bench_raw_artifacts_present(bench_paths, tmp_path):
         "instance.gtsp",
         "model.coo",
         "qaoa_grid.csv",
-        "random.json",
         "samples_exhaustive.json",
         "samples_qaoa.json",
         "samples_sa.json",
     ]
     assert sorted(json.loads((raw / "exact.json").read_text())) == ["cost", "tour"]
-    assert sorted(json.loads((raw / "random.json").read_text())) == ["count", "seed"]
     for key in ("exhaustive", "sa", "qaoa"):
         samples = json.loads((raw / f"samples_{key}.json").read_text())
         assert sorted(samples) == ["backend", "entries", "failure", "num_reads"]
     group = json.loads((out / "report" / "group.json").read_text())
-    assert group["schema"] == "v3"
+    assert group["schema"] == "v4"
     for rep in group["instances"]:
         for cell in rep["backends"].values():
             assert sorted(cell) == [
@@ -523,8 +541,8 @@ def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
 
 
 def test_bench_writes_one_violin_file_per_raw_dir(write_instance, tmp_path):
-    """Two instances of one name get two raw directories, and two violin
-    files named after them, not one file written twice."""
+    """Two instances of one name get two raw directories, and the report's
+    one violin.csv keeps their rows apart by the raw directory's index."""
     first = gen.subsample_instance("6fri26_nodes_3", 3, 2)
     second = gen.subsample_instance("5ulysses22_nodes_4", 4, 3)
     paths = [
@@ -534,8 +552,11 @@ def test_bench_writes_one_violin_file_per_raw_dir(write_instance, tmp_path):
     out = tmp_path / "run"
     assert main(["bench", *map(str, paths), "--reads", "20", "--out", str(out)]) == 0
     assert sorted(p.name for p in (out / "raw").iterdir()) == ["000_demo", "001_demo"]
-    violins = sorted(p.name for p in (out / "report" / "violin").iterdir())
-    assert violins == ["000_demo_sa.csv", "001_demo_sa.csv"]
+    assert not (out / "report" / "violin").exists()
+    rows = (out / "report" / "violin.csv").read_text().splitlines()
+    assert rows[0] == "index,instance,backend,ar,count"
+    assert sorted({row.split(",")[0] for row in rows[1:]}) == ["0", "1"]
+    assert all(row.split(",")[1:3] == ["demo", "sa"] for row in rows[1:])
     assert len((out / "report" / "ar.csv").read_text().splitlines()) == 1 + 2
 
 
@@ -763,14 +784,6 @@ def _ragged(d):
         ("exact.json", _json(lambda d: [])),
         ("exact.json", _json(lambda d: 7.0)),
         ("exact.json", lambda text: text[:-3]),
-        ("random.json", _json(lambda d: {**d, "count": 0})),
-        ("random.json", _json(lambda d: {**d, "count": "20"})),
-        ("random.json", _json(lambda d: {**d, "count": 21})),
-        ("random.json", _json(lambda d: {**d, "seed": str(d["seed"])})),
-        ("random.json", _without("seed")),
-        ("random.json", _without("count")),
-        ("random.json", _json(lambda d: [d])),
-        ("random.json", lambda text: text[:-3]),
         ("reduction.json", None),
         ("reduction.json", _json(lambda d: {**d, "original_n": "foo"})),
         ("reduction.json", _json(lambda d: {**d, "original_n": 3})),
@@ -796,14 +809,6 @@ def _ragged(d):
         "exact-list",
         "exact-number",
         "exact-not-json",
-        "count-0",
-        "count-str",
-        "count-not-reads",
-        "seed-str",
-        "no-seed",
-        "no-count",
-        "random-list",
-        "random-not-json",
         "no-reduction",
         "original-n-str",
         "original-n-below-n",
@@ -820,7 +825,6 @@ def test_report_malformed_raw_exit_2(write_instance, tmp_path, capsys, name, edi
     """``report`` rejects a raw file that is missing (``edit`` None), does
     not parse, or fails its check, with an error that names the file. The
     checks: exact.json holds one node per cluster and that tour's cost;
-    random.json an integer seed and the run's 20 reads as its count;
     reduction.json, which an nn2c run needs, an integer original_n at least
     the reduced n (4 here); samples_sa.json a sample set of backend sa; and
     every JSON file an object."""
@@ -868,33 +872,20 @@ def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path,
         assert _dir_snapshot(out) == first
 
 
-def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):
-    """A run directory that still stores the random tours' costs, as bench
-    once wrote them, re-reports to the same bytes: the costs are redrawn
-    from the seed and count."""
-    from gtspq.baseline import random_tours
-
-    out = tmp_path / "run"
-    assert main(_bench_args(bench_paths, out)) == 0
-    for raw in sorted((out / "raw").iterdir()):
-        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
-        data = json.loads((raw / "random.json").read_text())
-        data["costs"] = random_tours(inst, data["count"], data["seed"])[1].tolist()
-        (raw / "random.json").write_text(json.dumps(data))
-    target = tmp_path / "again"
-    assert main(["report", str(out), "--out", str(target)]) == 0
-    assert _dir_snapshot(target) == _dir_snapshot(out / "report")
-
-
 def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
-    """A run directory as bench once wrote it, with a model.json export,
+    """A run directory as bench once wrote it re-reports to the same bytes
+    as the run without what it added: under v2 a model.json export,
     explored_orderings in exact.json and a null wall_time_s in each sample
-    file, re-reports to the same bytes as the run without them."""
+    file; under v3 a random.json, here once with a stored cost list and once
+    with a seed not the run's. The random tours are drawn from config.json."""
+    from gtspq.cli import stage_seed
     from gtspq.qubo import build_qubo, to_json_dict
 
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
-    for raw in sorted((out / "raw").iterdir()):
+    report = _dir_snapshot(out / "report")
+    raws = sorted((out / "raw").iterdir())
+    for raw in raws:
         inst = parse_gtsplib((raw / "instance.gtsp").read_text())
         (raw / "model.json").write_text(json.dumps(to_json_dict(build_qubo(inst))))
         exact = json.loads((raw / "exact.json").read_text())
@@ -903,6 +894,32 @@ def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
         for path in raw.glob("samples_*.json"):
             samples = json.loads(path.read_text())
             path.write_text(json.dumps({**samples, "wall_time_s": None}))
-    target = tmp_path / "again"
-    assert main(["report", str(out), "--out", str(target)]) == 0
-    assert _dir_snapshot(target) == _dir_snapshot(out / "report")
+    for case in ("costs", "seed"):
+        for index, raw in enumerate(raws):
+            seed = stage_seed(7, index, "random")
+            stored = {"seed": seed, "count": 60, "costs": [1.0] * 60}
+            if case == "seed":
+                stored = {"seed": seed + 1, "count": 60}
+            (raw / "random.json").write_text(json.dumps(stored))
+        target = tmp_path / case
+        assert main(["report", str(out), "--out", str(target)]) == 0
+        assert _dir_snapshot(target) == report
+
+
+def test_report_random_baseline_is_drawn_from_the_config(bench_paths, tmp_path):
+    """Each instance's mean_random_cost is the mean of the run's reads
+    random tours drawn with the instance's "random" stage seed, and bench
+    stores no random baseline of its own."""
+    from gtspq.baseline import random_tours
+    from gtspq.cli import stage_seed
+
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    group = json.loads((out / "report" / "group.json").read_text())
+    raws = sorted((out / "raw").iterdir())
+    assert len(raws) == len(group["instances"]) == 2
+    for index, (raw, rep) in enumerate(zip(raws, group["instances"])):
+        assert not (raw / "random.json").exists()
+        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
+        costs = random_tours(inst, 60, stage_seed(7, index, "random"))[1].tolist()
+        assert rep["mean_random_cost"] == sum(costs) / len(costs)
