@@ -872,28 +872,17 @@ def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path,
         assert _dir_snapshot(out) == first
 
 
-def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
-    """A run directory as bench once wrote it re-reports to the same bytes
-    as the run without what it added: under v2 a model.json export,
-    explored_orderings in exact.json and a null wall_time_s in each sample
-    file; under v3 a random.json, here once with a stored cost list and once
-    with a seed not the run's. The random tours are drawn from config.json."""
+def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):
+    """A run directory that still holds a random.json, as bench once wrote
+    it, re-reports to the same bytes as the run without one: once with a
+    stored cost list and once with a seed not the run's. The random tours
+    are drawn from config.json."""
     from gtspq.cli import stage_seed
-    from gtspq.qubo import build_qubo, to_json_dict
 
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
     report = _dir_snapshot(out / "report")
     raws = sorted((out / "raw").iterdir())
-    for raw in raws:
-        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
-        (raw / "model.json").write_text(json.dumps(to_json_dict(build_qubo(inst))))
-        exact = json.loads((raw / "exact.json").read_text())
-        exact["explored_orderings"] = math.factorial(inst.k - 1)
-        (raw / "exact.json").write_text(json.dumps(exact))
-        for path in raw.glob("samples_*.json"):
-            samples = json.loads(path.read_text())
-            path.write_text(json.dumps({**samples, "wall_time_s": None}))
     for case in ("costs", "seed"):
         for index, raw in enumerate(raws):
             seed = stage_seed(7, index, "random")
@@ -904,6 +893,28 @@ def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
         target = tmp_path / case
         assert main(["report", str(out), "--out", str(target)]) == 0
         assert _dir_snapshot(target) == report
+
+
+def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
+    """A run directory as bench once wrote it, with a model.json export,
+    explored_orderings in exact.json and a null wall_time_s in each sample
+    file, re-reports to the same bytes as the run without them."""
+    from gtspq.qubo import build_qubo, to_json_dict
+
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    for raw in sorted((out / "raw").iterdir()):
+        inst = parse_gtsplib((raw / "instance.gtsp").read_text())
+        (raw / "model.json").write_text(json.dumps(to_json_dict(build_qubo(inst))))
+        exact = json.loads((raw / "exact.json").read_text())
+        exact["explored_orderings"] = math.factorial(inst.k - 1)
+        (raw / "exact.json").write_text(json.dumps(exact))
+        for path in raw.glob("samples_*.json"):
+            samples = json.loads(path.read_text())
+            path.write_text(json.dumps({**samples, "wall_time_s": None}))
+    target = tmp_path / "again"
+    assert main(["report", str(out), "--out", str(target)]) == 0
+    assert _dir_snapshot(target) == _dir_snapshot(out / "report")
 
 
 def test_report_random_baseline_is_drawn_from_the_config(bench_paths, tmp_path):
