@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import GtspInstance, tour_costs
+from .instance import GtspInstance, absent_edges, tour_costs
 
 EXACT_STATE_CAP = 1 << 24  # float64 table entries (128 MiB)
 
@@ -49,15 +49,17 @@ def exact_state_count(inst: GtspInstance) -> int:
     return c0 * (1 << (inst.k - 1)) * (inst.n - c0)
 
 
-def exact_solve(inst: GtspInstance) -> ExactResult:
-    """Globally optimal tour by the subset dynamic program."""
+def exact_solve(inst: GtspInstance, zero_is_edge: bool = False) -> ExactResult:
+    """Globally optimal tour by the subset dynamic program. Unless
+    ``zero_is_edge``, a leg of weight 0 is no edge (``absent_edges``, as the
+    model has it) and no tour uses one; ValueError if every tour must."""
     states = exact_state_count(inst)
     if states > EXACT_STATE_CAP:
         raise ValueError(
             f"K={inst.k}, N={inst.n}: the exact solver needs {states} table "
             f"entries, over its cap {EXACT_STATE_CAP}"
         )
-    w = inst.weights
+    w = inst.weights if zero_is_edge else np.where(absent_edges(inst), np.inf, inst.weights)
     starts = np.array(inst.clusters[0])
     rest = inst.clusters[1:]
     cols = np.concatenate(rest)  # table columns: the nodes outside cluster 0
@@ -66,6 +68,8 @@ def exact_solve(inst: GtspInstance) -> ExactResult:
     g = _suffix_table(w, starts, cols, col_bit)
     first = g[:, col_bit, np.arange(len(cols))]
     optimum = (w[np.ix_(starts, cols)] + first).min()
+    if optimum == np.inf:
+        raise ValueError(f"{inst.name}: every tour uses an absent (zero-weight) edge")
 
     # Smallest optimal ordering, one position at a time: a prefix extended by
     # cluster c is kept iff some tour through it attains the optimum. Its best

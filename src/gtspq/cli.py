@@ -165,9 +165,11 @@ def _build_config(args) -> RunConfig:
 
 
 def _run_backend(
-    key: str, model: qubo.QuboModel, cfg: RunConfig, index: int
-) -> tuple[sampler.SampleSet, qaoa.GridResult | None]:
-    grid_result = None
+    key: str, model: qubo.QuboModel, cfg: RunConfig, index: int, prefix: str
+) -> sampler.SampleSet:
+    """Run backend ``key`` on instance ``index``'s model with its stage seed,
+    write its set to ``<prefix>samples_<key>.json`` (and QAOA's grid to
+    ``<prefix>qaoa_grid.csv``) and return the set."""
     backend = sampler.Backend(key)
     if backend is sampler.Backend.EXHAUSTIVE:
         samples = sampler.exhaustive_ground_state(model)
@@ -185,10 +187,13 @@ def _run_backend(
             layers=cfg.layers,
         )
         samples = grid_result.samples  # the chosen cell's shots
+        if grid_result.cells:
+            bench.atomic_write(Path(f"{prefix}qaoa_grid.csv"), bench.grid_csv(grid_result))
     else:
         transport = sampler.http_transport(cfg.external_url)
         samples = sampler.external_sampler_submit(model, cfg.reads, transport)
-    return samples, grid_result
+    bench.atomic_write(Path(f"{prefix}samples_{key}.json"), samples.json_chunks())
+    return samples
 
 
 def _bench_instance(payload: tuple) -> None:
@@ -209,16 +214,13 @@ def _bench_instance(payload: tuple) -> None:
         )
     bench.atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
 
-    exact = baseline.exact_solve(inst)
+    exact = baseline.exact_solve(inst, zero_is_edge=cfg.zero_is_edge)
     bench.atomic_write(raw_dir / "exact.json", {"tour": list(exact.tour), "cost": exact.cost})
 
     for key in cfg.backends:
         started = time.monotonic()
-        samples, grid_result = _run_backend(key, model, cfg, index)
+        samples = _run_backend(key, model, cfg, index, f"{raw_dir}/")
         print(f"[{inst.name}] {_outcome(key, samples, started)}", file=sys.stderr)
-        bench.atomic_write(raw_dir / f"samples_{key}.json", samples.json_chunks())
-        if grid_result is not None and grid_result.cells:
-            bench.atomic_write(raw_dir / "qaoa_grid.csv", bench.grid_csv(grid_result))
 
 
 def _check_no_stale_raw_dirs(out_dir: Path, count: int) -> None:
@@ -374,11 +376,8 @@ def cmd_solve(args) -> int:
     failures = []
     for key in cfg.backends:
         started = time.monotonic()
-        samples, grid_result = _run_backend(key, model, cfg, 0)
+        samples = _run_backend(key, model, cfg, 0, f"{out / inst.name}_")
         print(f"{inst.name} {_outcome(key, samples, started)}")
-        bench.atomic_write(out / f"{inst.name}_samples_{key}.json", samples.json_chunks())
-        if grid_result is not None and grid_result.cells:
-            bench.atomic_write(out / f"{inst.name}_qaoa_grid.csv", bench.grid_csv(grid_result))
         failures.append(samples.failure is not None)
     return EXIT_ALL_FAILED if all(failures) else EXIT_OK
 

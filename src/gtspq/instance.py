@@ -161,6 +161,12 @@ def _right_to_left_cost(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def absent_edges(inst: GtspInstance) -> np.ndarray:
+    """The (N, N) mask of the legs that are no edge: an off-diagonal weight
+    of 0 (for the callers that do not take zero weights as edges)."""
+    return (inst.weights == 0.0) & ~np.eye(inst.n, dtype=bool)
+
+
 def is_feasible_tour(inst: GtspInstance, order) -> bool:
     """True iff ``order`` is K integer node ids, one from each cluster."""
     order = np.asarray(order)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import GtspInstance
+from .instance import GtspInstance, absent_edges
 
 VIOLATION_STEP = "StepOneHot"
 VIOLATION_CLUSTER = "ClusterOneHot"
@@ -144,7 +144,7 @@ def build_qubo(inst: GtspInstance, zero_is_edge: bool = False) -> QuboModel:
     for cluster in inst.clusters:
         add_clique((np.arange(k)[:, None] * n + np.array(cluster)).ravel())
     if not zero_is_edge:
-        add_transitions(np.where(off_diag & (w == 0.0), lam, 0.0))
+        add_transitions(np.where(absent_edges(inst), lam, 0.0))
 
     offset = 0.0
     for _ in range(2 * k):  # the constant of each step and each cluster clique
@@ -188,8 +188,8 @@ def order_checks(
     cluster_ok = (np.sort(inst.cluster_index[order], axis=1) == np.arange(k)).all(axis=1)
     if model.zero_is_edge:
         return cluster_ok, cluster_ok
-    legs = inst.weights[order, np.roll(order, -1, axis=1)]
-    return cluster_ok, cluster_ok & (legs != 0.0).all(axis=1)
+    missing = absent_edges(inst)[order, np.roll(order, -1, axis=1)]
+    return cluster_ok, cluster_ok & ~missing.any(axis=1)
 
 
 def decode_rows(

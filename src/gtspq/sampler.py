@@ -57,9 +57,9 @@ class SampleSet:
 
     ``entries`` is a read-only (m, num_vars) uint8 array of distinct rows,
     with ``counts`` and ``energies`` aligned to it, sorted by (energy, bits).
-    Build one with ``from_reads``, ``from_rows`` or ``failed``; QAOA's
-    ``sample_shots`` constructs it directly, its rows already in that order.
-    Bit strings exist only in the JSON form.
+    Constructors order the rows they make: ``from_reads`` and ``from_json_dict``
+    sort rows in bit order stably by energy, ``failed`` has none, and QAOA's
+    ``sample_shots`` builds its set in order. Bit strings exist only in JSON.
     """
 
     backend: Backend
@@ -74,24 +74,10 @@ class SampleSet:
             arr.setflags(write=False)
 
     @classmethod
-    def from_rows(
-        cls, backend: Backend, num_reads: int, rows, counts, energies,
-        failure: Failure | None = None,
-    ) -> "SampleSet":
-        """A set from distinct ``rows`` and their aligned counts and energies,
-        sorted by (energy, bits)."""
-        rows = np.asarray(rows, dtype=np.uint8)
-        energies = np.asarray(energies, dtype=np.float64)
-        # bit 0 is the top bit of byte 0, so byte order is bit order; the
-        # last key is the primary one
-        order = np.lexsort((*np.packbits(rows, axis=1).T[::-1], energies))
-        counts = np.asarray(counts, dtype=np.int64)[order]
-        return cls(backend, num_reads, rows[order], counts, energies[order], failure)
-
-    @classmethod
     def failed(cls, backend: Backend, failure: Failure, num_reads: int) -> "SampleSet":
         """An empty set that records the backend's failure."""
-        return cls.from_rows(backend, num_reads, np.zeros((0, 0)), [], [], failure=failure)
+        rows = np.zeros((0, 0), dtype=np.uint8)
+        return cls(backend, num_reads, rows, np.zeros(0, dtype=np.int64), np.zeros(0), failure)
 
     def json_chunks(self):
         """The set's JSON text, in chunks of at most JSON_CHUNK_ENTRIES
@@ -119,10 +105,12 @@ class SampleSet:
         """The set of (m, num_vars) 0/1 ``rows``, each read once or ``counts[i]``
         times: equal rows merge, counts summed exactly in int64; ``num_reads``
         is their sum, and every energy is recomputed against ``model``."""
-        rows, inverse = np.unique(qubo.as_rows(rows, model.num_vars), axis=0, return_inverse=True)
+        rows, _, inverse = _unique_rows(qubo.as_rows(rows, model.num_vars), return_inverse=True)
         merged = np.zeros(len(rows), dtype=np.int64)
         np.add.at(merged, inverse.reshape(-1), 1 if counts is None else counts)
-        return cls.from_rows(backend, int(merged.sum()), rows, merged, qubo.energies(model, rows))
+        energies = qubo.energies(model, rows)
+        order = np.argsort(energies, kind="stable")
+        return cls(backend, int(merged.sum()), rows[order], merged[order], energies[order])
 
     @classmethod
     def from_json_dict(cls, data: dict, num_vars: int) -> "SampleSet":
@@ -135,12 +123,22 @@ class SampleSet:
         failure = Failure(data["failure"]) if data.get("failure") else None
         if type(num_reads) is not int or not 0 <= num_reads < 2**63:
             raise ValueError(f"num_reads {num_reads!r} is not a non-negative integer below 2**63")
-        if len({e["bits"] for e in entries}) != len(entries):
+        rows, first = _unique_rows(rows)
+        if len(rows) != len(entries):
             raise ValueError("a bit string is listed more than once")
         if failure is None and counts.sum() != num_reads:
             raise ValueError(f"sample counts sum to {counts.sum()}, not num_reads {num_reads}")
-        energies = [float(e["energy"]) for e in entries]
-        return cls.from_rows(Backend(data["backend"]), num_reads, rows, counts, energies, failure)
+        energies = np.array([float(e["energy"]) for e in entries])[first]
+        order = np.argsort(energies, kind="stable")
+        backend = Backend(data["backend"])
+        return cls(backend, num_reads, rows[order], counts[first[order]], energies[order], failure)
+
+
+def _unique_rows(rows: np.ndarray, **kwargs):
+    """``np.unique(rows, axis=0, return_index=True, **kwargs)`` of 0/1 uint8
+    rows, sorted as their packed bytes (bit 0 the top bit), so in bit order."""
+    _, first, *rest = np.unique(np.packbits(rows, axis=1), axis=0, return_index=True, **kwargs)
+    return rows[first], first, *rest
 
 
 def _read_entries(entries, num_vars: int) -> tuple[np.ndarray, np.ndarray]:

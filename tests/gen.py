@@ -4,8 +4,9 @@ Benchmark-shaped fixtures replicate the standard experiment groups by
 (name, N, K) only; weights are seeded synthetics. For asymmetric originals
 that get reduced, a ring of strictly dominant entry/exit edges is planted so
 the nearest-nodes reduction hits a chosen reduced size exactly.
-``from_terms`` builds the small hand-written models the tests use, and
-``sample_text`` a sample set's file text.
+``from_terms`` builds the small hand-written models the tests use,
+``from_rows`` the reference sample set, and ``sample_text`` a sample set's
+file text.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from gtspq.instance import GtspInstance
 from gtspq.qubo import QuboModel
-from gtspq.sampler import SampleSet
+from gtspq.sampler import Backend, Failure, SampleSet
 
 # (name, n, k) per instance; qubits = n * k
 SUBSAMPLE_SMALL = [
@@ -123,6 +124,17 @@ def make_random_instance(
     )
 
 
+def one_absent_edge() -> GtspInstance:
+    """Three clusters of two nodes, every weight 10 but the triangle 0-2-4,
+    whose legs weigh 0, 1 and 1: its zero leg 0-2 is an absent edge, so the
+    optimum is 21, not the triangle's 2."""
+    w = np.full((6, 6), 10.0)
+    np.fill_diagonal(w, 0.0)
+    for u, v, weight in ((0, 2, 0.0), (2, 4, 1.0), (4, 0, 1.0)):
+        w[u, v] = w[v, u] = weight
+    return GtspInstance("absent", [[0, 1], [2, 3], [4, 5]], w, symmetric=True)
+
+
 def random_small_shape(rng) -> tuple[int, int]:
     """Shapes with n * k <= 20, k >= 2, one node per cluster guaranteed."""
     k = int(rng.integers(2, 5))
@@ -214,3 +226,17 @@ def from_terms(
 def sample_text(samples: SampleSet) -> str:
     """The text a sample set's ``samples_*.json`` file holds."""
     return "".join(samples.json_chunks())
+
+
+def from_rows(
+    backend: Backend, num_reads: int, rows, counts, energies, failure: Failure | None = None
+) -> SampleSet:
+    """The reference set of distinct ``rows`` with their aligned counts and
+    energies, sorted by (energy, bits) in one lexsort: bit 0 is the top bit
+    of byte 0 of ``np.packbits``, so byte order is bit order, and the last
+    key is the primary one."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    energies = np.asarray(energies, dtype=np.float64)
+    order = np.lexsort((*np.packbits(rows, axis=1).T[::-1], energies))
+    counts = np.asarray(counts, dtype=np.int64)[order]
+    return SampleSet(backend, num_reads, rows[order], counts, energies[order], failure)

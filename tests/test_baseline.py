@@ -67,10 +67,12 @@ def _best_tour_for_ordering(w, seq, s) -> tuple[float, tuple[int, ...]]:
     return total, tuple(tour)
 
 
-def enumerate_exact(inst):
+def enumerate_exact(inst, w=None):
     """Reference solver: cluster 0 first, every (K-1)! ordering of the rest,
-    a min-cost pass per (ordering, start node); ties go to the smallest
-    (cost, ordering, tour). Returns (tour, cost, explored orderings)."""
+    a min-cost pass per (ordering, start node) over the weights ``w`` (the
+    instance's by default); ties go to the smallest (cost, ordering, tour).
+    Returns (tour, cost, explored orderings)."""
+    w = inst.weights if w is None else w
     best = None
     explored = 0
     for perm in itertools.permutations(range(1, inst.k)):
@@ -78,7 +80,7 @@ def enumerate_exact(inst):
         ordering = (0,) + perm
         seq = [inst.clusters[m] for m in ordering]
         for s in seq[0]:
-            cost, tour = _best_tour_for_ordering(inst.weights, seq, s)
+            cost, tour = _best_tour_for_ordering(w, seq, s)
             cand = (cost, ordering, tour)
             if best is None or cand < best:
                 best = cand
@@ -164,13 +166,68 @@ def test_two_singleton_clusters():
 
 
 def test_dominant_zero_cost_selection():
+    """Zero-weight legs 1-2 are free edges under ``zero_is_edge`` and absent
+    edges by default, as in the model."""
     w = np.full((4, 4), 9.0)
     np.fill_diagonal(w, 0.0)
-    w[1, 2] = w[2, 1] = 0.0  # flagged as genuine edges for the exact solver
+    w[1, 2] = w[2, 1] = 0.0
     inst = GtspInstance("dom", [[0, 1], [2, 3]], w, symmetric=True)
-    result = exact_solve(inst)
+    result = exact_solve(inst, zero_is_edge=True)
     assert result.cost == 0.0
     assert set(result.tour) == {1, 2}
+    result = exact_solve(inst)
+    assert result.cost == 18.0
+    assert result.tour == (0, 2)
+
+
+def test_exact_avoids_an_absent_edge():
+    inst = gen.one_absent_edge()
+    result = exact_solve(inst)
+    assert result.cost == 21.0 == tour_cost(inst, result.tour)
+    assert result.tour == (0, 3, 4)
+    free = exact_solve(inst, zero_is_edge=True)
+    assert (free.tour, free.cost) == ((0, 2, 4), 2.0)
+
+
+def test_exact_without_a_tour_of_edges_raises():
+    inst = GtspInstance("t", [[0], [1]], [[0, 0], [7, 0]], symmetric=False)
+    with pytest.raises(ValueError, match="absent"):
+        exact_solve(inst)
+    assert exact_solve(inst, zero_is_edge=True).cost == 7.0
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asym", "sym"])
+@pytest.mark.parametrize("weights", ["integer", "ties", "decimal"])
+def test_absent_edges_match_the_oracle_without_them(weights, symmetric):
+    """With about a third of the weights set to 0, the solver gives the
+    enumerator's tour and cost over the weights with each zero leg made
+    infinite, and a ValueError where every tour needs one; with
+    ``zero_is_edge`` it gives the enumerator's on the weights as they are."""
+    rng = np.random.default_rng([gen.name_seed(weights), int(symmetric), 3])
+    raised = 0
+    for k in range(2, 7):
+        for _ in range(10):
+            inst = _battery_instance(rng, k, weights, symmetric)
+            zero = rng.random(inst.weights.shape) < 0.35
+            if symmetric:
+                zero = np.triu(zero, 1) | np.triu(zero, 1).T
+            w = np.where(zero, 0.0, inst.weights)
+            inst = GtspInstance("z", inst.clusters, w, symmetric=symmetric)
+            free = exact_solve(inst, zero_is_edge=True)
+            assert (free.tour, free.cost, free.explored_orderings) == enumerate_exact(inst)
+            absent = zero & ~np.eye(inst.n, dtype=bool)
+            tour, cost, explored = enumerate_exact(inst, np.where(absent, np.inf, w))
+            if cost == np.inf:
+                raised += 1
+                with pytest.raises(ValueError, match="absent"):
+                    exact_solve(inst)
+                continue
+            result = exact_solve(inst)
+            assert (result.tour, result.cost, result.explored_orderings) == (tour, cost, explored)
+            assert tour_cost(inst, result.tour) == result.cost
+            legs = w[list(result.tour), list(result.tour[1:] + result.tour[:1])]
+            assert (legs != 0.0).all()
+    assert 0 < raised < 50
 
 
 def test_matches_brute_force_cross_product():

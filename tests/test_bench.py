@@ -17,7 +17,7 @@ from gtspq.bench import (
     violin_csv,
 )
 from gtspq.instance import GtspInstance, tour_cost
-from gtspq.qubo import as_rows, build_qubo, decode, encode_rows, rows_to_strs
+from gtspq.qubo import build_qubo, decode, encode_rows, rows_to_strs
 from gtspq.sampler import Backend, Failure, SampleSet, sa_sample
 
 import gen
@@ -33,16 +33,14 @@ def test_approximation_ratio_values():
 
 
 def _sample_set(entries, num_reads, backend=Backend.SIMULATED_ANNEALING, failure=None):
-    """A sample set from (bits, count, energy) triples."""
-    bits = [b for b, _, _ in entries]
-    return SampleSet.from_rows(
-        backend,
-        num_reads,
-        as_rows(bits, len(bits[0]) if bits else 0),
-        [count for _, count, _ in entries],
-        [e for _, _, e in entries],
-        failure=failure,
-    )
+    """A sample set from (bits, count, energy) triples, read as a sample file."""
+    data = {
+        "backend": backend.value,
+        "num_reads": num_reads,
+        "failure": failure.value if failure else None,
+        "entries": [{"bits": b, "count": c, "energy": e} for b, c, e in entries],
+    }
+    return SampleSet.from_json_dict(data, len(entries[0][0]) if entries else 0)
 
 
 def _bits(n, order) -> str:

@@ -586,6 +586,50 @@ def test_bench_parallel_jobs_match_serial(bench_paths, tmp_path):
     assert snap_s == snap_p
 
 
+def test_solve_writes_the_samples_bench_writes(write_instance, tmp_path):
+    """With one seed and a subsample reduce, ``solve`` writes the sample
+    files and QAOA grid that ``bench`` writes into instance 0's raw dir."""
+    path = write_instance(gen.subsample_instance("5ulysses22_nodes_4", 4, 3))
+    flags = "--backend exhaustive,sa,qaoa --reads 60 --shots 40 --grid 3x3 --seed 7".split()
+    flags += ["--reduce", "subsample:3"]
+    assert main(["bench", str(path), *flags, "--out", str(tmp_path / "b")]) == 0
+    assert main(["solve", str(path), *flags, "--out", str(tmp_path / "s")]) == 0
+    [raw] = (tmp_path / "b" / "raw").iterdir()
+    name = raw.name.removeprefix("000_")  # the reduced instance's name
+    files = ["samples_exhaustive.json", "samples_sa.json", "samples_qaoa.json", "qaoa_grid.csv"]
+    written = sorted(p.name for p in (tmp_path / "s").iterdir())
+    assert written == sorted(f"{name}_{f}" for f in files)
+    for f in files:
+        assert (tmp_path / "s" / f"{name}_{f}").read_bytes() == (raw / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("zero_is_edge", [False, True])
+def test_bench_exact_baseline_reads_zero_weights_as_the_model_does(
+    write_instance, tmp_path, zero_is_edge
+):
+    """On an instance whose cheapest triangle takes a zero-weight leg, the
+    exact tour avoids that leg unless zero weights are edges, as the model
+    does; either way the exhaustive ground state is optimal, AR 1."""
+    out = tmp_path / "run"
+    args = ["bench", str(write_instance(gen.one_absent_edge())), "--backend", "exhaustive"]
+    args += ["--out", str(out)] + ["--zero-is-edge"] * zero_is_edge
+    assert main(args) == 0
+    exact = json.loads((out / "raw" / "000_absent" / "exact.json").read_text())
+    tour, cost = ([0, 2, 4], 2.0) if zero_is_edge else ([0, 3, 4], 21.0)
+    assert exact == {"tour": tour, "cost": cost}
+    report = json.loads((out / "report" / "group.json").read_text())["instances"][0]
+    assert report["optimal_cost"] == exact["cost"]
+    assert report["backends"]["exhaustive"]["best_shot_ar"] == 1.0
+
+
+def test_bench_without_a_tour_of_edges_exit_2(write_instance, tmp_path, capsys):
+    inst = GtspInstance("noway", [[0], [1]], [[0, 0], [7, 0]], symmetric=False)
+    out = tmp_path / "run"
+    assert main(["bench", str(write_instance(inst)), "--out", str(out)]) == 2
+    assert "every tour uses an absent (zero-weight) edge" in capsys.readouterr().err
+    assert main(["bench", str(write_instance(inst)), "--out", str(out), "--zero-is-edge"]) == 0
+
+
 def test_bench_with_nn2c_reduction(write_instance, tmp_path):
     path = write_instance(gen.preprocess_original("3burma14", 3, 14, 3))
     out = tmp_path / "run"

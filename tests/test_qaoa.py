@@ -466,14 +466,15 @@ def test_sample_shots_energies_equal_qubo_energy():
 
 def _reference_sample_shots(state, diagonal, shots, seed):
     """The set ``sample_shots`` built before it sorted its draws: the
-    unsorted draws counted by ``np.unique``, rows encoded, then ``from_rows``."""
+    unsorted draws counted by ``np.unique``, rows encoded, then sorted by
+    the reference lexsort of ``gen.from_rows``."""
     probs = np.abs(state.reshape(-1)) ** 2
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
     draws = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     uniq, counts = np.unique(draws, return_counts=True)
     rows = encode_rows(state.shape[0], np.stack(np.unravel_index(uniq, state.shape), axis=1))
-    return SampleSet.from_rows(Backend.QAOA, shots, rows, counts, diagonal.reshape(-1)[uniq])
+    return gen.from_rows(Backend.QAOA, shots, rows, counts, diagonal.reshape(-1)[uniq])
 
 
 def _assert_same_set(got, want):

@@ -12,6 +12,7 @@ import pytest
 
 from gtspq.baseline import exact_solve
 from gtspq.bench import build_report
+from gtspq import qubo
 from gtspq.instance import GtspInstance
 from gtspq.qubo import as_rows, build_qubo, decode, energies, energy, rows_to_strs
 from gtspq.sampler import (
@@ -174,7 +175,7 @@ def _sa_reference_entries(model, num_reads, schedule, seed, order):
             fields += coef[:, None] * qsym[v][None, :]
             bits[:, v] = np.where(accept, 1.0 - bits[:, v], bits[:, v])
     rows, counts = np.unique(bits.astype(np.uint8), axis=0, return_counts=True)
-    return SampleSet.from_rows(
+    return gen.from_rows(
         Backend.SIMULATED_ANNEALING, num_reads, rows, counts, energies(model, rows)
     )
 
@@ -486,7 +487,7 @@ def test_sampleset_json_text_is_json_dump_indent_2(size, energies):
     easy to get wrong."""
     width = max(size - 1, 0).bit_length() + 2
     rows = (np.arange(size)[:, None] >> np.arange(width)[::-1] & 1).astype(np.uint8)
-    samples = SampleSet.from_rows(
+    samples = gen.from_rows(
         Backend.QAOA, 3 * size, rows, np.arange(size) % 3 + 1, np.resize(energies, size)
     )
     want = json.dumps(_by_hand(samples), indent=2, sort_keys=True) + "\n"
@@ -503,50 +504,95 @@ def test_failed_sampleset_json_text_is_json_dump_indent_2(failure):
 
 
 def _bit_column_order(rows, energies):
-    """``from_rows``' order as one lexsort key per bit column."""
+    """The (energy, bits) order as one lexsort key per bit column."""
     return np.lexsort((*rows.T[::-1], energies))
 
 
+# ties, both zeros, both infinities and NaN, none of which may break bit order
+_AWKWARD_ENERGIES = [0.0, -0.0, 1.0, 1.0, math.inf, -math.inf, math.nan]
+
+
+def _assert_same_set(got, want):
+    """Equal sets down to the bytes of each array (NaN and -0.0 included)."""
+    assert (got.backend, got.num_reads, got.failure) == (want.backend, want.num_reads, want.failure)
+    for name in ("entries", "counts", "energies"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _orders_of_every_constructor(monkeypatch, rows, counts, energies):
+    """The reference ``gen.from_rows`` set of distinct ``rows``, after
+    checking it against the bit-column order and checking that
+    ``from_json_dict`` on its entries shuffled, and ``from_reads`` on the rows
+    shuffled and each read twice with half its (even) count, give it too.
+    ``from_reads`` takes its energies from a stand-in for ``qubo.energies``
+    that looks each row up."""
+    width = rows.shape[1]
+    num_reads = int(counts.sum())
+    want = gen.from_rows(Backend.EXTERNAL, num_reads, rows, counts, energies)
+    order = _bit_column_order(rows, energies)
+    assert want.entries.tobytes() == rows[order].tobytes()
+    assert np.array_equal(want.counts, counts[order])
+    assert want.energies.tobytes() == energies[order].tobytes()
+
+    rng = np.random.default_rng(len(rows) + width)
+    data = json.loads(gen.sample_text(want))
+    data["entries"] = [data["entries"][i] for i in rng.permutation(len(rows))]
+    _assert_same_set(SampleSet.from_json_dict(data, width), want)
+
+    table = {row.tobytes(): e for row, e in zip(rows, energies)}
+    monkeypatch.setattr(
+        qubo, "energies", lambda model, rs: np.array([table[r.tobytes()] for r in rs])
+    )
+    model = gen.from_terms(width, 1, [], [], offset=0.0, lam=1.0)
+    shuffle = rng.permutation(2 * len(rows))
+    reads = np.concatenate([rows, rows])[shuffle]
+    halves = (np.concatenate([counts, counts]) // 2)[shuffle]
+    _assert_same_set(SampleSet.from_reads(Backend.EXTERNAL, model, reads, halves), want)
+    return want
+
+
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 60, 64, 65, 140])
-def test_from_rows_orders_as_one_key_per_bit(width):
-    """Rows packed to bytes sort as they do bit by bit: by energy, then
-    by bits with bit 0 first. Few distinct energies force the bit keys."""
+def test_from_rows_orders_as_one_key_per_bit(monkeypatch, width):
+    """The reference order, rows packed to bytes, is the order bit by bit:
+    by energy, then by bits with bit 0 first; ``from_json_dict`` and
+    ``from_reads`` give it too. Few distinct energies force the bit keys,
+    and zeros of both signs, infinities and NaN tie among themselves."""
     rng = np.random.default_rng(width)
     rows = np.unique(rng.integers(0, 2, size=(300, width), dtype=np.uint8), axis=0)
     rows = rows[rng.permutation(len(rows))]
-    energies = rng.integers(0, 3, size=len(rows)).astype(np.float64)
-    counts = np.arange(len(rows)) + 1
-    got = SampleSet.from_rows(Backend.SIMULATED_ANNEALING, int(counts.sum()), rows, counts, energies)
-    order = _bit_column_order(rows, energies)
-    assert np.array_equal(got.entries, rows[order])
-    assert np.array_equal(got.counts, counts[order])
-    assert np.array_equal(got.energies, energies[order])
+    energies = rng.choice(_AWKWARD_ENERGIES, size=len(rows))
+    counts = 2 * np.arange(1, len(rows) + 1)
+    _orders_of_every_constructor(monkeypatch, rows, counts, energies)
 
 
 @pytest.mark.parametrize("size", [0, 1])
-def test_from_rows_orders_zero_width_rows(size):
+def test_from_rows_orders_zero_width_rows(monkeypatch, size):
     """The failed set's (0, 0) rows, and the one empty row of a model
-    without variables, come out as the bit-column order has them."""
+    without variables, come out as the bit-column order has them, from
+    every constructor."""
     rows, energies = np.zeros((size, 0), dtype=np.uint8), np.zeros(size)
-    got = SampleSet.from_rows(Backend.EXHAUSTIVE, size, rows, [1] * size, energies)
+    got = _orders_of_every_constructor(monkeypatch, rows, np.full(size, 2), energies)
     assert got.entries.shape == (size, 0) and got.entries.dtype == np.uint8
     assert _bit_column_order(rows, energies).tolist() == list(range(size))
     failed = SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0)
     assert failed.entries.shape == (0, 0) and failed.entries.dtype == np.uint8
-    assert failed.counts.shape == (0,) and failed.energies.shape == (0,)
+    assert failed.counts.shape == (0,) and failed.counts.dtype == np.int64
+    assert failed.energies.shape == (0,) and failed.energies.dtype == np.float64
+    _assert_same_set(failed, gen.from_rows(Backend.QAOA, 0, rows[:0], [], [], Failure.TIMEOUT))
 
 
 def _reference_sa(model, rows):
     """The SA tail before ``from_reads``: one read per row."""
     distinct, counts = np.unique(rows, axis=0, return_counts=True)
-    return SampleSet.from_rows(
+    return gen.from_rows(
         Backend.SIMULATED_ANNEALING, len(rows), distinct, counts, energies(model, distinct)
     )
 
 
 def _reference_exhaustive(model, row):
     """The exhaustive scan's tail before ``from_reads``: one row, one read."""
-    return SampleSet.from_rows(Backend.EXHAUSTIVE, 1, row, [1], energies(model, row))
+    return gen.from_rows(Backend.EXHAUSTIVE, 1, row, [1], energies(model, row))
 
 
 def _reference_external(model, rows, counts):
@@ -554,7 +600,7 @@ def _reference_external(model, rows, counts):
     float64 weights, exact while they stay below 2**53."""
     distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
     merged = np.bincount(inverse.reshape(-1), weights=counts, minlength=len(distinct))
-    return SampleSet.from_rows(
+    return gen.from_rows(
         Backend.EXTERNAL, sum(counts), distinct, merged, energies(model, distinct)
     )
 
