@@ -52,7 +52,7 @@ class InstanceReport:
     qubits: int
     original_n: int | None
     optimal_cost: float
-    mean_random_cost: float
+    mean_random_cost: float | None  # None when no random draw is a tour
     backends: dict[str, BackendReport]
 
     def to_json_dict(self) -> dict:
@@ -98,6 +98,8 @@ def build_report(
 
     A backend with shots but no feasible one is reported as an invalid-tour
     failure with an empty AR distribution instead of fabricated metrics.
+    ``random_costs`` holds the random tours' costs; with none, the mean
+    random cost is None.
     """
     backends: dict[str, BackendReport] = {}
     for key, samples in sample_sets.items():
@@ -134,7 +136,7 @@ def build_report(
         qubits=model.num_vars,
         original_n=original_n,
         optimal_cost=optimal_cost,
-        mean_random_cost=sum(random_costs) / len(random_costs),
+        mean_random_cost=sum(random_costs) / len(random_costs) if random_costs else None,
         backends=backends,
     )
 
@@ -177,7 +179,7 @@ def ar_csv(group: ExperimentGroup) -> str:
     for rep in group.reports:
         mean_random_ar = (
             approximation_ratio(rep.optimal_cost, rep.mean_random_cost)
-            if rep.optimal_cost > 0
+            if rep.optimal_cost > 0 and rep.mean_random_cost is not None
             else None
         )
         for key, b in sorted(rep.backends.items()):

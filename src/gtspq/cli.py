@@ -26,8 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import baseline, bench, preprocess, qaoa, qubo, sampler
-from .instance import GtsplibError, GtspInstance, parse_gtsplib, serialize_gtsplib
-from .instance import is_feasible_tour, tour_cost
+from .instance import GtsplibError, GtspInstance, parse_gtsplib, serialize_gtsplib, tour_cost
 
 _STAGE = {"subsample": 1, "sa": 2, "qaoa": 3, "random": 4}
 
@@ -200,18 +199,15 @@ def _bench_instance(payload: tuple) -> None:
     """Solve one instance end to end and persist its raw artifacts; the
     random baseline is not one of them (``report`` draws it from the config)."""
     cfg, index, path = payload
-    original = _read_instance(path)
     inst, record = preprocess.reduce(
-        original, cfg.reduce, stage_seed(cfg.seed, index, "subsample")
+        _read_instance(path), cfg.reduce, stage_seed(cfg.seed, index, "subsample")
     )
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     raw_dir = Path(cfg.out) / "raw" / f"{index:03d}_{inst.name}"
 
     bench.atomic_write(raw_dir / "instance.gtsp", serialize_gtsplib(inst))
     if record is not None:
-        bench.atomic_write(
-            raw_dir / "reduction.json", {**record.to_json_dict(), "original_n": original.n}
-        )
+        bench.atomic_write(raw_dir / "reduction.json", record)
     bench.atomic_write(raw_dir / "model.coo", qubo.to_coo_text(model))
 
     exact = baseline.exact_solve(inst, zero_is_edge=cfg.zero_is_edge)
@@ -256,7 +252,8 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> bench.InstanceRe
     ``cfg`` implies: instance.gtsp, exact.json, reduction.json exactly when the
     run reduced, and samples_<key>.json per backend; any fault in one is a
     ValueError that starts with ``<raw dir>/<file>: ``. The random baseline
-    is drawn from ``cfg``'s reads and seed; an older run's random.json is ignored."""
+    is drawn from ``cfg``'s reads and seed and averages the draws that are
+    tours of the model; an older run's random.json is ignored."""
 
     def read(name: str, check=lambda value: value):
         with _fault_names(f"{raw_dir.name}/{name}"):
@@ -270,8 +267,9 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> bench.InstanceRe
 
     def check_exact(data: dict) -> float:
         tour, cost = data["tour"], data["cost"]
-        if not is_feasible_tour(inst, tour) or tour_cost(inst, tour) != cost:
-            raise ValueError("not a one-node-per-cluster tour with its cost")
+        violations, _ = qubo.decode_rows(model, inst, qubo.encode_rows(inst.n, [tour]))
+        if violations[0] is not None or tour_cost(inst, tour) != cost:
+            raise ValueError("not a tour (one node per cluster, over edges) with its cost")
         return float(cost)
 
     def check_reduction(data: dict) -> int:
@@ -289,7 +287,8 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> bench.InstanceRe
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     cost = read("exact.json", check_exact)
     seed = stage_seed(cfg.seed, index, "random")
-    random_costs = baseline.random_tours(inst, cfg.reads, seed)[1].tolist()
+    orders, costs = baseline.random_tours(inst, cfg.reads, seed)
+    random_costs = costs[qubo.order_checks(model, inst, orders)[1]].tolist()
     original_n = read("reduction.json", check_reduction) if cfg.reduce != "none" else None
     sample_sets = {
         key: read(f"samples_{key}.json", lambda data: check_samples(key, data))
@@ -345,10 +344,10 @@ def cmd_reduce(args) -> int:
     if args.seed < 0:
         raise _UsageError("--seed must be at least 0")
     reduced, record = preprocess.reduce(_read_instance(args.instance), args.reduce, args.seed)
-    stem = reduced.name if record.method == preprocess.METHOD_SUBSAMPLE else f"{reduced.name}_nn2c"
+    stem = reduced.name if method == preprocess.METHOD_SUBSAMPLE else f"{reduced.name}_nn2c"
     out = Path(args.out)
     bench.atomic_write(out / f"{stem}.gtsp", serialize_gtsplib(reduced))
-    bench.atomic_write(out / f"{stem}.json", record.to_json_dict())
+    bench.atomic_write(out / f"{stem}.json", record)
     print(f"{reduced.name}: N={reduced.n}, K={reduced.k} -> {out / (stem + '.gtsp')}")
     return EXIT_OK
 

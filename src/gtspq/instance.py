@@ -167,16 +167,6 @@ def absent_edges(inst: GtspInstance) -> np.ndarray:
     return (inst.weights == 0.0) & ~np.eye(inst.n, dtype=bool)
 
 
-def is_feasible_tour(inst: GtspInstance, order) -> bool:
-    """True iff ``order`` is K integer node ids, one from each cluster."""
-    order = np.asarray(order)
-    if order.shape != (inst.k,) or order.dtype.kind not in "iu":
-        return False
-    if not ((order >= 0) & (order < inst.n)).all():
-        return False
-    return bool((np.sort(inst.cluster_index[order]) == np.arange(inst.k)).all())
-
-
 # --- TSPLIB distance conventions -------------------------------------------
 # between two (x, y) coordinate pairs; GEO reads a pair as (latitude, longitude)
 

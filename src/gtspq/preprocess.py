@@ -1,14 +1,13 @@
 """Instance reductions: nearest-nodes-to-clusters and cluster subset sampling.
 
-Both return a reduced instance plus a record mapping new node ids back to the
-original ones. Reduced weights are pure submatrices of the original weights.
-``reduce`` is the one entry point that applies a ``--reduce`` spec
-(``none``, ``nn2c`` or ``subsample:TARGET``).
+Both return a reduced instance plus its record, the JSON object a run stores
+as ``reduction.json``: it maps new node ids back to the original ones.
+Reduced weights are pure submatrices of the original weights. ``reduce`` is
+the one entry point that applies a ``--reduce`` spec (``none``, ``nn2c`` or
+``subsample:TARGET``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,61 +17,31 @@ METHOD_NN2C = "nn2c"
 METHOD_SUBSAMPLE = "subsample"
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
-    """Traceability from a reduced instance back to its source."""
-
-    original_instance_name: str
-    kept_nodes: dict[int, int]  # new node id -> original node id
-    method: str
-    seed: int | None = None
-
-    def __post_init__(self):
-        values = list(self.kept_nodes.values())
-        if len(set(values)) != len(values):
-            raise ValueError("kept_nodes mapping must be injective")
-        if self.method == METHOD_NN2C and self.seed is not None:
-            raise ValueError("nn2c reduction takes no seed")
-        if self.method == METHOD_SUBSAMPLE and self.seed is None:
-            raise ValueError("subsample reduction requires a seed")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "original_instance_name": self.original_instance_name,
-            "kept_nodes": {str(new): old for new, old in sorted(self.kept_nodes.items())},
-            "method": self.method,
-            "seed": self.seed,
-        }
-
-
 def _submatrix_instance(
-    inst: GtspInstance, kept_clusters: list[list[int]], method: str, seed: int | None
-) -> tuple[GtspInstance, ReductionRecord]:
-    """Relabel kept nodes 0..n'-1 by ascending original id and slice.
+    inst: GtspInstance, kept_clusters: list[list[int]], name: str, method: str, seed: int | None
+) -> tuple[GtspInstance, dict]:
+    """``inst`` cut to ``kept_clusters`` and named ``name``, with its record:
+    ``original_instance_name``, ``original_n``, ``kept_nodes`` (new id as
+    ``"0".."n'-1"`` -> original id), ``method`` and ``seed``.
 
-    Monotone relabeling keeps no-op reductions exact fixed points and cluster
-    order untouched.
+    Kept nodes are relabeled 0..n'-1 by ascending original id, so no-op
+    reductions are exact fixed points and cluster order stays untouched.
     """
     kept = sorted(v for cluster in kept_clusters for v in cluster)
     relabel = {old: new for new, old in enumerate(kept)}
     clusters = [[relabel[v] for v in sorted(cluster)] for cluster in kept_clusters]
-    weights = inst.weights[np.ix_(kept, kept)]
-    reduced = GtspInstance(
-        name=inst.name,
-        clusters=clusters,
-        weights=weights,
-        symmetric=inst.symmetric,
-    )
-    record = ReductionRecord(
-        original_instance_name=inst.name,
-        kept_nodes={new: old for new, old in enumerate(kept)},
-        method=method,
-        seed=seed,
-    )
+    reduced = GtspInstance(name, clusters, inst.weights[np.ix_(kept, kept)], inst.symmetric)
+    record = {
+        "original_instance_name": inst.name,
+        "original_n": inst.n,
+        "kept_nodes": {str(new): old for new, old in enumerate(kept)},
+        "method": method,
+        "seed": seed,
+    }
     return reduced, record
 
 
-def nn2c_reduce(inst: GtspInstance) -> tuple[GtspInstance, ReductionRecord]:
+def nn2c_reduce(inst: GtspInstance) -> tuple[GtspInstance, dict]:
     """Keep each cluster's best entry and best exit node, drop the rest.
 
     Entry minimizes the best incoming weight from outside the cluster, exit
@@ -93,13 +62,14 @@ def nn2c_reduce(inst: GtspInstance) -> tuple[GtspInstance, ReductionRecord]:
         entry = np.lexsort((cluster, out_of.mean(axis=1), into.min(axis=1)))[0]
         exit_ = np.lexsort((cluster, into.mean(axis=1), out_of.min(axis=1)))[0]
         kept_clusters.append(sorted({cluster[entry], cluster[exit_]}))
-    return _submatrix_instance(inst, kept_clusters, METHOD_NN2C, None)
+    return _submatrix_instance(inst, kept_clusters, inst.name, METHOD_NN2C, None)
 
 
 def cluster_subsample(
     inst: GtspInstance, target_nodes: int, seed: int
-) -> tuple[GtspInstance, ReductionRecord]:
-    """Draw whole clusters uniformly without replacement up to a node budget.
+) -> tuple[GtspInstance, dict]:
+    """Draw whole clusters uniformly without replacement up to a node budget,
+    as the instance ``<name>_nodes_<n>``.
 
     Accumulation stops once the next drawn cluster would exceed the budget and
     at least two clusters are already in; below two clusters the draw is added
@@ -119,17 +89,14 @@ def cluster_subsample(
     total = 0
     for idx in order:
         size = len(inst.clusters[idx])
-        if total + size > target_nodes:
-            if len(selected) >= 2:
-                break
-            selected.append(int(idx))  # forced: keep at least two clusters
-            total += size
-            continue
+        if total + size > target_nodes and len(selected) >= 2:
+            break
         selected.append(int(idx))
         total += size
     selected.sort()
     kept_clusters = [list(inst.clusters[m]) for m in selected]
-    return _submatrix_instance(inst, kept_clusters, METHOD_SUBSAMPLE, seed)
+    name = f"{inst.name}_nodes_{total}"
+    return _submatrix_instance(inst, kept_clusters, name, METHOD_SUBSAMPLE, seed)
 
 
 def parse_spec(spec: str) -> tuple[str, int | None]:
@@ -148,17 +115,12 @@ def parse_spec(spec: str) -> tuple[str, int | None]:
     raise ValueError(f"bad --reduce value {spec!r}, expected nn2c|subsample:TARGET, TARGET >= 1")
 
 
-def reduce(
-    inst: GtspInstance, spec: str, seed: int
-) -> tuple[GtspInstance, ReductionRecord | None]:
+def reduce(inst: GtspInstance, spec: str, seed: int) -> tuple[GtspInstance, dict | None]:
     """``inst`` reduced as ``spec`` says, with its record; ``none`` returns
-    ``(inst, None)``. A subsample draws with ``seed`` and is renamed
-    ``<name>_nodes_<n>``; nn2c reads no seed."""
+    ``(inst, None)``. A subsample draws with ``seed``; nn2c reads no seed."""
     method, target = parse_spec(spec)
     if method == "none":
         return inst, None
     if method == METHOD_NN2C:
         return nn2c_reduce(inst)  # a global, looked up per call, so a wrapper sees it
-    reduced, record = cluster_subsample(inst, target, seed)
-    name = f"{reduced.name}_nodes_{reduced.n}"
-    return GtspInstance(name, reduced.clusters, reduced.weights, reduced.symmetric), record
+    return cluster_subsample(inst, target, seed)

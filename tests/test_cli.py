@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtspq.cli import main
+from gtspq.baseline import random_tours
+from gtspq.cli import main, stage_seed
 from gtspq.instance import GtspInstance, parse_gtsplib
 
 import gen
@@ -102,6 +103,25 @@ def test_reduce_subsample_names_output_by_size(write_instance, tmp_path):
     assert reduced.n <= 8 or reduced.k == 2
     record = json.loads(written[0].with_suffix(".json").read_text())
     assert record["method"] == "subsample" and record["seed"] == 3
+
+
+@pytest.mark.parametrize("spec", ["nn2c", "subsample:8"])
+def test_reduce_writes_the_instance_and_record_bench_writes(write_instance, tmp_path, spec):
+    """``gtspq reduce`` writes the instance and the reduction record that
+    ``bench`` stores under ``raw/000_*/`` for the same reduction, byte for
+    byte; the record holds ``original_n``."""
+    path = write_instance(gen.preprocess_original("5ulysses22", 5, 22, 5))
+    seed = str(stage_seed(2, 0, "subsample"))
+    out = tmp_path / "r"
+    assert main(["reduce", str(path), "--reduce", spec, "--seed", seed, "--out", str(out)]) == 0
+    run = tmp_path / "run"
+    args = ["bench", str(path), "--reduce", spec, "--seed", "2", "--reads", "5", "--out", str(run)]
+    assert main(args) == 0
+    (raw,) = (run / "raw").iterdir()
+    (record,) = out.glob("*.json")
+    assert record.read_bytes() == (raw / "reduction.json").read_bytes()
+    assert record.with_suffix(".gtsp").read_bytes() == (raw / "instance.gtsp").read_bytes()
+    assert json.loads(record.read_text())["original_n"] == 22
 
 
 def test_reduce_requires_method(write_instance):
@@ -513,7 +533,6 @@ def test_bench_raw_artifacts_present(bench_paths, tmp_path):
 def test_bench_qaoa_grid_feasible_fraction_is_filled(bench_paths, tmp_path):
     """Each grid cell's feasible_shot_fraction is the decoded share of that
     cell's shots, redrawn here from the cell's seed."""
-    from gtspq.cli import stage_seed
     from gtspq.qaoa import PartitionLayout, QaoaParams, cost_diagonal, run_qaoa, sample_shots
     from gtspq.qubo import build_qubo, decode
 
@@ -620,6 +639,44 @@ def test_bench_exact_baseline_reads_zero_weights_as_the_model_does(
     report = json.loads((out / "report" / "group.json").read_text())["instances"][0]
     assert report["optimal_cost"] == exact["cost"]
     assert report["backends"]["exhaustive"]["best_shot_ar"] == 1.0
+    # the random baseline averages the draws that are tours: at this seed 374
+    # of the 1500 draws take the zero leg 0-2 (in a 3-cycle every two nodes
+    # are adjacent), which is an edge only by flag
+    orders, costs = random_tours(gen.one_absent_edge(), 1500, stage_seed(0, 0, "random"))
+    zero_leg = (orders == 0).any(axis=1) & (orders == 2).any(axis=1)
+    tours = np.ones(1500, dtype=bool) if zero_is_edge else ~zero_leg
+    assert int(zero_leg.sum()) == 374
+    assert report["mean_random_cost"] == sum(costs[tours].tolist()) / int(tours.sum())
+    assert report["mean_random_cost"] >= exact["cost"]
+
+
+def test_report_random_baseline_without_a_tour_is_null(write_instance, tmp_path):
+    """A run whose every random draw takes an absent edge reports no mean
+    random cost and no mean random AR, where the mean over the draws would
+    fall below the optimum."""
+    inst = gen.one_absent_edge()
+    seed = next(
+        s for s in range(100)  # the one draw takes the zero leg 0-2
+        if set(random_tours(inst, 1, stage_seed(s, 0, "random"))[0][0].tolist()) >= {0, 2}
+    )
+    out = tmp_path / "run"
+    args = ["bench", str(write_instance(inst)), "--backend", "exhaustive", "--reads", "1"]
+    assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads((out / "report" / "group.json").read_text())["instances"][0]
+    assert report["mean_random_cost"] is None
+    ar = (out / "report" / "ar.csv").read_text().splitlines()
+    assert ar[1] == "absent,exhaustive,1.0,1.0,"
+
+
+def test_report_rejects_an_exact_tour_over_an_absent_edge(write_instance, tmp_path, capsys):
+    """An exact.json whose tour takes a zero-weight leg, as the exact
+    baseline once chose, is no tour of the run's model."""
+    out = tmp_path / "run"
+    args = ["bench", str(write_instance(gen.one_absent_edge())), "--backend", "exhaustive"]
+    assert main(args + ["--reads", "5", "--out", str(out)]) == 0
+    exact = out / "raw" / "000_absent" / "exact.json"
+    exact.write_text(json.dumps({"tour": [0, 2, 4], "cost": 2.0}))
+    _assert_report_names_the_fault(out, "000_absent/exact.json", tmp_path, capsys)
 
 
 def test_bench_without_a_tour_of_edges_exit_2(write_instance, tmp_path, capsys):
@@ -825,6 +882,10 @@ def _ragged(d):
         ("exact.json", _without("tour")),
         ("exact.json", _without("cost")),
         ("exact.json", _json(_ragged)),
+        ("exact.json", _json(lambda d: {**d, "tour": [v + 0.5 for v in d["tour"]]})),
+        ("exact.json", _json(lambda d: {**d, "tour": [-1] + d["tour"][1:]})),
+        ("exact.json", _json(lambda d: {**d, "tour": [9] + d["tour"][1:]})),
+        ("exact.json", _json(lambda d: {**d, "tour": [d["tour"]]})),
         ("exact.json", _json(lambda d: [])),
         ("exact.json", _json(lambda d: 7.0)),
         ("exact.json", lambda text: text[:-3]),
@@ -850,6 +911,10 @@ def _ragged(d):
         "no-tour",
         "no-cost",
         "ragged-tour",
+        "float-ids",
+        "negative-id",
+        "id-beyond-n",
+        "batch-of-one",
         "exact-list",
         "exact-number",
         "exact-not-json",
@@ -868,7 +933,8 @@ def _ragged(d):
 def test_report_malformed_raw_exit_2(write_instance, tmp_path, capsys, name, edit):
     """``report`` rejects a raw file that is missing (``edit`` None), does
     not parse, or fails its check, with an error that names the file. The
-    checks: exact.json holds one node per cluster and that tour's cost;
+    checks: exact.json holds a tour of integer ids, one node per cluster,
+    and its cost (ids are not truncated: 0.5 is no 0);
     reduction.json, which an nn2c run needs, an integer original_n at least
     the reduced n (4 here); samples_sa.json a sample set of backend sa; and
     every JSON file an object."""
@@ -921,8 +987,6 @@ def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):
     it, re-reports to the same bytes as the run without one: once with a
     stored cost list and once with a seed not the run's. The random tours
     are drawn from config.json."""
-    from gtspq.cli import stage_seed
-
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
     report = _dir_snapshot(out / "report")
@@ -965,9 +1029,6 @@ def test_report_random_baseline_is_drawn_from_the_config(bench_paths, tmp_path):
     """Each instance's mean_random_cost is the mean of the run's reads
     random tours drawn with the instance's "random" stage seed, and bench
     stores no random baseline of its own."""
-    from gtspq.baseline import random_tours
-    from gtspq.cli import stage_seed
-
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
     group = json.loads((out / "report" / "group.json").read_text())

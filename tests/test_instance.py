@@ -12,7 +12,6 @@ from gtspq import instance
 from gtspq.instance import (
     GtsplibError,
     GtspInstance,
-    is_feasible_tour,
     parse_gtsplib,
     serialize_gtsplib,
     tour_cost,
@@ -78,24 +77,6 @@ def test_tour_cost_matches_independent_resummation():
             b = perm[(pos + 1) % 4]
             expected += float(inst.weights[a][b])
         assert tour_cost(inst, perm) == pytest.approx(expected, abs=1e-12)
-
-
-def test_is_feasible_tour_cases():
-    inst = GtspInstance(
-        "f",
-        [[0, 1], [2]],
-        np.ones((3, 3)) - np.eye(3),
-        symmetric=True,
-    )
-    assert is_feasible_tour(inst, (0, 2)) is True
-    assert is_feasible_tour(inst, (0, 1)) is False
-    assert is_feasible_tour(inst, (2, 0)) is True
-    assert is_feasible_tour(inst, (0,)) is False
-    assert is_feasible_tour(inst, (0, 9)) is False
-    assert is_feasible_tour(inst, (-1, 2)) is False
-    assert is_feasible_tour(inst, np.array([2, 1])) is True
-    assert is_feasible_tour(inst, [[0, 2]]) is False  # a batch of one is not a tour
-    assert is_feasible_tour(inst, (0.5, 2.7)) is False  # ids are not truncated to (0, 2)
 
 
 def test_cyclic_invariance_rotation_and_reversal():

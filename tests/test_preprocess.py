@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from gtspq.instance import GtspInstance
-from gtspq.preprocess import ReductionRecord, cluster_subsample, nn2c_reduce, parse_spec, reduce
+from gtspq.preprocess import cluster_subsample, nn2c_reduce, parse_spec, reduce
 
 import gen
 
@@ -94,7 +96,7 @@ def test_nn2c_incoming_means_round_as_the_1d_means():
             inst = _same_incoming_weights(rng, k, size)
             _, record = nn2c_reduce(inst)
             kept = _reference_nn2c_kept(inst)
-            assert sorted(record.kept_nodes.values()) == sorted(v for c in kept for v in c)
+            assert sorted(record["kept_nodes"].values()) == sorted(v for c in kept for v in c)
 
 
 @pytest.mark.parametrize("kind", ["int", "float", "int-ties", "float-ties"])
@@ -111,17 +113,17 @@ def test_nn2c_matches_the_per_node_key_tuples(kind):
         inst = GtspInstance("r", gen.random_partition(n, k, rng), w, symmetric=symmetric)
         reduced, record = nn2c_reduce(inst)
         kept = _reference_nn2c_kept(inst)
-        assert sorted(record.kept_nodes.values()) == sorted(v for c in kept for v in c)
-        assert [[record.kept_nodes[v] for v in c] for c in reduced.clusters] == kept
+        assert sorted(record["kept_nodes"].values()) == sorted(v for c in kept for v in c)
+        assert [[record["kept_nodes"][str(v)] for v in c] for c in reduced.clusters] == kept
 
 
 def test_nn2c_singleton_clusters_fixed_point():
     inst = gen.make_random_instance(seed=1, n=4, k=4)
     reduced, record = nn2c_reduce(inst)
     assert reduced == inst
-    assert record.kept_nodes == {i: i for i in range(4)}
-    assert record.method == "nn2c"
-    assert record.seed is None
+    assert record["kept_nodes"] == {str(i): i for i in range(4)}
+    assert record["method"] == "nn2c"
+    assert record["seed"] is None
 
 
 def test_nn2c_known_entry_exit_scenario():
@@ -133,7 +135,7 @@ def test_nn2c_known_entry_exit_scenario():
     w[4, 5] = 2.0   # best exit edge out of B
     inst = GtspInstance("fig", [[0, 1], [2, 3, 4], [5]], w, symmetric=False)
     reduced, record = nn2c_reduce(inst)
-    original_kept = set(record.kept_nodes.values())
+    original_kept = set(record["kept_nodes"].values())
     assert 2 in original_kept and 4 in original_kept
     assert 3 not in original_kept
     assert reduced.k == 3
@@ -144,7 +146,7 @@ def test_nn2c_matches_independent_oracle():
         inst = gen.make_random_instance(seed=seed, n=9, k=3, symmetric=False)
         reduced, record = nn2c_reduce(inst)
         expected = [v for cluster in nn2c_oracle_kept(inst) for v in cluster]
-        assert sorted(record.kept_nodes.values()) == sorted(expected)
+        assert sorted(record["kept_nodes"].values()) == sorted(expected)
 
 
 def test_nn2c_bound_and_determinism():
@@ -177,7 +179,7 @@ def test_nn2c_tie_breaks_by_opposite_average_then_id():
     )
     inst = GtspInstance("tie", [[0, 1], [2], [3]], w, symmetric=False)
     _, record = nn2c_reduce(inst)
-    kept = set(record.kept_nodes.values())
+    kept = set(record["kept_nodes"].values())
     assert 1 in kept and 0 not in kept
 
 
@@ -186,15 +188,15 @@ def test_nn2c_full_tie_falls_back_to_smaller_id():
     np.fill_diagonal(w, 0.0)
     inst = GtspInstance("flat", [[0, 1], [2, 3]], w, symmetric=True)
     _, record = nn2c_reduce(inst)
-    assert sorted(record.kept_nodes.values()) == [0, 2]
+    assert sorted(record["kept_nodes"].values()) == [0, 2]
 
 
 def test_reduced_weights_are_pure_submatrix():
     inst = gen.make_random_instance(seed=4, n=10, k=3)
     reduced, record = nn2c_reduce(inst)
-    for new_a, old_a in record.kept_nodes.items():
-        for new_b, old_b in record.kept_nodes.items():
-            assert reduced.weights[new_a, new_b] == inst.weights[old_a, old_b]
+    for new_a, old_a in record["kept_nodes"].items():
+        for new_b, old_b in record["kept_nodes"].items():
+            assert reduced.weights[int(new_a), int(new_b)] == inst.weights[old_a, old_b]
 
 
 def test_preprocess_table_fixtures_reduce_exactly():
@@ -210,9 +212,10 @@ def test_preprocess_table_fixtures_reduce_exactly():
 def test_subsample_budget_never_binds():
     inst = gen.make_random_instance(seed=5, n=8, k=3)
     reduced, record = cluster_subsample(inst, target_nodes=8, seed=7)
-    assert reduced == inst
-    assert record.seed == 7
-    assert record.method == "subsample"
+    name = f"{inst.name}_nodes_8"
+    assert reduced == GtspInstance(name, inst.clusters, inst.weights, inst.symmetric)
+    assert record["seed"] == 7
+    assert record["method"] == "subsample"
 
 
 def test_subsample_deterministic():
@@ -225,7 +228,7 @@ def test_subsample_deterministic():
 def test_subsample_keeps_whole_clusters_in_original_order():
     inst = gen.make_random_instance(seed=7, n=20, k=6)
     reduced, record = cluster_subsample(inst, target_nodes=10, seed=1)
-    kept_original = set(record.kept_nodes.values())
+    kept_original = set(record["kept_nodes"].values())
     kept_cluster_ids = []
     for m, cluster in enumerate(inst.clusters):
         members_in = [v for v in cluster if v in kept_original]
@@ -267,7 +270,7 @@ def test_subsample_published_shape_reachable():
     assert hit_seed is not None, f"shapes seen: {shapes}"
     reduced, record = cluster_subsample(inst, target_nodes=4, seed=hit_seed)
     assert (reduced.n, reduced.k) == (4, 3)
-    assert record.seed == hit_seed
+    assert record["seed"] == hit_seed
 
 
 def test_partition_preserved_by_both_reductions():
@@ -278,20 +281,26 @@ def test_partition_preserved_by_both_reductions():
 
 
 def test_reduction_record_validation():
-    with pytest.raises(ValueError):
-        ReductionRecord("x", {0: 1, 1: 1}, "nn2c")
-    with pytest.raises(ValueError):
-        ReductionRecord("x", {0: 0}, "nn2c", seed=3)
-    with pytest.raises(ValueError):
-        ReductionRecord("x", {0: 0}, "subsample", seed=None)
-    rec = ReductionRecord("x", {1: 7, 0: 5}, "subsample", seed=9)
-    assert rec.to_json_dict() == {
-        "original_instance_name": "x",
-        "kept_nodes": {"0": 5, "1": 7},
-        "method": "subsample",
-        "seed": 9,
-    }
-    assert list(rec.to_json_dict()["kept_nodes"]) == ["0", "1"]
+    """Each reduction's record is the JSON object a run stores: the source's
+    name and size, an injective map from new ids "0".."n'-1" (in order) to
+    ascending original ids, the method, and the seed a subsample drew with
+    (None for nn2c)."""
+    inst = gen.make_random_instance(seed=13, n=20, k=6)
+    for (reduced, record), method, seed in (
+        (nn2c_reduce(inst), "nn2c", None),
+        (cluster_subsample(inst, 9, seed=5), "subsample", 5),
+    ):
+        assert list(record) == [
+            "original_instance_name", "original_n", "kept_nodes", "method", "seed"
+        ]
+        assert record["original_instance_name"] == inst.name
+        assert record["original_n"] == inst.n == 20
+        assert (record["method"], record["seed"]) == (method, seed)
+        kept = record["kept_nodes"]
+        assert list(kept) == [str(new) for new in range(reduced.n)]
+        assert list(kept.values()) == sorted(set(kept.values()))
+        assert all(type(old) is int and 0 <= old < inst.n for old in kept.values())
+        assert json.loads(json.dumps(record)) == record
 
 
 # --- the --reduce entry point ---------------------------------------------------
@@ -334,12 +343,11 @@ def test_reduce_nn2c_is_nn2c_reduce():
     assert reduce(inst, "nn2c", 99) == expected  # nn2c reads no seed
 
 
-def test_reduce_subsample_renames_by_size():
+def test_subsample_is_named_by_size_and_reduce_returns_it():
     inst = gen.make_random_instance(seed=12, n=20, k=6)
     sub, sub_record = cluster_subsample(inst, 9, seed=4)
+    assert sub.name == f"{inst.name}_nodes_{sub.n}"
     reduced, record = reduce(inst, "subsample:9", 4)
-    assert record == sub_record
-    assert reduced.name == f"{inst.name}_nodes_{sub.n}" != sub.name
-    assert reduced == GtspInstance(reduced.name, sub.clusters, sub.weights, sub.symmetric)
+    assert reduced == sub and record == sub_record
     with pytest.raises(ValueError):
         reduce(inst, "subsample:0", 4)
