@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -34,58 +34,6 @@ def approximation_ratio(optimal: float, cost: float) -> float:
     return optimal / cost
 
 
-@dataclass(frozen=True)
-class BackendReport:
-    feasible_shot_rate: float
-    ar_values: tuple[float, ...]  # distinct feasible-shot ARs, ascending
-    ar_counts: tuple[int, ...]  # shots per value
-    best_shot_ar: float | None
-    mean_solver_cost: float | None
-    failure: str | None
-
-
-@dataclass(frozen=True)
-class InstanceReport:
-    name: str
-    n: int
-    k: int
-    qubits: int
-    original_n: int | None
-    optimal_cost: float
-    mean_random_cost: float | None  # None when no random draw is a tour
-    backends: dict[str, BackendReport]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "instance": {
-                "name": self.name,
-                "n": self.n,
-                "k": self.k,
-                "qubits": self.qubits,
-                "original_n": self.original_n,
-            },
-            "optimal_cost": self.optimal_cost,
-            "mean_random_cost": self.mean_random_cost,
-            "backends": {key: vars(rep) for key, rep in sorted(self.backends.items())},
-        }
-
-
-@dataclass(frozen=True)
-class ExperimentGroup:
-    """Named list of instance reports, in declared instance order."""
-
-    name: str
-    reports: tuple[InstanceReport, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "instances": [r.to_json_dict() for r in self.reports],
-        }
-
-
 def build_report(
     inst: GtspInstance,
     model: QuboModel,
@@ -93,18 +41,24 @@ def build_report(
     optimal_cost: float,
     random_costs: list[float],
     original_n: int | None = None,
-) -> InstanceReport:
-    """Aggregate one instance's sample sets against the exact optimum's cost.
+) -> dict:
+    """One instance's report, as the JSON object ``group.json`` lists:
+    ``schema``, ``instance`` (name, n, k, qubits, original_n),
+    ``optimal_cost``, ``mean_random_cost`` and ``backends``, which maps each
+    key, in sorted order, to its ``feasible_shot_rate``, ``ar_values`` (the
+    distinct feasible-shot ARs, ascending), ``ar_counts`` (shots per value),
+    ``best_shot_ar``, ``mean_solver_cost`` and ``failure``. Every value is a
+    plain JSON value.
 
     A backend with shots but no feasible one is reported as an invalid-tour
     failure with an empty AR distribution instead of fabricated metrics.
     ``random_costs`` holds the random tours' costs; with none, the mean
     random cost is None.
     """
-    backends: dict[str, BackendReport] = {}
-    for key, samples in sample_sets.items():
+    backends = {}
+    for key, samples in sorted(sample_sets.items()):
         failure = samples.failure.value if samples.failure else None
-        weight, mean_cost, values, counts = 0, None, (), ()
+        weight, mean_cost, values, counts = 0, None, [], []
         if samples.failure is None and len(samples.counts):
             violations, order = qubo.decode_rows(model, inst, samples.entries)
             feasible = np.array([v is None for v in violations], dtype=bool)
@@ -114,31 +68,34 @@ def build_report(
             mean_cost = float(row_costs @ row_counts) / weight if weight else None
             if weight and optimal_cost > 0:
                 ars, inverse = np.unique(optimal_cost / row_costs, return_inverse=True)
-                values = tuple(ars.tolist())
+                values = ars.tolist()
                 ar_counts = np.zeros(len(ars), dtype=np.int64)
                 np.add.at(ar_counts, inverse, row_counts)  # exact, unlike float weights
-                counts = tuple(ar_counts.tolist())
+                counts = ar_counts.tolist()
         if samples.failure is None and weight == 0:
             failure = Failure.INVALID_TOUR.value
         reads = samples.num_reads
-        backends[key] = BackendReport(
-            feasible_shot_rate=(weight / reads) if reads else 0.0,
-            ar_values=values,
-            ar_counts=counts,
-            best_shot_ar=values[-1] if values else None,
-            mean_solver_cost=mean_cost,
-            failure=failure,
-        )
-    return InstanceReport(
-        name=inst.name,
-        n=inst.n,
-        k=inst.k,
-        qubits=model.num_vars,
-        original_n=original_n,
-        optimal_cost=optimal_cost,
-        mean_random_cost=sum(random_costs) / len(random_costs) if random_costs else None,
-        backends=backends,
-    )
+        backends[key] = {
+            "feasible_shot_rate": (weight / reads) if reads else 0.0,
+            "ar_values": values,
+            "ar_counts": counts,
+            "best_shot_ar": values[-1] if values else None,
+            "mean_solver_cost": mean_cost,
+            "failure": failure,
+        }
+    return {
+        "schema": SCHEMA_VERSION,
+        "instance": {
+            "name": inst.name,
+            "n": inst.n,
+            "k": inst.k,
+            "qubits": model.num_vars,
+            "original_n": original_n,
+        },
+        "optimal_cost": float(optimal_cost),
+        "mean_random_cost": sum(random_costs) / len(random_costs) if random_costs else None,
+        "backends": backends,
+    }
 
 
 # --- deterministic file emission ---------------------------------------------
@@ -161,47 +118,42 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def instances_csv(group: ExperimentGroup) -> str:
-    rows = [[r.name, r.n, r.k, r.qubits, r.original_n] for r in group.reports]
-    return _csv_text(["name", "n", "k", "qubits", "original_n"], rows)
+def instances_csv(group: dict) -> str:
+    header = ["name", "n", "k", "qubits", "original_n"]
+    rows = [[rep["instance"][key] for key in header] for rep in group["instances"]]
+    return _csv_text(header, rows)
 
 
-def feasibility_csv(group: ExperimentGroup) -> str:
-    rows = []
-    for rep in group.reports:
-        for key, b in sorted(rep.backends.items()):
-            rows.append([rep.name, key, 100.0 * b.feasible_shot_rate, b.failure])
+def feasibility_csv(group: dict) -> str:
+    rows = (
+        [rep["instance"]["name"], key, 100.0 * b["feasible_shot_rate"], b["failure"]]
+        for rep in group["instances"]
+        for key, b in rep["backends"].items()
+    )
     return _csv_text(["instance", "backend", "feasible_pct", "failure"], rows)
 
 
-def ar_csv(group: ExperimentGroup) -> str:
+def ar_csv(group: dict) -> str:
     rows = []
-    for rep in group.reports:
-        mean_random_ar = (
-            approximation_ratio(rep.optimal_cost, rep.mean_random_cost)
-            if rep.optimal_cost > 0 and rep.mean_random_cost is not None
-            else None
-        )
-        for key, b in sorted(rep.backends.items()):
-            mean_ar = (
-                sum(v * c for v, c in zip(b.ar_values, b.ar_counts)) / sum(b.ar_counts)
-                if b.ar_values
-                else None
-            )
-            rows.append([rep.name, key, b.best_shot_ar, mean_ar, mean_random_ar])
-    return _csv_text(
-        ["instance", "backend", "best_shot_ar", "mean_ar", "mean_random_ar"], rows
-    )
+    for rep in group["instances"]:
+        optimal, mean_random = rep["optimal_cost"], rep["mean_random_cost"]
+        defined = optimal > 0 and mean_random is not None
+        mean_random_ar = approximation_ratio(optimal, mean_random) if defined else None
+        for key, b in rep["backends"].items():
+            values, counts = b["ar_values"], b["ar_counts"]
+            mean_ar = sum(v * c for v, c in zip(values, counts)) / sum(counts) if values else None
+            rows.append([rep["instance"]["name"], key, b["best_shot_ar"], mean_ar, mean_random_ar])
+    return _csv_text(["instance", "backend", "best_shot_ar", "mean_ar", "mean_random_ar"], rows)
 
 
-def violin_csv(group: ExperimentGroup) -> str:
+def violin_csv(group: dict) -> str:
     """Every AR distribution in one table, a row per distinct AR, by instance
     ``index`` (two instances of one name stay apart), backend, then AR."""
     rows = (
-        [index, rep.name, key, ar, count]
-        for index, rep in enumerate(group.reports)
-        for key, b in sorted(rep.backends.items())
-        for ar, count in zip(b.ar_values, b.ar_counts)
+        [index, rep["instance"]["name"], key, ar, count]
+        for index, rep in enumerate(group["instances"])
+        for key, b in rep["backends"].items()
+        for ar, count in zip(b["ar_values"], b["ar_counts"])
     )
     return _csv_text(["index", "instance", "backend", "ar", "count"], rows)
 
@@ -233,10 +185,11 @@ def atomic_write(path: Path, content: str | dict | Iterable[str]) -> None:
     tmp.replace(path)
 
 
-def emit(group: ExperimentGroup, out_dir) -> None:
-    """Write group.json and the four CSVs into ``out_dir``, creating it."""
+def emit(group: dict, out_dir) -> None:
+    """Write ``group``, the ``{schema, name, instances}`` object of a group's
+    reports, as group.json, and the four CSVs, into ``out_dir``, creating it."""
     out = Path(out_dir)
-    atomic_write(out / "group.json", group.to_json_dict())
+    atomic_write(out / "group.json", group)
     atomic_write(out / "instances.csv", instances_csv(group))
     atomic_write(out / "feasibility.csv", feasibility_csv(group))
     atomic_write(out / "ar.csv", ar_csv(group))

@@ -232,9 +232,10 @@ def _check_no_stale_raw_dirs(out_dir: Path, count: int) -> None:
             raise ValueError(f"raw/{path.name}: not one of the run's {count} instances")
 
 
-def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
+def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> dict:
     """Rebuild all reports from persisted raw artifacts only: the one
-    ``raw/<i:03d>_*`` directory of each configured instance i, and no other."""
+    ``raw/<i:03d>_*`` directory of each configured instance i, and no other.
+    The group is ``group.json``'s object: ``{schema, name, instances}``."""
     raw_dirs = []
     for index in range(len(cfg.instances)):
         pattern = f"raw/{index:03d}_*"
@@ -243,11 +244,11 @@ def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> bench.ExperimentGroup:
             raise ValueError(f"{pattern}: {len(found)} matches, expected one raw directory")
         raw_dirs.append(found[0])
     _check_no_stale_raw_dirs(out_dir, len(raw_dirs))
-    reports = tuple(_read_raw_dir(raw_dir, cfg, index) for index, raw_dir in enumerate(raw_dirs))
-    return bench.ExperimentGroup(name=cfg.group, reports=reports)
+    reports = [_read_raw_dir(raw_dir, cfg, index) for index, raw_dir in enumerate(raw_dirs)]
+    return {"schema": bench.SCHEMA_VERSION, "name": cfg.group, "instances": reports}
 
 
-def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> bench.InstanceReport:
+def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> dict:
     """Instance ``index``'s report, from the files of its raw directory that
     ``cfg`` implies: instance.gtsp, exact.json, reduction.json exactly when the
     run reduced, and samples_<key>.json per backend; any fault in one is a
@@ -267,6 +268,10 @@ def _read_raw_dir(raw_dir: Path, cfg: RunConfig, index: int) -> bench.InstanceRe
 
     def check_exact(data: dict) -> float:
         tour, cost = data["tour"], data["cost"]
+        if not isinstance(tour, list) or not all(type(v) is int for v in tour):
+            raise ValueError(f"tour {tour!r} is not a list of integer node ids")
+        if type(cost) is bool:
+            raise ValueError(f"cost {cost!r} is not a number")
         violations, _ = qubo.decode_rows(model, inst, qubo.encode_rows(inst.n, [tour]))
         if violations[0] is not None or tour_cost(inst, tour) != cost:
             raise ValueError("not a tour (one node per cluster, over edges) with its cost")
@@ -316,9 +321,14 @@ def _outcome(key: str, samples: sampler.SampleSet, started: float) -> str:
     return f"{key}: best_energy={best} failure={failure} wall={time.monotonic() - started:.2f}s"
 
 
-def _all_failed(group: bench.ExperimentGroup) -> bool:
-    cells = [b for rep in group.reports for b in rep.backends.values()]
-    return bool(cells) and all(b.failure is not None for b in cells)
+def _write_report(out: Path, cfg: RunConfig, target: Path) -> int:
+    """Aggregate the run in ``out`` into the report directory ``target``;
+    the run's exit code, 3 when every backend of every instance failed."""
+    group = _aggregate_raw(out, cfg)
+    bench.emit(group, target)
+    print(f"report written to {target}")
+    cells = [b for rep in group["instances"] for b in rep["backends"].values()]
+    return EXIT_ALL_FAILED if cells and all(b["failure"] is not None for b in cells) else EXIT_OK
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -396,10 +406,7 @@ def cmd_bench(args) -> int:
     else:
         for payload in payloads:
             _bench_instance(payload)
-    group = _aggregate_raw(out, cfg)
-    bench.emit(group, out / "report")
-    print(f"report written to {out / 'report'}")
-    return EXIT_ALL_FAILED if _all_failed(group) else EXIT_OK
+    return _write_report(out, cfg, out / "report")
 
 
 def cmd_report(args) -> int:
@@ -407,11 +414,7 @@ def cmd_report(args) -> int:
     config = out / "config.json"
     with _fault_names(str(config)):
         cfg = RunConfig.from_dict(json.loads(config.read_text(encoding="utf-8")))
-    group = _aggregate_raw(out, cfg)
-    target = Path(args.out) if args.out else out / "report"
-    bench.emit(group, target)
-    print(f"report written to {target}")
-    return EXIT_ALL_FAILED if _all_failed(group) else EXIT_OK
+    return _write_report(out, cfg, Path(args.out) if args.out else out / "report")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

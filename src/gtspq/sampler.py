@@ -115,7 +115,8 @@ class SampleSet:
     @classmethod
     def from_json_dict(cls, data: dict, num_vars: int) -> "SampleSet":
         """The set, stored energies and all, whose ``json_chunks`` text parses
-        to ``data``; ValueError if ``_read_entries`` rejects its entries,
+        to ``data``; ValueError if ``_read_entries`` rejects its entries, an
+        energy is not a JSON number (a string or bool; NaN and Infinity load),
         ``num_reads`` is no int in [0, 2**63), a bit string is listed twice, or
         a set without a failure has counts that do not sum to ``num_reads``."""
         entries, num_reads = data["entries"], data["num_reads"]
@@ -128,6 +129,9 @@ class SampleSet:
             raise ValueError("a bit string is listed more than once")
         if failure is None and counts.sum() != num_reads:
             raise ValueError(f"sample counts sum to {counts.sum()}, not num_reads {num_reads}")
+        for entry in entries:
+            if type(entry["energy"]) not in (int, float):
+                raise ValueError(f"sample energy {entry['energy']!r} is not a number")
         energies = np.array([float(e["energy"]) for e in entries])[first]
         order = np.argsort(energies, kind="stable")
         backend = Backend(data["backend"])

@@ -217,7 +217,7 @@ def test_criterion_07_qaoa_end_to_end_small_instances():
             report = build_report(
                 inst, model, {"qaoa": result.samples}, exact.cost, random_costs.tolist()
             )
-            if report.backends["qaoa"].best_shot_ar == 1.0:
+            if report["backends"]["qaoa"]["best_shot_ar"] == 1.0:
                 hits += 1
         assert hits >= 9, f"{name}: {hits}/10"
 
@@ -262,11 +262,11 @@ def test_criterion_09_metric_identities():
         random_costs = random_tours(inst, 500, seed=11)[1].tolist()
         samples = sa_sample(model, num_reads=100, seed=1)
         report = build_report(inst, model, {"sa": samples}, exact.cost, random_costs)
-        backend = report.backends["sa"]
-        if backend.ar_values:
-            assert backend.best_shot_ar == backend.ar_values[-1] == max(backend.ar_values)
-        assert report.mean_random_cost >= report.optimal_cost - 1e-9
-        assert min(random_costs) >= report.optimal_cost - 1e-9
+        backend = report["backends"]["sa"]
+        if backend["ar_values"]:
+            assert backend["best_shot_ar"] == backend["ar_values"][-1] == max(backend["ar_values"])
+        assert report["mean_random_cost"] >= report["optimal_cost"] - 1e-9
+        assert min(random_costs) >= report["optimal_cost"] - 1e-9
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path, write_instance):

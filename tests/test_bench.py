@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 from gtspq.baseline import exact_solve, random_tours
-from gtspq.bench import (
-    BackendReport,
-    ExperimentGroup,
-    InstanceReport,
-    approximation_ratio,
-    build_report,
-    emit,
-    violin_csv,
-)
+from gtspq.bench import approximation_ratio, build_report, emit, violin_csv
 from gtspq.instance import GtspInstance, tour_cost
 from gtspq.qubo import build_qubo, decode, encode_rows, rows_to_strs
 from gtspq.sampler import Backend, Failure, SampleSet, sa_sample
@@ -50,7 +42,7 @@ def _bits(n, order) -> str:
 def _feasible_shot_rate(samples, model, inst):
     exact = exact_solve(inst)
     report = build_report(inst, model, {"sa": samples}, exact.cost, [exact.cost])
-    return report.backends["sa"].feasible_shot_rate
+    return report["backends"]["sa"]["feasible_shot_rate"]
 
 
 def test_feasibility_ratio_all_feasible(toy_instance):
@@ -108,27 +100,37 @@ def _toy_pipeline(toy_instance, entries, num_reads, failure=None):
 def test_build_report_every_shot_optimal(toy_instance):
     bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 1500, 10.0)], 1500)
-    backend = report.backends["sa"]
-    assert backend.feasible_shot_rate == 1.0
-    assert backend.best_shot_ar == 1.0
-    assert backend.mean_solver_cost == report.optimal_cost == 10.0
-    assert backend.failure is None
-    assert backend.ar_values == (1.0,)
-    assert backend.ar_counts == (1500,)
+    backend = report["backends"]["sa"]
+    assert backend["feasible_shot_rate"] == 1.0
+    assert backend["best_shot_ar"] == 1.0
+    assert backend["mean_solver_cost"] == report["optimal_cost"] == 10.0
+    assert backend["failure"] is None
+    assert backend["ar_values"] == [1.0]
+    assert backend["ar_counts"] == [1500]
 
 
 def test_build_report_zero_feasible_is_invalid_tour(toy_instance):
     _, report = _toy_pipeline(toy_instance, [("0000", 1500, 44.0)], 1500)
-    backend = report.backends["sa"]
-    assert backend.failure == "invalid_tour"
-    assert backend.ar_values == backend.ar_counts == ()
-    assert backend.best_shot_ar is None
-    assert backend.mean_solver_cost is None
+    backend = report["backends"]["sa"]
+    assert backend["failure"] == "invalid_tour"
+    assert backend["ar_values"] == backend["ar_counts"] == []
+    assert backend["best_shot_ar"] is None
+    assert backend["mean_solver_cost"] is None
 
 
 def test_build_report_propagates_upstream_failure(toy_instance):
     _, report = _toy_pipeline(toy_instance, [], 0, failure=Failure.COULD_NOT_EMBED)
-    assert report.backends["sa"].failure == "could_not_embed"
+    assert report["backends"]["sa"]["failure"] == "could_not_embed"
+
+
+def test_build_report_lists_backends_in_sorted_order(toy_instance):
+    """Backends come out sorted by key whatever order their sets came in,
+    so group.json and every CSV list them in one order."""
+    model = build_qubo(toy_instance)
+    bits = _bits(2, (0, 1))
+    sets = {key: _sample_set([(bits, 3, 10.0)], 3) for key in ("sa", "qaoa", "exhaustive")}
+    report = build_report(toy_instance, model, sets, 10.0, [10.0])
+    assert list(report["backends"]) == ["exhaustive", "qaoa", "sa"]
 
 
 def test_build_report_count_weighted_distribution():
@@ -143,14 +145,14 @@ def test_build_report_count_weighted_distribution():
     ]
     random_costs = random_tours(inst, 50, seed=1)[1].tolist()
     report = build_report(inst, model, {"sa": _sample_set(entries, 100)}, exact.cost, random_costs)
-    backend = report.backends["sa"]
-    assert sum(backend.ar_counts) == 35  # one count per shot, not per bitstring
-    assert backend.feasible_shot_rate == pytest.approx(0.35)
-    assert backend.best_shot_ar == max(backend.ar_values)
+    backend = report["backends"]["sa"]
+    assert sum(backend["ar_counts"]) == 35  # one count per shot, not per bitstring
+    assert backend["feasible_shot_rate"] == pytest.approx(0.35)
+    assert backend["best_shot_ar"] == max(backend["ar_values"])
     expected_mean = (
         30 * tour_cost(inst, tours[0]) + 5 * tour_cost(inst, tours[1])
     ) / 35
-    assert backend.mean_solver_cost == pytest.approx(expected_mean)
+    assert backend["mean_solver_cost"] == pytest.approx(expected_mean)
 
 
 def _feasible_tours(inst):
@@ -176,11 +178,11 @@ def test_report_recomputation_oracle(toy_instance):
             feas += item["count"]
             cost = tour_cost(toy_instance, verdict.tour)
             ars.extend([exact.cost / cost] * item["count"])
-    backend = report.backends["sa"]
-    assert backend.feasible_shot_rate == feas / raw["num_reads"]
-    assert backend.ar_values == tuple(sorted(set(ars)))
-    assert backend.ar_counts == tuple(ars.count(v) for v in backend.ar_values)
-    assert report.mean_random_cost == sum(random_costs) / len(random_costs)
+    backend = report["backends"]["sa"]
+    assert backend["feasible_shot_rate"] == feas / raw["num_reads"]
+    assert backend["ar_values"] == sorted(set(ars))
+    assert backend["ar_counts"] == [ars.count(v) for v in backend["ar_values"]]
+    assert report["mean_random_cost"] == sum(random_costs) / len(random_costs)
 
 
 def test_invariants_best_shot_and_random_mean(subsample_small_instances):
@@ -190,12 +192,12 @@ def test_invariants_best_shot_and_random_mean(subsample_small_instances):
         random_costs = random_tours(inst, 300, seed=7)[1].tolist()
         samples = sa_sample(model, num_reads=200, seed=3)
         report = build_report(inst, model, {"sa": samples}, exact.cost, random_costs)
-        backend = report.backends["sa"]
-        if backend.ar_values:
-            assert backend.best_shot_ar == max(backend.ar_values)
-            assert all(0 < ar <= 1 + 1e-12 for ar in backend.ar_values)
-            assert all(c > 0 for c in backend.ar_counts)
-        assert report.mean_random_cost >= report.optimal_cost - 1e-9
+        backend = report["backends"]["sa"]
+        if backend["ar_values"]:
+            assert backend["best_shot_ar"] == max(backend["ar_values"])
+            assert all(0 < ar <= 1 + 1e-12 for ar in backend["ar_values"])
+            assert all(c > 0 for c in backend["ar_counts"])
+        assert report["mean_random_cost"] >= report["optimal_cost"] - 1e-9
 
 
 def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
@@ -221,7 +223,7 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
             [(bits, 1, 0.0) for bits in sorted(entries)], len(entries)
         )
         report = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost])
-        ars = report.backends["x"].ar_values
+        ars = report["backends"]["x"]["ar_values"]
         assert max(ars) == 1.0 and all(ar <= 1.0 for ar in ars)
         if symmetric:
             tours += [t[::-1] for t in tours]
@@ -232,8 +234,7 @@ def test_rotations_of_the_optimum_read_ar_one_on_decimal_weights():
 
 
 def test_emit_empty_group(tmp_path):
-    group = ExperimentGroup(name="empty", reports=())
-    emit(group, tmp_path)
+    emit({"schema": "v4", "name": "empty", "instances": []}, tmp_path)
     assert (tmp_path / "instances.csv").read_text() == "name,n,k,qubits,original_n\n"
     assert (tmp_path / "feasibility.csv").read_text().startswith("instance,backend")
     assert (tmp_path / "violin.csv").read_text() == "index,instance,backend,ar,count\n"
@@ -244,8 +245,7 @@ def test_emit_empty_group(tmp_path):
 def test_emit_row_order_and_headers(toy_instance, tmp_path):
     bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 10, 10.0)], 10)
-    group = ExperimentGroup(name="g", reports=(report, report))
-    emit(group, tmp_path)
+    emit({"schema": "v4", "name": "g", "instances": [report, report]}, tmp_path)
     lines = (tmp_path / "instances.csv").read_text().splitlines()
     assert lines[0] == "name,n,k,qubits,original_n"
     assert len(lines) == 3 and lines[1] == lines[2]
@@ -265,21 +265,39 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
     ]
 
 
-def _group_of(*backends: dict[str, BackendReport]) -> ExperimentGroup:
-    """A group of one report per dict of backend reports, named a, b, c."""
-    reports = tuple(
-        InstanceReport(name, 2, 2, 4, None, 1.0, 1.0, b) for name, b in zip("abc", backends)
-    )
-    return ExperimentGroup(name="g", reports=reports)
+_BACKEND_KEYS = (
+    "feasible_shot_rate", "ar_values", "ar_counts", "best_shot_ar", "mean_solver_cost", "failure"
+)
+
+
+def _backend(*values) -> dict:
+    """A backend's report entry from its values in ``_BACKEND_KEYS`` order."""
+    return dict(zip(_BACKEND_KEYS, values, strict=True))
+
+
+def _group_of(*backends: dict[str, dict]) -> dict:
+    """A group of one report per dict of backend entries, named a, b, c,
+    each with its backends in sorted order, as ``build_report`` gives them."""
+    reports = [
+        {
+            "schema": "v4",
+            "instance": {"name": name, "n": 2, "k": 2, "qubits": 4, "original_n": None},
+            "optimal_cost": 1.0,
+            "mean_random_cost": 1.0,
+            "backends": dict(sorted(b.items())),
+        }
+        for name, b in zip("abc", backends)
+    ]
+    return {"schema": "v4", "name": "g", "instances": reports}
 
 
 def test_violin_csv_rows_are_values_with_counts():
     """One row per distinct AR, by instance, then backend, then AR; a failed
     backend, with no AR values, contributes no row."""
-    ars = (2e-7, 0.123456789012345, 1 / 3, 0.8, 1.0)
-    report = BackendReport(1.0, ars, (1, 2, 3, 40, 500), 1.0, 1.0, None)
-    other = BackendReport(1.0, (0.5, 0.75), (7, 3), 0.75, 1.0, None)
-    empty = BackendReport(0.0, (), (), None, None, "invalid_tour")
+    ars = [2e-7, 0.123456789012345, 1 / 3, 0.8, 1.0]
+    report = _backend(1.0, ars, [1, 2, 3, 40, 500], 1.0, 1.0, None)
+    other = _backend(1.0, [0.5, 0.75], [7, 3], 0.75, 1.0, None)
+    empty = _backend(0.0, [], [], None, None, "invalid_tour")
     group = _group_of({"sa": report, "qaoa": empty, "exhaustive": other}, {"sa": other})
     assert violin_csv(group) == (
         "index,instance,backend,ar,count\n"
@@ -303,11 +321,12 @@ def test_report_size_does_not_grow_with_shot_count():
         entries = [(_bits(inst.n, t), (i + 1) * scale, 0.0) for i, t in enumerate(tours)]
         entries.append(("0" * model.num_vars, 7 * scale, 0.0))
         samples = _sample_set(entries, 17 * scale)
-        backends[scale] = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost]).backends["x"]
+        report = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost])
+        backends[scale] = report["backends"]["x"]
     small, large = backends[1], backends[1000]
-    assert small.ar_values == large.ar_values
-    assert large.ar_counts == tuple(1000 * c for c in small.ar_counts)
-    assert sum(small.ar_counts) == 10
+    assert small["ar_values"] == large["ar_values"]
+    assert large["ar_counts"] == [1000 * c for c in small["ar_counts"]]
+    assert sum(small["ar_counts"]) == 10
     lines = [violin_csv(_group_of({"x": b})).count("\n") for b in (large, small)]
     assert lines[0] == lines[1] <= 1 + 5
 
@@ -321,16 +340,15 @@ def test_report_ar_counts_are_exact_past_2_53():
     tour = list(exact.tour)
     entries = [(_bits(inst.n, tour), 2**53, 0.0), (_bits(inst.n, tour[::-1]), 1, 0.0)]
     samples = _sample_set(entries, 2**53 + 1)
-    backend = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost]).backends["x"]
-    assert backend.ar_values == (1.0,)
-    assert backend.ar_counts == (2**53 + 1,)
+    backend = build_report(inst, model, {"x": samples}, exact.cost, [exact.cost])["backends"]["x"]
+    assert backend["ar_values"] == [1.0]
+    assert backend["ar_counts"] == [2**53 + 1]
 
 
 def test_emit_json_reingestion_byte_identical(toy_instance, tmp_path):
     bits = _bits(2, (0, 1))
     _, report = _toy_pipeline(toy_instance, [(bits, 7, 10.0)], 7)
-    group = ExperimentGroup(name="g", reports=(report,))
-    emit(group, tmp_path)
+    emit({"schema": "v4", "name": "g", "instances": [report]}, tmp_path)
     first = (tmp_path / "group.json").read_bytes()
     reloaded = json.loads(first)
     assert (json.dumps(reloaded, indent=2, sort_keys=True) + "\n").encode() == first

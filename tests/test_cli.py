@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gtspq import bench
 from gtspq.baseline import random_tours
 from gtspq.cli import main, stage_seed
 from gtspq.instance import GtspInstance, parse_gtsplib
@@ -470,6 +471,40 @@ def test_bench_report_roundtrip(bench_paths, tmp_path):
     assert _dir_snapshot(target) == original
 
 
+def test_bench_reports_are_the_json_objects_group_json_lists(write_instance, tmp_path, monkeypatch):
+    """Each instance's report is made of plain JSON values (a round trip
+    through JSON gives it back, down to its repr: no tuple, no numpy scalar)
+    and is, as it is, that instance's entry in group.json. The run has a
+    feasible backend (sa), an invalid_tour one (an endpoint answering the
+    all-zero string) and a not_applicable one (exhaustive over 24
+    variables); its backends come out sorted."""
+    paths = [
+        write_instance(gen.make_random_instance(seed=seed, n=5, k=5, name=f"r{seed}"))
+        for seed in (3, 4)
+    ]
+    reports, build_report = [], bench.build_report
+
+    def recording(*args, **kwargs):
+        reports.append(build_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(bench, "build_report", recording)
+    out = tmp_path / "run"
+    entries = [{"bits": "0" * 25, "count": 20}]
+    with _endpoint(_http_reply(json.dumps({"entries": entries}).encode())) as url:
+        args = ["bench", *map(str, paths), "--backend", "sa,external,exhaustive"]
+        assert main(args + ["--external-url", url, "--reads", "50", "--out", str(out)]) == 0
+    group = json.loads((out / "report" / "group.json").read_text())
+    assert len(reports) == len(group["instances"]) == 2
+    for report, entry in zip(reports, group["instances"]):
+        assert report == json.loads(json.dumps(report)) == entry
+        assert repr(report) == repr(json.loads(json.dumps(report)))
+        assert list(report["backends"]) == ["exhaustive", "external", "sa"]
+        failures = {key: b["failure"] for key, b in report["backends"].items()}
+        assert failures == {"exhaustive": "not_applicable", "external": "invalid_tour", "sa": None}
+        assert report["backends"]["sa"]["ar_values"]
+
+
 def test_main_builds_one_parser_that_keeps_nothing_between_calls(bench_paths, tmp_path, capsys):
     """In one process: bench, report, a usage error, then a bench without
     the first one's flags. Each call parses as a fresh parser would, and
@@ -679,6 +714,25 @@ def test_report_rejects_an_exact_tour_over_an_absent_edge(write_instance, tmp_pa
     _assert_report_names_the_fault(out, "000_absent/exact.json", tmp_path, capsys)
 
 
+@pytest.mark.parametrize(
+    "stored", [{"tour": [True, 2], "cost": 1.0}, {"tour": [1, 2], "cost": True}],
+    ids=["tour-true", "cost-true"],
+)
+def test_report_rejects_a_bool_in_exact_json(write_instance, tmp_path, capsys, stored):
+    """A JSON true is no node id and no cost, though Python reads it as 1:
+    on an instance whose exact tour is [1, 2] at cost 1.0, the same record
+    with a true in place of either is rejected."""
+    w = np.array([[0.0, 3.0, 3.0], [3.0, 0.0, 0.5], [3.0, 0.5, 0.0]])
+    inst = GtspInstance("unit", [[0, 1], [2]], w, symmetric=True)
+    out = tmp_path / "run"
+    args = ["bench", str(write_instance(inst)), "--backend", "exhaustive"]
+    assert main(args + ["--reads", "5", "--out", str(out)]) == 0
+    exact = out / "raw" / "000_unit" / "exact.json"
+    assert json.loads(exact.read_text()) == {"tour": [1, 2], "cost": 1.0}
+    exact.write_text(json.dumps(stored))
+    _assert_report_names_the_fault(out, "000_unit/exact.json", tmp_path, capsys)
+
+
 def test_bench_without_a_tour_of_edges_exit_2(write_instance, tmp_path, capsys):
     inst = GtspInstance("noway", [[0], [1]], [[0, 0], [7, 0]], symmetric=False)
     out = tmp_path / "run"
@@ -810,6 +864,9 @@ def _edit_first_entry(key, value):
         lambda d: d["entries"][0].pop("count"),
         lambda d: d.pop("num_reads"),
         _edit_first_entry("energy", [1.0]),
+        _edit_first_entry("energy", "8.0"),
+        _edit_first_entry("energy", True),
+        _edit_first_entry("energy", None),
         _one_entry_one_bit_short,
         _bits_as_json_integer,
         _count_2_to_the_70,
@@ -830,6 +887,9 @@ def _edit_first_entry(key, value):
         "no-count",
         "no-num-reads",
         "energy-list",
+        "energy-str",
+        "energy-true",
+        "energy-null",
         "bits-short",
         "bits-int",
         "count-2-70",
@@ -839,8 +899,9 @@ def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     """``report`` rejects a raw sample file whose counts could not have come
     from a run (a bit string listed twice, a count that is not a positive
     integer below 2**63, or counts that do not add up to the reads), whose
-    bit strings are not strings of the model's width, an entry that is not
-    an object, and an entry or file without one of its keys, with an error
+    bit strings are not strings of the model's width, whose energies are not
+    JSON numbers (a string, a bool or null), an entry that is not an
+    object, and an entry or file without one of its keys, with an error
     that names the file."""
     out = tmp_path / "run"
     assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0

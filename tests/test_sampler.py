@@ -147,9 +147,9 @@ def test_default_schedule_feasible_on_medium_fixtures():
         assert sched.beta_final == math.log(100.0) / min(coeffs)
         samples = sa_sample(model, num_reads=300, schedule=sched, seed=0)
         report = build_report(inst, model, {"sa": samples}, exact_solve(inst).cost, [1.0])
-        backend = report.backends["sa"]
-        assert backend.feasible_shot_rate >= 0.9, name
-        assert backend.best_shot_ar >= 0.95, name
+        backend = report["backends"]["sa"]
+        assert backend["feasible_shot_rate"] >= 0.9, name
+        assert backend["best_shot_ar"] >= 0.95, name
 
 
 def _sa_reference_entries(model, num_reads, schedule, seed, order):
