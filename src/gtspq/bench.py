@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import qubo
 from .instance import GtspInstance, tour_costs
-from .qaoa import CellSummary, GridResult
+from .qaoa import GridResult
 from .qubo import QuboModel
 from .sampler import Failure, SampleSet
 
@@ -159,9 +158,9 @@ def violin_csv(group: dict) -> str:
 
 
 def grid_csv(result: GridResult) -> str:
-    """One row per QAOA grid cell in search order, one column per CellSummary field."""
-    names = [f.name for f in fields(CellSummary)]
-    return _csv_text(names, ([getattr(cell, name) for name in names] for cell in result.cells))
+    """One row per QAOA grid cell in search order, one column per key of a
+    cell; ``result`` holds at least one cell."""
+    return _csv_text(list(result.cells[0]), (cell.values() for cell in result.cells))
 
 
 def atomic_write(path: Path, content: str | dict | Iterable[str]) -> None:

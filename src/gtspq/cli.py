@@ -122,8 +122,11 @@ class RunConfig:
         if not self.timeout_s >= 0:  # NaN too: no elapsed time exceeds it
             raise ValueError(f"--timeout-s must be at least 0, got {self.timeout_s!r}")
         preprocess.parse_spec(self.reduce)
-        if "external" in self.backends and not self.external_url:
-            raise ValueError("backend 'external' needs --external-url")
+        if "external" in self.backends:
+            if not self.external_url:
+                raise ValueError("backend 'external' needs --external-url")
+            if not self.external_url.lower().startswith(("http://", "https://")):
+                raise ValueError(f"--external-url {self.external_url!r} is not http:// or https://")
 
     @classmethod
     def from_dict(cls, data, **overrides) -> "RunConfig":
@@ -156,7 +159,7 @@ def _build_config(args) -> RunConfig:
         if args.config:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         return RunConfig.from_dict(file_cfg, **flags, instances=instances)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # float() of a huge JSON integer
         raise _UsageError(str(exc)) from None
 
 
@@ -195,15 +198,17 @@ def _run_backend(
     return samples
 
 
+def _prepare(cfg: RunConfig, index: int, path: str) -> tuple[GtspInstance, dict | None]:
+    """Instance ``index`` read from ``path``, reduced as ``cfg`` says, and its record."""
+    seed = stage_seed(cfg.seed, index, "subsample")
+    return preprocess.reduce(_read_instance(path), cfg.reduce, seed)
+
+
 def _bench_instance(payload: tuple) -> None:
-    """Solve one instance end to end and persist its raw artifacts; the
-    random baseline is not one of them (``report`` draws it from the config)."""
-    cfg, index, path = payload
-    inst, record = preprocess.reduce(
-        _read_instance(path), cfg.reduce, stage_seed(cfg.seed, index, "subsample")
-    )
+    """Solve one prepared instance and persist its raw artifacts in ``raw_dir``;
+    the random baseline is not one of them (``report`` draws it from the config)."""
+    cfg, index, inst, record, raw_dir = payload
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
-    raw_dir = Path(cfg.out) / "raw" / f"{index:03d}_{inst.name}"
 
     bench.atomic_write(raw_dir / "instance.gtsp", serialize_gtsplib(inst))
     if record is not None:
@@ -219,31 +224,29 @@ def _bench_instance(payload: tuple) -> None:
         print(f"[{inst.name}] {_outcome(key, samples, started)}", file=sys.stderr)
 
 
-def _check_no_stale_raw_dirs(out_dir: Path, count: int) -> None:
-    """ValueError if ``raw/`` holds a directory whose name does not start
-    with ``<i:03d>_`` for one of the run's ``count`` instance indices."""
+def _raw_dirs(out_dir: Path, count: int, planned: typing.Iterable[str] = ()) -> list[Path]:
+    """The raw directory of each of ``count`` instances, in index order, among
+    ``raw/``'s directories and the ``planned`` names: ValueError unless each
+    name starts with ``<i:03d>_`` for one index i and each index has one."""
     raw_root = out_dir / "raw"
-    if not raw_root.is_dir():
-        return
-    indices = {f"{index:03d}" for index in range(count)}
-    for path in sorted(raw_root.iterdir()):
-        head, sep, _ = path.name.partition("_")
-        if path.is_dir() and not (sep and head in indices):
-            raise ValueError(f"raw/{path.name}: not one of the run's {count} instances")
+    listed = raw_root.iterdir() if raw_root.is_dir() else ()
+    names = {*planned, *(path.name for path in listed if path.is_dir())}
+    found = {f"{index:03d}": [] for index in range(count)}
+    for name in sorted(names):
+        head, sep, _ = name.partition("_")
+        if not sep or head not in found:
+            raise ValueError(f"raw/{name}: not one of the run's {count} instances")
+        found[head].append(raw_root / name)
+    for head, dirs in found.items():
+        if len(dirs) != 1:
+            raise ValueError(f"raw/{head}_*: {len(dirs)} matches, expected one raw directory")
+    return [dirs[0] for dirs in found.values()]
 
 
 def _aggregate_raw(out_dir: Path, cfg: RunConfig) -> dict:
-    """Rebuild all reports from persisted raw artifacts only: the one
-    ``raw/<i:03d>_*`` directory of each configured instance i, and no other.
-    The group is ``group.json``'s object: ``{schema, name, instances}``."""
-    raw_dirs = []
-    for index in range(len(cfg.instances)):
-        pattern = f"raw/{index:03d}_*"
-        found = sorted(out_dir.glob(pattern))
-        if len(found) != 1:
-            raise ValueError(f"{pattern}: {len(found)} matches, expected one raw directory")
-        raw_dirs.append(found[0])
-    _check_no_stale_raw_dirs(out_dir, len(raw_dirs))
+    """Rebuild all reports from the configured instances' raw directories
+    only, as ``group.json``'s object: ``{schema, name, instances}``."""
+    raw_dirs = _raw_dirs(out_dir, len(cfg.instances))
     reports = [_read_raw_dir(raw_dir, cfg, index) for index, raw_dir in enumerate(raw_dirs)]
     return {"schema": bench.SCHEMA_VERSION, "name": cfg.group, "instances": reports}
 
@@ -310,7 +313,7 @@ def _fault_names(file: str):
         yield
     except KeyError as exc:
         raise ValueError(f"{file}: missing key {exc}") from None
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{file}: {exc}") from None
 
 
@@ -377,9 +380,7 @@ def cmd_qubo(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _build_config(args)
-    inst, _ = preprocess.reduce(
-        _read_instance(args.instance), cfg.reduce, stage_seed(cfg.seed, 0, "subsample")
-    )
+    inst, _ = _prepare(cfg, 0, args.instance)
     model = qubo.build_qubo(inst, zero_is_edge=cfg.zero_is_edge)
     out = Path(cfg.out)
     failures = []
@@ -396,10 +397,12 @@ def cmd_bench(args) -> int:
     if not cfg.instances:
         raise _UsageError("bench needs at least one instance file")
     out = Path(cfg.out)
-    _check_no_stale_raw_dirs(out, len(cfg.instances))  # before anything is overwritten
+    prepared = [_prepare(cfg, index, path) for index, path in enumerate(cfg.instances)]
+    planned = [f"{index:03d}_{inst.name}" for index, (inst, _) in enumerate(prepared)]
+    raw_dirs = _raw_dirs(out, len(planned), planned)  # before anything is written
     out.mkdir(parents=True, exist_ok=True)
     bench.atomic_write(out / "config.json", dataclasses.asdict(cfg))
-    payloads = [(cfg, index, path) for index, path in enumerate(cfg.instances)]
+    payloads = [(cfg, i, *prep, raw) for i, (prep, raw) in enumerate(zip(prepared, raw_dirs))]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             list(pool.map(_bench_instance, payloads))

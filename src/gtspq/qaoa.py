@@ -73,24 +73,17 @@ class QaoaParams:
 
 
 @dataclass(frozen=True)
-class CellSummary:
-    gamma: float
-    beta: float
-    mean_energy: float
-    feasible_shot_fraction: float
-    best_shot_energy: float
-
-
-@dataclass(frozen=True)
 class GridResult:
     """Per-cell summaries, and the shots of the cell the search chose.
 
+    Each of ``cells`` is the row ``qaoa_grid.csv`` writes, its keys in column
+    order: gamma, beta, mean_energy, feasible_shot_fraction, best_shot_energy.
     ``samples`` is what downstream reporting consumes: the ``shots`` shots
     of the first cell of least mean energy. When the search ran no cell it
     is an empty set recording the failure.
     """
 
-    cells: tuple[CellSummary, ...]
+    cells: tuple[dict, ...]
     samples: SampleSet
 
 
@@ -262,7 +255,7 @@ def grid_search(
     betas = np.linspace(*BETA_RANGE, grid[1]).tolist()
     rings = [xy_ring_matrix(layout.n, beta) for beta in betas]
     started = time.monotonic()
-    cells: list[CellSummary] = []
+    cells: list[dict] = []
     chosen, chosen_score = None, math.inf  # the chosen cell's SampleSet and score
     phase_gamma, phase = None, None
     for gamma, (beta, ring) in itertools.product(gammas, zip(betas, rings)):
@@ -281,7 +274,10 @@ def grid_search(
         feasible = int(samples.counts @ (samples.energies < model.lam)) / shots
         if score < chosen_score:
             chosen, chosen_score = samples, score
-        cells.append(CellSummary(gamma, beta, score, feasible, float(samples.energies[0])))
+        cells.append({
+            "gamma": gamma, "beta": beta, "mean_energy": score,
+            "feasible_shot_fraction": feasible, "best_shot_energy": float(samples.energies[0]),
+        })
 
     if not cells:
         return GridResult((), SampleSet.failed(Backend.QAOA, Failure.TIMEOUT, 0))

@@ -341,6 +341,19 @@ def test_external_backend_requires_url(write_instance, tmp_path):
     assert main(["solve", str(path), "--backend", "external"]) == 1
 
 
+@pytest.mark.parametrize("url", ["notaurl", "ftp://localhost/", "localhost:8000"])
+def test_bench_rejects_an_external_url_that_is_not_http(write_instance, tmp_path, capsys, url):
+    """With external among the backends, an --external-url that is not
+    http:// or https:// is a usage error found before anything is written,
+    not a fault met after the other backends' files."""
+    path = write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))
+    out = tmp_path / "run"
+    args = ["bench", str(path), "--backend", "sa,external", "--external-url", url]
+    assert main(args + ["--reads", "20", "--out", str(out)]) == 1
+    assert "--external-url" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--grid", "0x10"), ("--shots", "0"), ("--reads", "0"), ("--layers", "0"), ("--jobs", "0")],
@@ -379,8 +392,26 @@ def test_bench_rejects_bad_reduce_and_timeout(write_instance, tmp_path, capsys, 
 
 @pytest.mark.parametrize(
     "content",
-    ["[1, 2]", '{"grid": 5}', '{"reads": null}', '{"read": 30}', '{"seed": "5"}', "{", None],
-    ids=["list", "grid-int", "reads-null", "unknown-key", "seed-str", "not-json", "missing"],
+    [
+        "[1, 2]",
+        '{"grid": 5}',
+        '{"reads": null}',
+        '{"read": 30}',
+        '{"seed": "5"}',
+        '{"timeout_s": 1%s}' % ("0" * 400),
+        "{",
+        None,
+    ],
+    ids=[
+        "list",
+        "grid-int",
+        "reads-null",
+        "unknown-key",
+        "seed-str",
+        "timeout-too-large-for-a-float",
+        "not-json",
+        "missing",
+    ],
 )
 def test_bench_malformed_config_file_is_usage_error(write_instance, tmp_path, capsys, content):
     path = write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))
@@ -616,8 +647,8 @@ def test_bench_writes_one_violin_file_per_raw_dir(write_instance, tmp_path):
 
 @pytest.mark.parametrize("name", ["../../escaped", "a/b", "nul\0byte"], ids=["dotdot", "slash", "nul"])
 def test_bench_rejects_an_instance_name_that_is_no_file_name(write_instance, tmp_path, capsys, name):
-    """A NAME with '/' or NUL is an instance error, found before any raw
-    file is written, inside --out or outside it."""
+    """A NAME with '/' or NUL is an instance error, found before anything
+    is written, inside --out or outside it: no --out is left behind."""
     text = (write_instance(gen.subsample_instance("6fri26_nodes_3", 3, 2))).read_text()
     path = tmp_path / "named.gtsp"
     path.write_text(text.replace("NAME: 6fri26_nodes_3", f"NAME: {name}"))
@@ -625,8 +656,8 @@ def test_bench_rejects_an_instance_name_that_is_no_file_name(write_instance, tmp
     capsys.readouterr()
     assert main(["bench", str(path), "--reads", "20", "--out", str(out)]) == 2
     assert "holds '/' or NUL" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["6fri26_nodes_3.gtsp", "deep", "named.gtsp"]
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["6fri26_nodes_3.gtsp", "named.gtsp"]
 
 
 def test_bench_parallel_jobs_match_serial(bench_paths, tmp_path):
@@ -805,9 +836,17 @@ def _json(edit):
         _json(lambda c: {**c, "grid": 5}),
         _json(lambda c: {**c, "reads": None}),
         _json(lambda c: {**c, "extra": 1}),
+        _json(lambda c: {**c, "timeout_s": 10**400}),
         lambda text: text[:-3],
     ],
-    ids=["list", "grid-int", "reads-null", "unknown-key", "not-json"],
+    ids=[
+        "list",
+        "grid-int",
+        "reads-null",
+        "unknown-key",
+        "timeout-too-large-for-a-float",
+        "not-json",
+    ],
 )
 def test_report_malformed_config_exit_2(bench_paths, tmp_path, capsys, edit):
     """``report`` rejects a config.json it cannot read as a run's settings,
@@ -867,6 +906,7 @@ def _edit_first_entry(key, value):
         _edit_first_entry("energy", "8.0"),
         _edit_first_entry("energy", True),
         _edit_first_entry("energy", None),
+        _edit_first_entry("energy", 10**400),
         _one_entry_one_bit_short,
         _bits_as_json_integer,
         _count_2_to_the_70,
@@ -890,6 +930,7 @@ def _edit_first_entry(key, value):
         "energy-str",
         "energy-true",
         "energy-null",
+        "energy-too-large-for-a-float",
         "bits-short",
         "bits-int",
         "count-2-70",
@@ -900,9 +941,9 @@ def test_report_malformed_samples_exit_2(bench_paths, tmp_path, capsys, edit):
     from a run (a bit string listed twice, a count that is not a positive
     integer below 2**63, or counts that do not add up to the reads), whose
     bit strings are not strings of the model's width, whose energies are not
-    JSON numbers (a string, a bool or null), an entry that is not an
-    object, and an entry or file without one of its keys, with an error
-    that names the file."""
+    JSON numbers (a string, a bool or null) or are integers too large for a
+    float, an entry that is not an object, and an entry or file without one
+    of its keys, with an error that names the file."""
     out = tmp_path / "run"
     assert main(["bench", str(bench_paths[0]), "--reads", "20", "--out", str(out)]) == 0
     samples = out / "raw" / "000_6fri26_nodes_3" / "samples_sa.json"
@@ -1027,9 +1068,8 @@ def test_report_needs_each_configured_instance_raw_dir(bench_paths, tmp_path, ca
 def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path, capsys, swapped):
     """bench into an --out a run of both instances left behind reports
     neither the stale instance nor a second directory of the same index.
-    A stale index is found before anything is written, so the first run's
-    config.json and raw files stay as they were; a second directory of a
-    run's own index is found when the raw files are read."""
+    Both are found before anything is written, so the first run's
+    config.json, raw files and report stay as they were."""
     out = tmp_path / "run"
     assert main(_bench_args(bench_paths, out)) == 0
     first = _dir_snapshot(out)
@@ -1040,7 +1080,29 @@ def test_bench_into_a_used_out_rejects_the_stale_raw_dirs(bench_paths, tmp_path,
         assert err.startswith("error: raw/000_*: 2 matches")
     else:
         assert err.startswith("error: raw/001_5ulysses22_nodes_4: not one of")
-        assert _dir_snapshot(out) == first
+    _assert_out_as_the_first_run_left_it(out, first, tmp_path)
+
+
+def test_bench_with_a_malformed_instance_leaves_a_used_out_as_it_was(bench_paths, tmp_path):
+    """Every instance is read before anything is written, so a second
+    instance file that does not parse exits 2 without rewriting the
+    config.json of the run in --out."""
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    first = _dir_snapshot(out)
+    bad = tmp_path / "bad.gtsp"
+    bad.write_text("NAME: nope\nTYPE: GTSP\nEOF\n")
+    assert main(_bench_args([bench_paths[0], bad], out)) == 2
+    _assert_out_as_the_first_run_left_it(out, first, tmp_path)
+
+
+def _assert_out_as_the_first_run_left_it(out, first, tmp_path):
+    """``out`` holds the files of the snapshot ``first``, and its run
+    re-reports to the same bytes."""
+    assert _dir_snapshot(out) == first
+    again = tmp_path / "again"
+    assert main(["report", str(out), "--out", str(again)]) == 0
+    assert _dir_snapshot(again) == _dir_snapshot(out / "report")
 
 
 def test_report_ignores_a_stored_random_cost_list(bench_paths, tmp_path):

@@ -12,7 +12,6 @@ from gtspq.qubo import build_qubo, encode_rows, energy
 from gtspq.qaoa import (
     BETA_RANGE,
     GAMMA_RANGE,
-    CellSummary,
     GridResult,
     QaoaParams,
     PartitionLayout,
@@ -551,12 +550,12 @@ def _grid(model, seed, **overrides):
 
 def test_grid_endpoints_inclusive(toy_instance):
     cells = _grid(build_qubo(toy_instance), 0, shots=10).cells
-    gammas = sorted({c.gamma for c in cells})
-    betas = sorted({c.beta for c in cells})
+    gammas = sorted({c["gamma"] for c in cells})
+    betas = sorted({c["beta"] for c in cells})
     assert gammas[0] == pytest.approx(0.05) and gammas[-1] == pytest.approx(math.pi)
     assert betas[0] == pytest.approx(0.05) and betas[-1] == pytest.approx(math.pi / 2)
     assert len(gammas) == len(betas) == 10
-    assert [(c.gamma, c.beta) for c in cells] == [(g, b) for g in gammas for b in betas]
+    assert [(c["gamma"], c["beta"]) for c in cells] == [(g, b) for g in gammas for b in betas]
 
 
 def test_grid_1x1_degenerates_to_single_run(toy_instance):
@@ -567,7 +566,7 @@ def test_grid_1x1_degenerates_to_single_run(toy_instance):
     state = run_qaoa(model, PartitionLayout(2, 2), params)
     direct = sample_shots(state, cost_diagonal(model), shots=200, seed=5)
     assert gen.sample_text(result.samples) == gen.sample_text(direct)
-    assert (result.cells[0].gamma, result.cells[0].beta) == (params.gamma, params.beta)
+    assert (result.cells[0]["gamma"], result.cells[0]["beta"]) == (params.gamma, params.beta)
 
 
 def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
@@ -575,10 +574,11 @@ def test_grid_toy_best_cell_contains_optimal_tour(toy_instance):
     result = _grid(model, 1)
     optimal_rows = encode_rows(2, [(0, 1), (1, 0)])
     # the first cell of least mean energy; only the optimal tours reach its energy
-    best = min(result.cells, key=lambda c: c.mean_energy)
-    assert best.best_shot_energy == pytest.approx(min(energy(model, row) for row in optimal_rows))
+    best = min(result.cells, key=lambda c: c["mean_energy"])
+    best_energy = min(energy(model, row) for row in optimal_rows)
+    assert best["best_shot_energy"] == pytest.approx(best_energy)
     assert len(result.cells) == 100
-    assert all(0.0 <= c.feasible_shot_fraction <= 1.0 for c in result.cells)
+    assert all(0.0 <= c["feasible_shot_fraction"] <= 1.0 for c in result.cells)
 
 
 def test_grid_deterministic(toy_instance):
@@ -595,15 +595,15 @@ def test_grid_search_samples_are_the_chosen_cells_shots():
     inst = gen.make_random_instance(seed=25, n=4, k=3)
     model = build_qubo(inst)
     result = _grid(model, 9, grid=(4, 4), shots=100)
-    scores = [c.mean_energy for c in result.cells]
+    scores = [c["mean_energy"] for c in result.cells]
     chosen = scores.index(min(scores))
     assert chosen != 0  # the choice is exercised, not the first cell by default
     cell = result.cells[chosen]
-    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(cell.gamma, cell.beta))
+    state = run_qaoa(model, PartitionLayout(4, 3), QaoaParams(cell["gamma"], cell["beta"]))
     redrawn = sample_shots(state, cost_diagonal(model), 100, 9 + chosen)
     assert result.samples.num_reads == 100 and result.samples.counts.sum() == 100
     assert gen.sample_text(result.samples) == gen.sample_text(redrawn)
-    assert float(result.samples.energies[0]) == cell.best_shot_energy
+    assert float(result.samples.energies[0]) == cell["best_shot_energy"]
 
 
 def test_grid_timeout_zero_cells(toy_instance):
@@ -679,7 +679,13 @@ def _reference_grid_search(model, inst, seed, *, grid, shots, timeout_s, layers)
     starts = np.cumsum([0] + [len(s.counts) for s in cell_sets[:-1]])
     fractions = (np.add.reduceat(counts * feasible, starts) / shots).tolist()
     cells = tuple(
-        CellSummary(gamma, beta, score, fraction, float(samples.energies[0]))
+        {
+            "gamma": gamma,
+            "beta": beta,
+            "mean_energy": score,
+            "feasible_shot_fraction": fraction,
+            "best_shot_energy": float(samples.energies[0]),
+        }
         for (gamma, beta, score, samples), fraction in zip(runs, fractions)
     )
     chosen = min(range(len(runs)), key=lambda c: runs[c][2])  # the first of least score
@@ -721,7 +727,7 @@ def test_grid_search_equals_reference(which, layers, toy_instance):
         assert len(got.cells) == 100
         _assert_same_search(got, want)
     if which == "absent-edges":  # the edge check is exercised, not vacuous
-        assert any(c.feasible_shot_fraction < 1.0 for c in got.cells)
+        assert any(c["feasible_shot_fraction"] < 1.0 for c in got.cells)
 
 
 def _clock_cut_after(monkeypatch, cells):
