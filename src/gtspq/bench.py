@@ -186,10 +186,18 @@ def atomic_write(path: Path, content: str | dict | Iterable[str]) -> None:
 
 def emit(group: dict, out_dir) -> None:
     """Write ``group``, the ``{schema, name, instances}`` object of a group's
-    reports, as group.json, and the four CSVs, into ``out_dir``, creating it."""
+    reports, as group.json, and the four CSVs, into ``out_dir``, creating it;
+    then remove what violin.csv replaces, a "v3" report's violin/*.csv files,
+    and violin/ once it is empty."""
     out = Path(out_dir)
     atomic_write(out / "group.json", group)
     atomic_write(out / "instances.csv", instances_csv(group))
     atomic_write(out / "feasibility.csv", feasibility_csv(group))
     atomic_write(out / "ar.csv", ar_csv(group))
     atomic_write(out / "violin.csv", violin_csv(group))
+    stale = out / "violin"
+    if stale.is_dir() and not stale.is_symlink():
+        for path in filter(Path.is_file, list(stale.glob("*.csv"))):
+            path.unlink()
+        if not any(stale.iterdir()):
+            stale.rmdir()

@@ -87,11 +87,6 @@ class GridResult:
     samples: SampleSet
 
 
-def initial_state(layout: PartitionLayout) -> np.ndarray:
-    """The uniform superposition over the N^K one-hot tuples."""
-    return np.full(layout.shape, layout.dim**-0.5, dtype=np.complex128)
-
-
 def cost_diagonal(model: QuboModel) -> np.ndarray:
     """Model energy of every subspace tuple's bitstring, shape (N,)*K.
 
@@ -160,8 +155,8 @@ def run_qaoa(
     ``ring`` (``xy_ring_matrix`` at ``params.beta``) are computed here when
     not given; a caller running many cells passes the ones it shares.
 
-    The first layer's phased start is ``phase * N^(-K/2)``, bit for bit
-    ``initial_state(layout) * phase``, without the uniform array.
+    The first layer's phased start is ``phase * N^(-K/2)``, bit for bit the
+    uniform superposition times ``phase``, without making the uniform array.
     """
     if phase is None:
         phase = cost_phase(cost_diagonal(model), params.gamma)

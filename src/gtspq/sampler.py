@@ -7,9 +7,9 @@ sampler endpoint. Each builds its set with ``SampleSet.from_reads``, which
 recomputes every energy against the model (``report`` keeps stored energies).
 
 Each annealing sweep visits the variables class by class, in greedy colour
-order: a class holds variables with no coupling between them, and flips in
-one array step, so the sweep is a sequential single-flip Metropolis sweep in
-that order.
+order: a class holds uncoupled variables, reads their fields from the spins
+s in one product, ``coef @ [s; 1]`` (exact on integer weights), and flips in
+one array step, so the sweep is a single-flip Metropolis sweep in that order.
 """
 
 from __future__ import annotations
@@ -207,9 +207,7 @@ def default_schedule(model: QuboModel, sweeps: int = DEFAULT_SWEEPS) -> AnnealSc
     """Geometric schedule after dwave-neal's ``default_beta_range``: the worst
     uphill flip is accepted w.p. ~0.5 at the start, and a flip that costs the
     smallest nonzero |coefficient| w.p. ~0.01 at the end."""
-    d_max = _max_flip_delta(model)
-    if d_max <= 0.0:
-        d_max = 1.0
+    d_max = _max_flip_delta(model) or 1.0
     return AnnealSchedule(
         sweeps=sweeps,
         beta_initial=math.log(2.0) / d_max,
@@ -301,54 +299,51 @@ def sa_sample(
     Each sweep visits the variables class by class, in the greedy colour
     order of ``_colour_classes``. The variables of one class are uncoupled,
     so flipping one leaves the others' local fields as they were, and the
-    whole class takes its accept test and its flips in one array step. A
-    sweep is thus a sequential single-flip Metropolis sweep in colour order
+    whole class reads its fields from the spins s = 1 - 2b in one product,
+    ``coef @ [s; 1]`` (Isakov et al., Comput. Phys. Commun. 192:265, 2015;
+    exact on integer weights), then takes its accept tests and flips in one
+    array step: a sequential single-flip Metropolis sweep in colour order
     (Gonzalez, Low, Gretton & Guestrin, AISTATS 2011). The initial bits and
     each sweep's uniform draws are indexed by the original variable.
     """
     if num_reads < 1:
         raise ValueError("num_reads must be >= 1")
-    if schedule is None:
-        schedule = default_schedule(model)
+    schedule = schedule or default_schedule(model)
     n = model.num_vars
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order, bounds = _colour_classes(model.q)
-    # q + q.T with a zero diagonal, in colour order, so that each class is a
-    # contiguous row block
-    qsym = np.take(np.take(model.q, order, axis=0), order, axis=1)
-    qsym += qsym.T
+    # coef = [-qsym / 2 | diag(q) + rowsum(qsym) / 2], qsym = q + q.T with a zero
+    # diagonal, in colour order so that each class is a contiguous row block
+    coef = np.empty((n, n + 1))
+    qsym = coef[:, :n]
+    qsym[...] = model.q[np.ix_(order, order)]
+    qsym += qsym.T  # diagonal 2 q_vv, so half a row sum is q_vv + half the rest
+    coef[:, n] = qsym.sum(axis=1) / 2.0
     np.fill_diagonal(qsym, 0.0)
-    linear = np.diagonal(model.q)[order, None]
-
-    bits = rng.integers(0, 2, size=(num_reads, n)).astype(np.float64)[:, order]
-    # (num_vars, reads) layout; fields[v, r] = sum_u q_{uv} * b_{r,u}
-    fields = np.ascontiguousarray((bits @ qsym).T)
-    spins = np.ascontiguousarray((1.0 - 2.0 * bits).T)  # 1 - 2 b: a flip's sign
-    thresholds = np.empty_like(fields)
-    # per class, views of its rows: state, thresholds, and the couplings a flip adds to fields
-    classes = [
-        (spins[a:b], linear[a:b], fields[a:b], thresholds[a:b], qsym[a:b].T)
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    ]
+    qsym *= -0.5
+    spins = np.ones((n + 1, num_reads))  # rows: 1 - 2 b (a flip's sign), then ones
+    spins[:n] = 1.0 - 2.0 * rng.integers(0, 2, size=(num_reads, n)).T[order]
+    thresholds = np.empty((n, num_reads))
+    # per class, views of its rows: state, thresholds and field coefficients
+    blocks = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    classes = [(spins[a:b], thresholds[a:b], coef[a:b]) for a, b in blocks]
     for beta in schedule.betas():
         # accept iff u < exp(-beta * delta), i.e. delta < -log(u) / beta
         draws = -np.log(rng.random((num_reads, n)) + 1e-300) / beta
         np.take(draws.T, order, axis=0, out=thresholds)  # in place: the class views read it
         # Until the first flip the state is the sweep's start state, so a
         # variable no read accepts now is rejected in the sweep too.
-        live = (spins * (linear + fields) < thresholds).any(axis=1)
+        live = (spins[:n] * (coef @ spins) < thresholds).any(axis=1)
         if not live.any():
             continue
         first = int(np.searchsorted(bounds, np.argmax(live), side="right")) - 1
-        for s, lin, f, thr, coupling in classes[first:]:
-            accept = s * (lin + f) < thr
-            if not accept.any():
-                continue
-            fields += coupling @ (s * accept)
-            np.negative(s, out=s, where=accept)
+        for s, thr, rows in classes[first:]:
+            delta = rows @ spins  # the class's fields from the current state
+            delta *= s
+            np.negative(s, out=s, where=delta < thr)
 
     bits = np.empty((num_reads, n), dtype=np.uint8)
-    bits[:, order] = (spins.T < 0)
+    bits[:, order] = (spins[:n].T < 0)
     return SampleSet.from_reads(Backend.SIMULATED_ANNEALING, model, bits)
 
 

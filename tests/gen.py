@@ -5,8 +5,8 @@ Benchmark-shaped fixtures replicate the standard experiment groups by
 that get reduced, a ring of strictly dominant entry/exit edges is planted so
 the nearest-nodes reduction hits a chosen reduced size exactly.
 ``from_terms`` builds the small hand-written models the tests use,
-``from_rows`` the reference sample set, and ``sample_text`` a sample set's
-file text.
+``from_rows`` the reference sample set, ``sample_text`` a sample set's
+file text, and ``initial_state`` the QAOA oracles' uniform start.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 
 from gtspq.instance import GtspInstance
+from gtspq.qaoa import PartitionLayout
 from gtspq.qubo import QuboModel
 from gtspq.sampler import Backend, Failure, SampleSet
 
@@ -240,3 +241,8 @@ def from_rows(
     order = np.lexsort((*np.packbits(rows, axis=1).T[::-1], energies))
     counts = np.asarray(counts, dtype=np.int64)[order]
     return SampleSet(backend, num_reads, rows[order], counts, energies[order], failure)
+
+
+def initial_state(layout: PartitionLayout) -> np.ndarray:
+    """The uniform superposition over the N^K one-hot tuples."""
+    return np.full(layout.shape, layout.dim**-0.5, dtype=np.complex128)

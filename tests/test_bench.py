@@ -265,6 +265,25 @@ def test_emit_row_order_and_headers(toy_instance, tmp_path):
     ]
 
 
+def test_emit_removes_only_the_v3_violin_csv_files(tmp_path):
+    """emit removes the *.csv files a "v3" report left in violin/, and the
+    directory only once they were all it held; a file of another kind
+    stays, and so does the directory that holds it."""
+    group = {"schema": "v4", "name": "g", "instances": []}
+    violin = tmp_path / "violin"
+    violin.mkdir()
+    (violin / "000_toy_sa.csv").write_text("ar,count\n")
+    (violin / "notes.txt").write_text("kept\n")
+    emit(group, tmp_path)
+    assert [p.name for p in violin.iterdir()] == ["notes.txt"]
+    (violin / "notes.txt").unlink()
+    (violin / "001_toy_qaoa.csv").write_text("ar,count\n")
+    emit(group, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ar.csv", "feasibility.csv", "group.json", "instances.csv", "violin.csv"
+    ]
+
+
 _BACKEND_KEYS = (
     "feasible_shot_rate", "ar_values", "ar_counts", "best_shot_ar", "mean_solver_cost", "failure"
 )

@@ -1148,6 +1148,22 @@ def test_report_reads_a_run_in_the_v2_layout(bench_paths, tmp_path):
     assert _dir_snapshot(target) == _dir_snapshot(out / "report")
 
 
+def test_report_removes_the_v3_violin_files(bench_paths, tmp_path):
+    """A re-report of a run whose report/ still holds the per-distribution
+    violin/<i:03d>_<name>_<backend>.csv files of a "v3" report leaves
+    violin.csv alone in their place, with the bytes of a fresh report."""
+    out = tmp_path / "run"
+    assert main(_bench_args(bench_paths, out)) == 0
+    report = _dir_snapshot(out / "report")
+    violin = out / "report" / "violin"
+    violin.mkdir()
+    for name in ("000_6fri26_nodes_3_sa.csv", "001_5ulysses22_nodes_4_qaoa.csv"):
+        (violin / name).write_text("ar,count\n1.0,60\n")
+    assert main(["report", str(out)]) == 0
+    assert not violin.exists()
+    assert _dir_snapshot(out / "report") == report
+
+
 def test_report_random_baseline_is_drawn_from_the_config(bench_paths, tmp_path):
     """Each instance's mean_random_cost is the mean of the run's reads
     random tours drawn with the instance's "random" stage seed, and bench

@@ -20,7 +20,6 @@ from gtspq.qaoa import (
     cost_diagonal,
     cost_phase,
     grid_search,
-    initial_state,
     run_qaoa,
     sample_shots,
     xy_ring_matrix,
@@ -165,14 +164,14 @@ def test_ring_matrix_two_nodes_is_one_rotation():
 
 
 def test_initial_state_unique_when_single_node():
-    state = initial_state(PartitionLayout(1, 3))
+    state = gen.initial_state(PartitionLayout(1, 3))
     assert state.reshape(-1).tolist() == [1.0 + 0.0j]
 
 
 def test_initial_state_deterministic():
     layout = PartitionLayout(3, 2)
-    a = initial_state(layout)
-    b = initial_state(layout)
+    a = gen.initial_state(layout)
+    b = gen.initial_state(layout)
     assert np.array_equal(a, b)
 
 
@@ -180,7 +179,7 @@ def test_initial_state_uniform_over_basis():
     """Every one of the N^K tuples holds amplitude dim^-1/2, and the norm is 1."""
     for n, k in ((2, 2), (3, 2), (4, 3), (5, 1)):
         layout = PartitionLayout(n, k)
-        state = initial_state(layout)
+        state = gen.initial_state(layout)
         assert state.shape == layout.shape and state.dtype == np.complex128
         assert (state == layout.dim**-0.5).all()
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
@@ -267,7 +266,7 @@ def test_mixer_unitary_over_many_applications():
 def test_mixer_preserves_subspace_support():
     # the mixer moves mass only between tuples: the vector length never
     # changes and no mass leaks out
-    state = initial_state(PartitionLayout(3, 3))
+    state = gen.initial_state(PartitionLayout(3, 3))
     out = apply_ring(state, xy_ring_matrix(3, 0.3))
     assert out.shape == (3, 3, 3)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -281,7 +280,7 @@ def test_run_qaoa_zero_params_returns_initial_state():
     model = build_qubo(inst)
     layout = PartitionLayout(3, 2)
     out = run_qaoa(model, layout, QaoaParams(0.0, 0.0))
-    assert np.allclose(out, initial_state(layout))
+    assert np.allclose(out, gen.initial_state(layout))
 
 
 @pytest.mark.parametrize("n,k,seed", [(2, 2, 0), (3, 2, 1), (4, 3, 2)])
@@ -331,7 +330,7 @@ def test_run_qaoa_equals_the_uniform_array_times_the_phase(n, k):
     diagonal = cost_diagonal(model)
     for gamma, beta in ((0.0, 0.41), (0.83, 0.0), (2.9, 1.3)):
         phase, ring = cost_phase(diagonal, gamma), xy_ring_matrix(n, beta)
-        want = initial_state(layout)
+        want = gen.initial_state(layout)
         for layers in (1, 2, 3):
             want = apply_ring(want * phase, ring)
             got = run_qaoa(model, layout, QaoaParams(gamma, beta, layers), phase=phase, ring=ring)

@@ -210,6 +210,20 @@ def test_sa_matches_reference_sweep(num_reads, sweeps):
             assert gen.sample_text(got) == gen.sample_text(want)
 
 
+@pytest.mark.parametrize("num_reads", [20, 300])
+def test_sa_matches_reference_sweep_at_the_benchmark_size(num_reads):
+    """Bit-identical to the reference sweep on the benchmark's largest
+    shape, (20, 7) = 140 variables on integer weights, where most colour
+    classes have several members whose fields come from one product."""
+    model = build_qubo(gen.subsample_instance("20rd100_nodes_20", 20, 7))
+    order, bounds = _colour_classes(model.q)
+    assert model.num_vars == 140 and len(bounds) - 1 < model.num_vars // 2
+    for schedule in (default_schedule(model, sweeps=13), AnnealSchedule(13, 0.01, 5.0)):
+        got = sa_sample(model, num_reads, schedule, seed=31)
+        want = _sa_reference_entries(model, num_reads, schedule, 31, order)
+        assert gen.sample_text(got) == gen.sample_text(want)
+
+
 def _classes(model):
     order, bounds = _colour_classes(model.q)
     return [order[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
